@@ -1,4 +1,4 @@
-"""Event-driven warp scheduler with a vectorized per-SM hot loop.
+"""Event-driven warp scheduler.
 
 The engine advances one warp coroutine per event.  Each yielded request
 reserves the resources it needs:
@@ -20,27 +20,11 @@ the latency chain dominates (the paper's Table I regime); with many the
 servers saturate and only issue- or bandwidth-bound costs remain (the
 Table II / Figure 6 regime).
 
-Engine modes
-------------
-
-Two interchangeable event queues drive the loop, selected by
-``Engine(mode=...)``, :func:`set_engine_mode`, or the
-``REPRO_ENGINE_MODE`` environment variable:
-
-* ``"vector"`` (default) — warps resident on one SM share a numpy
-  structured array (:data:`EVENT_DTYPE`) of next-event times, stall
-  reasons, and outstanding-request state.  The inner loop takes the
-  minimum over a cached per-SM minima array and pops the whole
-  ready-set (every entry at the global minimum time) per SM as an
-  index array, then steps the set in sequence order.
-* ``"event"`` — the original scalar ``heapq`` of ``(time, seq, runner)``
-  entries, kept as the reference implementation.
-
-Both modes process events in identical ``(time, seq)`` order — sequence
-numbers are globally monotonic, so entries popped at one timestamp
-always precede anything scheduled while stepping them — and share every
-dispatch handler, so simulated cycles are bit-identical (asserted over
-the whole workload registry by ``tests/gpu/test_vector_equivalence.py``).
+Events live in one global heap of ``(time, seq, runner)`` entries.
+Sequence numbers are globally monotonic, so ties at one timestamp pop
+in scheduling order and runs are deterministic; the golden fixture
+``tests/gpu/golden_engine.json`` pins the resulting cycles, stats and
+memory effects across engine changes.
 
 The dispatch handlers are looked up by request type in a handler table
 (:attr:`Engine._handlers`) instead of an ``isinstance`` chain, and the
@@ -48,9 +32,7 @@ tracer / profile / sampler instrumentation arrives bundled in one
 :class:`~repro.gpu.launch.EngineHooks` object, guarded by ``is not
 None`` tests so instrumented runs stay cycle-bit-identical to
 uninstrumented ones.  :meth:`Engine.launch` takes a
-:class:`~repro.gpu.launch.LaunchPlan`; the pre-PR-9 entry points
-(``Engine.run``/``Engine.run_groups``) and per-hook keyword arguments
-survive as deprecated shims that warn once.
+:class:`~repro.gpu.launch.LaunchPlan` and is the single entry point.
 
 For sharded epoch execution (:mod:`repro.gpu.sharded`) the loop is also
 exposed incrementally: :meth:`Engine.begin` seeds the launch wave,
@@ -64,12 +46,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-import os
-import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
-
-import numpy as np
 
 from repro.gpu.instructions import (
     AcquireLock,
@@ -89,96 +66,6 @@ from repro.gpu.launch import EngineHooks, LaunchPlan
 from repro.gpu.specs import GPUSpec
 
 _INF = math.inf
-
-# ---------------------------------------------------------------------------
-# Engine-mode selection.
-
-ENGINE_MODES = ("vector", "event")
-ENGINE_MODE_ENV = "REPRO_ENGINE_MODE"
-_mode_default = "vector"
-
-#: Deprecation warnings already emitted this process (one per key).
-_WARNED: set[str] = set()
-
-
-def _warn_once(key: str, message: str) -> None:
-    if key not in _WARNED:
-        _WARNED.add(key)
-        warnings.warn(message, DeprecationWarning, stacklevel=3)
-
-
-def _check_mode(mode: str) -> str:
-    if mode not in ENGINE_MODES:
-        raise ValueError(
-            f"unknown engine mode {mode!r}; expected one of {ENGINE_MODES}")
-    return mode
-
-
-def default_engine_mode() -> str:
-    """Resolve the process-wide engine mode.
-
-    ``REPRO_ENGINE_MODE`` (exported to sharded workers) wins over the
-    module default set by :func:`set_engine_mode`.
-    """
-    env = os.environ.get(ENGINE_MODE_ENV)
-    if env:
-        return _check_mode(env)
-    return _mode_default
-
-
-def set_engine_mode(mode: str) -> str:
-    """Set the module-default engine mode; returns the previous one."""
-    global _mode_default
-    old = _mode_default
-    _mode_default = _check_mode(mode)
-    return old
-
-
-@contextmanager
-def engine_mode(mode: str):
-    """Temporarily run engines in ``mode`` (``"vector"``/``"event"``)."""
-    old = set_engine_mode(mode)
-    try:
-        yield
-    finally:
-        set_engine_mode(old)
-
-
-# ---------------------------------------------------------------------------
-# Stall-reason codes stored in the per-SM event tables (vector mode).
-# The code records why the queued warp is waiting for its next event.
-
-STALL_READY = 0      # runnable, waiting only for its turn
-STALL_EXEC = 1       # issue/execution dependency chain
-STALL_MEM = 2        # blocking DRAM access or load fence
-STALL_SCRATCH = 3    # scratchpad latency
-STALL_ATOMIC = 4     # atomic address serialisation
-STALL_BARRIER = 5    # released from a block barrier
-STALL_LOCK = 6       # lock acquire/handoff latency
-STALL_IO = 7         # PCIe transfer or host compute
-STALL_SLEEP = 8      # explicit sleep / spin-wait
-
-STALL_NAMES = {
-    STALL_READY: "ready",
-    STALL_EXEC: "exec",
-    STALL_MEM: "memory",
-    STALL_SCRATCH: "scratch",
-    STALL_ATOMIC: "atomic",
-    STALL_BARRIER: "barrier",
-    STALL_LOCK: "lock",
-    STALL_IO: "io",
-    STALL_SLEEP: "sleep",
-}
-
-#: Row layout of the per-SM event table: next-event time, global
-#: sequence number (the deterministic tie-break), stall-reason code,
-#: and the completion time of the warp's outstanding async loads.
-EVENT_DTYPE = np.dtype([
-    ("time", "f8"),
-    ("seq", "i8"),
-    ("stall", "i1"),
-    ("outstanding", "f8"),
-])
 
 
 @dataclass
@@ -287,100 +174,16 @@ class _WarpRunner:
         self.pending_req = None  # sliced request awaiting re-dispatch
 
 
-class _SMEventTable:
-    """Vectorized event queue shared by all warps resident on one SM.
-
-    Rows follow :data:`EVENT_DTYPE` and hold the shared warp state the
-    batch handlers and the stall census read — next-event time, stall
-    reason, outstanding-request completion; a free row holds ``time =
-    inf`` so vectorized scans need no occupancy mask.  Runner handles
-    live in a parallel Python list (coroutines cannot go in the array).
-
-    *Ordering* is kept separately in a per-SM binary heap of ``(time,
-    seq, slot)`` triples: finding the SM's next event time and popping
-    its whole ready-set are then O(log n) C-level heap operations
-    instead of per-event numpy reductions, whose call overhead
-    dominates when latency staggering makes ready-sets singletons.
-    Capacity grows geometrically and never shrinks — a launch reaches
-    its resident-warp high-water mark early and stays there.
-    """
-
-    __slots__ = ("data", "time", "seq", "stall", "outstanding",
-                 "runners", "free", "heap")
-
-    def __init__(self, capacity: int = 32):
-        self.runners: list = [None] * capacity
-        self.free = list(range(capacity - 1, -1, -1))
-        self.heap: list = []
-        self._alloc(capacity)
-
-    def _alloc(self, capacity: int) -> None:
-        data = np.zeros(capacity, dtype=EVENT_DTYPE)
-        data["time"] = _INF
-        self.data = data
-        # Cached column views: field access on a structured array
-        # builds a new view object each time, too slow for the hot loop.
-        self.time = data["time"]
-        self.seq = data["seq"]
-        self.stall = data["stall"]
-        self.outstanding = data["outstanding"]
-
-    def _grow(self) -> None:
-        old = self.data
-        cap = len(old)
-        self._alloc(cap * 2)
-        self.data[:cap] = old
-        self.runners.extend([None] * cap)
-        self.free.extend(range(cap * 2 - 1, cap - 1, -1))
-
-    def push(self, runner, time: float, seq: int, stall: int,
-             outstanding: float) -> None:
-        if not self.free:
-            self._grow()
-        slot = self.free.pop()
-        self.data[slot] = (time, seq, stall, outstanding)
-        self.runners[slot] = runner
-        heapq.heappush(self.heap, (time, seq, slot))
-
-    def min_time(self) -> float:
-        return self.heap[0][0] if self.heap else _INF
-
-    def pop_at(self, t: float) -> list:
-        """Pop every entry whose time equals ``t`` (the ready-set).
-
-        Returns ``(seq, runner)`` pairs in seq order; the engine merges
-        ready-sets across SMs and sorts once by sequence number.
-        """
-        heap = self.heap
-        runners = self.runners
-        time = self.time
-        free = self.free
-        out = []
-        while heap and heap[0][0] == t:
-            _, seq, slot = heapq.heappop(heap)
-            out.append((seq, runners[slot]))
-            runners[slot] = None
-            time[slot] = _INF
-            free.append(slot)
-        return out
-
-
 class Engine:
     """Executes a grid of threadblocks on the simulated GPU."""
 
     def __init__(self, spec: GPUSpec, blocks_per_sm: int,
                  hooks: EngineHooks | None = None,
-                 num_devices: int = 1,
-                 mode: str | None = None,
-                 **legacy):
-        if legacy:
-            hooks = self._fold_legacy_hooks(hooks, legacy)
+                 num_devices: int = 1):
         self.spec = spec
         self.blocks_per_sm = max(1, blocks_per_sm)
         self._set_hooks(hooks if hooks is not None else EngineHooks())
         self.num_devices = num_devices
-        self.mode = _check_mode(mode) if mode else default_engine_mode()
-        self._vector = self.mode == "vector"
         self.stats = EngineStats()
         total_sms = spec.num_sms * num_devices
         self._issue_avail = [0.0] * total_sms
@@ -390,12 +193,6 @@ class Engine:
         self._atomic_avail: dict[tuple, float] = {}
         self._heap: list = []
         self._seq = itertools.count()
-        if self._vector:
-            self._tables = [_SMEventTable() for _ in range(total_sms)]
-            # Per-SM minima as a plain Python list: the outer loop
-            # reads it once per dispatched batch, and min()/compare
-            # over a handful of floats beats numpy's call overhead.
-            self._sm_min = [_INF] * total_sms
         self._pending_groups: list = [[] for _ in range(num_devices)]
         self._resident = [0] * total_sms
         self._eff_ipc = spec.effective_issue_rate()
@@ -420,33 +217,6 @@ class Engine:
         }
 
     # -- hooks ---------------------------------------------------------
-    @staticmethod
-    def _fold_legacy_hooks(hooks: EngineHooks | None,
-                           legacy: dict) -> EngineHooks:
-        values = {}
-        for name in ("tracer", "profile", "sampler"):
-            if name in legacy:
-                _warn_once(
-                    f"Engine({name}=)",
-                    f"Engine({name}=...) is deprecated; bundle "
-                    f"instrumentation into EngineHooks({name}=...) and "
-                    "pass Engine(..., hooks=...) instead")
-                values[name] = legacy.pop(name)
-        if legacy:
-            name = next(iter(legacy))
-            raise TypeError(
-                f"Engine() got an unexpected keyword argument {name!r}")
-        if hooks is None:
-            return EngineHooks(**values)
-        for name, value in values.items():
-            if value is not None and getattr(hooks, name) is not None:
-                raise TypeError(
-                    f"Engine() got both hooks.{name} and the deprecated "
-                    f"{name}= keyword")
-            if value is not None:
-                setattr(hooks, name, value)
-        return hooks
-
     def _set_hooks(self, hooks: EngineHooks) -> None:
         self.hooks = hooks
         # Mirrors kept as plain attributes: they are read per event in
@@ -469,22 +239,6 @@ class Engine:
         self.begin(plan.groups)
         self.advance()
         return self.finish()
-
-    def run(self, block_factories: list) -> float:
-        """Deprecated: use ``launch(LaunchPlan.single(factories))``."""
-        _warn_once(
-            "Engine.run",
-            "Engine.run(factories) is deprecated; use "
-            "Engine.launch(LaunchPlan.single(factories)) instead")
-        return self.launch(LaunchPlan.single(list(block_factories)))
-
-    def run_groups(self, groups: list) -> float:
-        """Deprecated: use ``launch(LaunchPlan(groups=...))``."""
-        _warn_once(
-            "Engine.run_groups",
-            "Engine.run_groups(groups) is deprecated; use "
-            "Engine.launch(LaunchPlan(groups=groups)) instead")
-        return self.launch(LaunchPlan(groups=[list(g) for g in groups]))
 
     # -- incremental interface (used by launch() and repro.gpu.sharded)
     def begin(self, groups: list) -> None:
@@ -515,66 +269,23 @@ class Engine:
         :meth:`gate_host`).  Returns the next pending event time, or
         ``inf`` when the launch has fully drained.
         """
-        if self._vector:
-            self._drain_vector(horizon)
-        else:
-            self._drain_event(horizon)
-        return self.peek()
-
-    def peek(self) -> float:
-        """Next pending event time (``inf`` when drained)."""
-        if self._vector:
-            return min(self._sm_min)
-        return self._heap[0][0] if self._heap else _INF
-
-    def finish(self) -> float:
-        """Record and return total elapsed cycles."""
-        self.stats.cycles = self._end_time
-        return self._end_time
-
-    # -- event loops ---------------------------------------------------
-    def _drain_event(self, horizon: float) -> None:
         heap = self._heap
         step = self._step
         while heap and heap[0][0] <= horizon:
             time, _, runner = heapq.heappop(heap)
             step(runner, time)
             if self._parked is not None:
-                return
+                break
+        return self.peek()
 
-    def _drain_vector(self, horizon: float) -> None:
-        sm_min = self._sm_min
-        tables = self._tables
-        step = self._step
-        while True:
-            tmin = min(sm_min)
-            if tmin == _INF or tmin > horizon:
-                return
-            # Pop the whole ready-set: every queued entry at the global
-            # minimum time, across all SMs sitting at that minimum.
-            batch = []
-            for sm, t in enumerate(sm_min):
-                if t != tmin:
-                    continue
-                tab = tables[sm]
-                batch.extend(tab.pop_at(tmin))
-                sm_min[sm] = tab.min_time()
-            if len(batch) > 1:
-                # Sequence numbers are globally monotonic, so sorting
-                # the popped set by seq reproduces the heap's pop order
-                # exactly: anything scheduled while stepping this batch
-                # carries a larger seq and sorts after it in the next
-                # outer iteration.
-                batch.sort()
-            for i, (seq, runner) in enumerate(batch):
-                step(runner, tmin)
-                if self._parked is not None:
-                    # Strict stop for sharded host serialisation: the
-                    # unstepped remainder re-queues under its original
-                    # sequence numbers so resume order is unchanged.
-                    for seq2, runner2 in batch[i + 1:]:
-                        self._push_at(runner2, tmin, seq2)
-                    return
+    def peek(self) -> float:
+        """Next pending event time (``inf`` when drained)."""
+        return self._heap[0][0] if self._heap else _INF
+
+    def finish(self) -> float:
+        """Record and return total elapsed cycles."""
+        self.stats.cycles = self._end_time
+        return self._end_time
 
     # ------------------------------------------------------------------
     def _start_next_block(self, sm: int, time: float) -> bool:
@@ -593,26 +304,10 @@ class Engine:
             self._schedule(_WarpRunner(gen, block, w), time)
         return True
 
-    def _schedule(self, runner: _WarpRunner, time: float,
-                  stall: int = STALL_READY) -> None:
-        if self._vector:
-            sm = runner.block.sm_index
-            self._tables[sm].push(runner, time, next(self._seq), stall,
-                                  runner.outstanding)
-            if time < self._sm_min[sm]:
-                self._sm_min[sm] = time
-        else:
-            heapq.heappush(self._heap, (time, next(self._seq), runner))
+    def _schedule(self, runner: _WarpRunner, time: float) -> None:
+        heapq.heappush(self._heap, (time, next(self._seq), runner))
         if time > self._end_time:
             self._end_time = time
-
-    def _push_at(self, runner: _WarpRunner, time: float, seq: int) -> None:
-        """Re-queue a popped-but-unstepped entry under its original seq."""
-        sm = runner.block.sm_index
-        self._tables[sm].push(runner, time, seq, STALL_READY,
-                              runner.outstanding)
-        if time < self._sm_min[sm]:
-            self._sm_min[sm] = time
 
     def _finish_warp(self, runner: _WarpRunner, time: float) -> None:
         block = runner.block
@@ -623,26 +318,6 @@ class Engine:
             sm = block.sm_index
             self._resident[sm] -= 1
             self._start_next_block(sm, time)
-
-    # -- introspection -------------------------------------------------
-    def stall_census(self) -> dict[str, int]:
-        """Queued-event counts keyed by stall reason (vector mode).
-
-        Event mode keeps no stall codes and reports the queue depth
-        under ``"queued"``.  Used by the sharded heartbeat payload.
-        """
-        if not self._vector:
-            return {"queued": len(self._heap)}
-        counts: dict[str, int] = {}
-        for tab in self._tables:
-            active = tab.time != _INF
-            if not active.any():
-                continue
-            codes, num = np.unique(tab.stall[active], return_counts=True)
-            for code, n in zip(codes.tolist(), num.tolist()):
-                name = STALL_NAMES.get(code, str(code))
-                counts[name] = counts.get(name, 0) + n
-        return counts
 
     # -- sharded host serialisation ------------------------------------
     def gate_host(self) -> None:
@@ -791,8 +466,7 @@ class Engine:
             self._stall(runner, req, "exec_dependency",
                         start + issue_time, wake)
         runner.pending_req = req
-        self._schedule(runner, start + max(issue_time, latency),
-                       STALL_EXEC)
+        self._schedule(runner, start + max(issue_time, latency))
         return True
 
     # -- dispatch ------------------------------------------------------
@@ -849,7 +523,7 @@ class Engine:
                 self._translation_ev(runner, start, done,
                                      tr[0] / self._eff_ipc,
                                      pre_x, pre - pre_x)
-        self._schedule(runner, done, STALL_EXEC)
+        self._schedule(runner, done)
 
     def _h_scratch(self, req: ScratchAccess, runner: _WarpRunner,
                    now: float) -> None:
@@ -876,7 +550,7 @@ class Engine:
             self._issue_ev(runner, start, start + issue_time)
             self._stall(runner, req, "scratch",
                         start + issue_time, done)
-        self._schedule(runner, done, STALL_SCRATCH)
+        self._schedule(runner, done)
 
     def _h_atomic(self, req: AtomicOp, runner: _WarpRunner,
                   now: float) -> None:
@@ -897,7 +571,7 @@ class Engine:
         self._trace(runner, req, start, done)
         if self.tracer is not None:
             self._stall(runner, req, "atomic", now, done)
-        self._schedule(runner, done, STALL_ATOMIC)
+        self._schedule(runner, done)
 
     def _h_fence(self, req: LoadFence, runner: _WarpRunner,
                  now: float) -> None:
@@ -910,7 +584,7 @@ class Engine:
         if self.tracer is not None:
             self._stall(runner, req, "memory", now,
                         runner.outstanding)
-        self._schedule(runner, max(now, runner.outstanding), STALL_MEM)
+        self._schedule(runner, max(now, runner.outstanding))
 
     def _h_barrier(self, req: Barrier, runner: _WarpRunner,
                    now: float) -> None:
@@ -928,7 +602,7 @@ class Engine:
             self.stats.lock_acquisitions += 1
             if self.tracer is not None:
                 self._stall(runner, req, "lock", now, now + cost)
-            self._schedule(runner, now + cost, STALL_LOCK)
+            self._schedule(runner, now + cost)
         else:
             lock.contended += 1
             self.stats.lock_contentions += 1
@@ -956,8 +630,8 @@ class Engine:
                                    enqueued, now + cost,
                                    wtag or "lock",
                                    sm=block.sm_index)
-            self._schedule(waiter, now + cost, STALL_LOCK)
-        self._schedule(runner, now, STALL_READY)
+            self._schedule(waiter, now + cost)
+        self._schedule(runner, now)
 
     def _h_pcie(self, req: PcieTransfer, runner: _WarpRunner,
                 now: float) -> None:
@@ -985,7 +659,7 @@ class Engine:
         if self.tracer is not None:
             self._stall(runner, req, "io", now, done)
         self._maybe_preempt(runner, now, done)
-        self._schedule(runner, done, STALL_IO)
+        self._schedule(runner, done)
 
     def _h_host(self, req: HostCompute, runner: _WarpRunner,
                 now: float) -> None:
@@ -1011,7 +685,7 @@ class Engine:
         if self.tracer is not None:
             self._stall(runner, req, "io", now, done)
         self._maybe_preempt(runner, now, done)
-        self._schedule(runner, done, STALL_IO)
+        self._schedule(runner, done)
 
     def _h_sleep(self, req: Sleep, runner: _WarpRunner,
                  now: float) -> None:
@@ -1030,7 +704,7 @@ class Engine:
                                now + req.cycles, req.cycles)
         if req.io_wait:
             self._maybe_preempt(runner, now, now + req.cycles)
-        self._schedule(runner, now + req.cycles, STALL_SLEEP)
+        self._schedule(runner, now + req.cycles)
 
     def _h_mem(self, req: MemAccess, runner: _WarpRunner,
                now: float) -> None:
@@ -1096,7 +770,7 @@ class Engine:
                     self._translation_ev(runner, start, resume,
                                          tr_cnt / self._eff_ipc,
                                          pre_x, pre - pre_x)
-            self._schedule(runner, resume, STALL_EXEC)
+            self._schedule(runner, resume)
             return
         self.stats.loads += 1
         data_ready = dram_start + spec.dram_latency_cycles
@@ -1115,7 +789,7 @@ class Engine:
                     self._translation_ev(runner, start, resume,
                                          tr_cnt / self._eff_ipc,
                                          pre_x, pre - pre_x)
-            self._schedule(runner, resume, STALL_EXEC)
+            self._schedule(runner, resume)
             return
         overlap_done = (pre_done
                         + req.overlap_chain * spec.dependent_issue_cycles)
@@ -1144,7 +818,7 @@ class Engine:
                                      tr_cnt / self._eff_ipc,
                                      pre_x + ov_x + post_x,
                                      (pre - pre_x) + (ov - ov_x))
-        self._schedule(runner, final, STALL_MEM)
+        self._schedule(runner, final)
 
     # ------------------------------------------------------------------
     def _maybe_preempt(self, runner: _WarpRunner, now: float,
@@ -1196,4 +870,4 @@ class Engine:
                                        release - arrived)
                 if self.tracer is not None:
                     self._stall(waiter, None, "barrier", arrived, release)
-                self._schedule(waiter, release, STALL_BARRIER)
+                self._schedule(waiter, release)

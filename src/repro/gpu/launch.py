@@ -12,9 +12,7 @@ the engine's constructor and entry points accumulated PR over PR:
   hook against ``None``.
 * :class:`LaunchPlan` describes *what* to run: one list of block
   factories per device, the resident-blocks-per-SM occupancy, and the
-  hooks.  ``Engine.launch(plan)`` is the single entry point; the old
-  ``Engine.run(...)`` / ``Engine.run_groups(...)`` names survive as
-  deprecated shims for one release.
+  hooks.  ``Engine.launch(plan)`` is the single entry point.
 
 Neither class imports the engine, so they are cheap to construct and
 safe to build in caller modules without circular imports.
@@ -50,16 +48,6 @@ class EngineHooks:
     profile: Any = None
     sampler: Any = None
     sanitizer: Any = None
-
-    @property
-    def null(self) -> bool:
-        """True when no hook is attached (the zero-cost fast path)."""
-        return (self.tracer is None and self.profile is None
-                and self.sampler is None and self.sanitizer is None)
-
-
-#: Shared immutable-by-convention null bundle for uninstrumented runs.
-NULL_HOOKS = EngineHooks()
 
 
 @dataclass
@@ -104,4 +92,4 @@ class LaunchPlan:
         return len(self.groups)
 
 
-__all__ = ["EngineHooks", "LaunchPlan", "NULL_HOOKS"]
+__all__ = ["EngineHooks", "LaunchPlan"]

@@ -74,13 +74,7 @@ from dataclasses import dataclass
 from queue import Empty
 
 from repro.gpu.device import LaunchResult
-from repro.gpu.engine import (
-    ENGINE_MODE_ENV,
-    Engine,
-    EngineProfile,
-    EngineStats,
-    default_engine_mode,
-)
+from repro.gpu.engine import Engine, EngineProfile, EngineStats
 from repro.gpu.launch import EngineHooks
 from repro.gpu.trace import Tracer
 
@@ -377,7 +371,7 @@ def _run_inprocess(launches, blocks_per_sm: int, epoch: float,
 
 
 def _shard_worker(index: int, launch, blocks_per_sm: int, epoch: float,
-                  seed: int, mode: str, inst: _ShardInstrument,
+                  seed: int, inst: _ShardInstrument,
                   cmd_q, rep_q, heartbeat_interval: float):
     """Worker side of the epoch protocol.  Messages to the parent:
     ``("parked", index, arrival, seconds)``, ``("waiting", index)``,
@@ -389,7 +383,6 @@ def _shard_worker(index: int, launch, blocks_per_sm: int, epoch: float,
     from repro.harness.heartbeat import HeartbeatSender
     from repro.harness.runner import _seed_rngs
 
-    os.environ[ENGINE_MODE_ENV] = mode
     _seed_rngs(seed)
     engine, tracer, sampler = _build_shard(launch, blocks_per_sm, inst)
     beats = HeartbeatSender(
@@ -407,8 +400,7 @@ def _shard_worker(index: int, launch, blocks_per_sm: int, epoch: float,
             rep_q.put(("done", index))
             break
         beats.send({"kind": "window", "shard": index,
-                    "horizon": horizon,
-                    "census": engine.stall_census()})
+                    "horizon": horizon})
         rep_q.put(("waiting", index))
         cmd = cmd_q.get()
         horizon = cmd[1]
@@ -425,7 +417,6 @@ def _run_workers(launches, blocks_per_sm: int, epoch: float,
     from repro.harness.runner import spawn_executor
 
     spec = launches[0].device.spec
-    mode = default_engine_mode()
     timeout = worker_timeout()
     n = len(launches)
     # Every shard must be live for the barrier to close, so the pool
@@ -436,7 +427,7 @@ def _run_workers(launches, blocks_per_sm: int, epoch: float,
         cmd_qs = [manager.Queue() for _ in range(n)]
         futures = [
             pool.submit(_shard_worker, i, launch, blocks_per_sm, epoch,
-                        _shard_seed(base_seed, i), mode, inst,
+                        _shard_seed(base_seed, i), inst,
                         cmd_qs[i], rep_q, 2.0)
             for i, launch in enumerate(launches)]
         status: dict[int, tuple] = {}

@@ -57,17 +57,6 @@ from repro.harness.registry import Experiment, ExperimentResult
 DEFAULT_BASE_SEED = 0x5EED
 
 
-#: Deprecation warnings already emitted this process (one per key).
-_WARNED: set = set()
-
-
-def _warn_once(key: str, message: str) -> None:
-    import warnings
-    if key not in _WARNED:
-        _WARNED.add(key)
-        warnings.warn(message, DeprecationWarning, stacklevel=3)
-
-
 @dataclass(frozen=True)
 class LiveOptions:
     """Live-telemetry configuration for a run (implies profiling).
@@ -277,8 +266,8 @@ def run_experiment(exp: Experiment, *, scale: str = "quick",
                    instrument: Optional[Instrumentation] = None,
                    base_seed: int = DEFAULT_BASE_SEED,
                    progress: Optional[bool] = None,
-                   executor: Optional[ProcessPoolExecutor] = None,
-                   **legacy) -> RunReport:
+                   executor: Optional[ProcessPoolExecutor] = None
+                   ) -> RunReport:
     """Run every grid point of ``exp``; return a :class:`RunReport`.
 
     ``jobs=1`` runs in-process; ``jobs>1`` fans points out over a
@@ -291,12 +280,7 @@ def run_experiment(exp: Experiment, *, scale: str = "quick",
     ``instrument`` (an :class:`Instrumentation`) bundles every
     observation switch: profiling, tracing, cycle attribution, and
     live telemetry.  ``attribution`` and ``live`` imply profiling.
-    The pre-PR-9 per-switch keywords (``profile=``, ``trace=``,
-    ``attribution=``, ``live=``) survive as deprecated shims that
-    warn once.
     """
-    if legacy:
-        instrument = _fold_legacy_instrument(instrument, legacy)
     if instrument is None:
         instrument = Instrumentation.off()
     trace = instrument.trace
@@ -424,36 +408,6 @@ def run_experiment(exp: Experiment, *, scale: str = "quick",
     return RunReport(result=result, outcomes=outcomes,
                      profiles=profiles, tracers=tracers, merged=merged,
                      jobs=jobs, elapsed=time.time() - started)
-
-
-def _fold_legacy_instrument(instrument: Optional[Instrumentation],
-                            legacy: dict) -> Instrumentation:
-    """Fold deprecated per-switch keywords into one Instrumentation."""
-    values = {}
-    for name in ("profile", "trace", "attribution", "live"):
-        if name in legacy:
-            _warn_once(
-                f"run_experiment({name}=)",
-                f"run_experiment({name}=...) is deprecated; bundle "
-                "observation switches into "
-                f"Instrumentation({name}=...) and pass "
-                "run_experiment(..., instrument=...) instead")
-            values[name] = legacy.pop(name)
-    if legacy:
-        name = next(iter(legacy))
-        raise TypeError(
-            f"run_experiment() got an unexpected keyword argument "
-            f"{name!r}")
-    if instrument is None:
-        return Instrumentation(**values)
-    defaults = Instrumentation.off()
-    for name, value in values.items():
-        if getattr(instrument, name) != getattr(defaults, name):
-            raise TypeError(
-                f"run_experiment() got both instrument.{name} and the "
-                f"deprecated {name}= keyword")
-    import dataclasses
-    return dataclasses.replace(instrument, **values)
 
 
 def run_named(name: str, **kwargs) -> RunReport:

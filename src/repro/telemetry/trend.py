@@ -36,7 +36,6 @@ __all__ = [
     "Regression",
     "TREND_SCHEMA",
     "TREND_VERSION",
-    "amend_latest",
     "append_run",
     "compare",
     "current_commit",
@@ -97,27 +96,6 @@ def append_run(path: str, metrics: dict, *, commit: str | None = None,
                     sorted(metrics.items())},
     }
     doc["runs"].append(row)
-    with open(path, "w") as f:
-        json.dump(doc, f, indent=2, sort_keys=False)
-        f.write("\n")
-    return doc
-
-
-def amend_latest(path: str, metrics: dict) -> dict:
-    """Merge metric records into the latest run row and rewrite.
-
-    Lets a benchmark that runs *after* the trend row was appended (the
-    CI vectorization gate) attach its metric to the same row instead
-    of opening a second row for the same commit.  Raises
-    :class:`ValueError` when the file has no rows yet — an amendment
-    with nothing to amend means the steps ran out of order.
-    """
-    doc = load_trend(path)
-    if not doc["runs"]:
-        raise ValueError(
-            f"{path}: no run rows to amend; append a run first")
-    doc["runs"][-1]["metrics"].update(
-        {name: dict(rec) for name, rec in sorted(metrics.items())})
     with open(path, "w") as f:
         json.dump(doc, f, indent=2, sort_keys=False)
         f.write("\n")

@@ -8,6 +8,8 @@ and activity tags from the translation / paging layers reach the
 stall reasons.
 """
 
+from functools import partial
+
 import pytest
 
 from repro.core import APConfig, AVM
@@ -16,6 +18,7 @@ from repro.gpu.instructions import TimedLock
 from repro.gpu.trace import ATTRIBUTION_KINDS, Tracer, render_timeline
 from repro.telemetry.attribution import _parse_translation_detail
 from repro.workloads import run_memcpy
+from tests.gpu.test_engine_golden import contended_kernel_device
 
 
 def _launch_memcpy(traced: bool, *, use_apointers=True):
@@ -36,12 +39,25 @@ def _launch_memcpy(traced: bool, *, use_apointers=True):
     return r.cycles, prof.traces[0]
 
 
+def _launch_contended(traced: bool):
+    """Run the golden contended atomic+barrier kernel; returns
+    ((cycles, stats), tracer-or-None)."""
+    device, kern = contended_kernel_device()
+    tracer = Tracer() if traced else None
+    r = device.launch(kern, grid=2, block_threads=64, tracer=tracer)
+    return (r.cycles, r.stats), tracer
+
+
 class TestZeroDrift:
-    @pytest.mark.parametrize("use_apointers", [True, False])
-    def test_tracer_does_not_change_timing(self, use_apointers):
-        plain, _ = _launch_memcpy(False, use_apointers=use_apointers)
-        traced, tracer = _launch_memcpy(True,
-                                        use_apointers=use_apointers)
+    @pytest.mark.parametrize("launch", [
+        pytest.param(partial(_launch_memcpy, use_apointers=True), id="True"),
+        pytest.param(partial(_launch_memcpy, use_apointers=False),
+                     id="False"),
+        pytest.param(_launch_contended, id="contended"),
+    ])
+    def test_tracer_does_not_change_timing(self, launch):
+        plain, _ = launch(False)
+        traced, tracer = launch(True)
         assert tracer is not None and tracer.events
         assert traced == plain    # exactly — not approx
 

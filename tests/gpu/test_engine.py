@@ -8,8 +8,10 @@ that the paper's evaluation depends on.
 import numpy as np
 import pytest
 
-from repro.gpu import Device, K80_SPEC
+from repro.gpu import Device, K80_SPEC, Tracer
+from repro.gpu.engine import Engine
 from repro.gpu.instructions import TimedLock
+from repro.gpu.launch import LaunchPlan
 
 
 @pytest.fixture
@@ -218,6 +220,12 @@ class TestLocks:
 
 
 class TestLaunchValidation:
+    def test_unknown_engine_kwarg_rejected(self):
+        # Instrumentation travels only in the EngineHooks bundle.
+        for kwarg in ("tracer", "mode", "profiler"):
+            with pytest.raises(TypeError, match="unexpected keyword"):
+                Engine(K80_SPEC, 1, **{kwarg: Tracer()})
+
     def test_zero_grid_rejected(self, dev):
         with pytest.raises(ValueError):
             dev.launch(_copy_kernel, grid=0, block_threads=32, args=(0, 0))
@@ -235,3 +243,17 @@ class TestLaunchValidation:
         assert r1.stats.loads == 1
         assert r1.stats.stores == 1
         assert dev.launches == 1
+
+
+class TestLaunchPlanValidation:
+    def test_single_wraps_factories(self):
+        plan = LaunchPlan.single([lambda: None])
+        assert plan.num_groups == 1
+
+    def test_flat_factory_list_rejected(self):
+        with pytest.raises(TypeError, match="groups"):
+            LaunchPlan(groups=[lambda: None])
+
+    def test_callable_groups_rejected(self):
+        with pytest.raises(TypeError):
+            LaunchPlan(groups=lambda: None)

@@ -7,7 +7,6 @@ package, so the module imports cleanly in a fresh interpreter).
 """
 
 import json
-import warnings
 
 import pytest
 
@@ -190,47 +189,11 @@ class TestSuiteProfileOnDisk:
         assert workers["errors"] == 0
 
 
-class TestLegacyInstrumentKwargs:
-    """The deprecated per-switch keywords warn exactly once, still
-    work, and conflict loudly with the Instrumentation bundle."""
-
-    @pytest.fixture(autouse=True)
-    def _fresh_warning_state(self):
-        from repro.harness import runner
-        saved = set(runner._WARNED)
-        runner._WARNED.clear()
-        yield
-        runner._WARNED.clear()
-        runner._WARNED.update(saved)
-
-    def test_profile_kwarg_warns_once_and_works(self):
-        with pytest.warns(DeprecationWarning,
-                          match=r"run_experiment\(profile=") :
-            report = run_experiment(SYNTH, jobs=1, progress=False,
-                                    profile=True)
-        assert report.ok
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            run_experiment(SYNTH, jobs=1, progress=False, profile=True)
-
+class TestKeywords:
     def test_unknown_kwarg_rejected(self):
-        with pytest.raises(TypeError, match="unexpected keyword"):
-            run_experiment(SYNTH, jobs=1, progress=False,
-                           tracer=object())
-
-    def test_conflict_with_bundle_rejected(self):
-        with pytest.raises(TypeError, match="both"):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
+        # Observation switches travel only in the Instrumentation
+        # bundle.
+        for kwarg in ("profile", "tracer"):
+            with pytest.raises(TypeError, match="unexpected keyword"):
                 run_experiment(SYNTH, jobs=1, progress=False,
-                               instrument=Instrumentation(profile=True),
-                               profile=True)
-
-    def test_legacy_matches_bundle(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = run_experiment(SYNTH, jobs=1, progress=False,
-                                    profile=True)
-        bundled = run_experiment(SYNTH, jobs=1, progress=False,
-                                 instrument=Instrumentation(profile=True))
-        assert legacy.result.rows == bundled.result.rows
+                               **{kwarg: True})
