@@ -221,10 +221,14 @@ class TestLocks:
 
 class TestLaunchValidation:
     def test_unknown_engine_kwarg_rejected(self):
-        # Instrumentation travels only in the EngineHooks bundle.
-        for kwarg in ("tracer", "mode", "profiler"):
+        for kwarg in ("mode", "profiler"):
             with pytest.raises(TypeError, match="unexpected keyword"):
-                Engine(K80_SPEC, 1, **{kwarg: Tracer()})
+                Engine(K80_SPEC, 1, **{kwarg: object()})
+
+    def test_tracer_kwarg_rejected(self):
+        # Instrumentation travels only in the EngineHooks bundle.
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            Engine(K80_SPEC, 1, tracer=Tracer())
 
     def test_zero_grid_rejected(self, dev):
         with pytest.raises(ValueError):
