@@ -324,9 +324,7 @@ class WarpContext:
         elems = values.shape[1]
         width = int(np.dtype(dtype).itemsize)
         tx = self.memory.transactions_for(addrs, width * elems, mask=mask)
-        for j in range(elems):
-            self.memory.store_vector(addrs + j * width, values[:, j],
-                                     dtype, mask=mask)
+        self.memory.store_vector_wide(addrs, values, dtype, mask=mask)
         pc, pch, tags = self._take_pending()
         self.now = yield self._tagged(
             MemAccess(transactions=tx, is_store=True, count=pc,
@@ -347,10 +345,11 @@ class WarpContext:
     def atomic_add(self, addr: int, value: int = 1,
                    dtype: str = "i8") -> Iterator[Request]:
         """Scalar atomic add at a global address; returns the old value."""
-        old = int(self.memory.load_vector(
-            np.array([addr]), dtype)[0])
-        self.memory.store_vector(np.array([addr]),
-                                 np.array([old + value]), dtype)
+        dt = np.dtype(dtype)
+        word = self.memory.read(int(addr), dt.itemsize)
+        old = int(word.view(dt)[0])
+        word[:] = np.asarray(np.array([old + value]), dtype=dt).view(
+            np.uint8)
         self.now = yield self._tagged(AtomicOp(address=int(addr)), None)
         return old
 

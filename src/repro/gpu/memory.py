@@ -36,6 +36,7 @@ class GlobalMemory:
         self.transaction_bytes = int(transaction_bytes)
         self.data = np.zeros(self.size, dtype=np.uint8)
         self._next_free = 0
+        self._offset_cache: dict[int, np.ndarray] = {}
 
     # ------------------------------------------------------------------
     # Allocation
@@ -72,49 +73,37 @@ class GlobalMemory:
 
     # ------------------------------------------------------------------
     # Warp-vector accessors
+    #
+    # Each access is one gather or one scatter over ``data``, indexed by
+    # the lane addresses plus a cached ``arange(nbytes)`` of offsets.  A
+    # store's index is ``offsets[:, None] + lane_addrs``: byte-major,
+    # lane-minor.  When lanes overlap, the scatter keeps the value written
+    # last in that order, so byte ``i`` of a higher lane beats byte ``i``
+    # of a lower one and any lane's byte ``i + 1`` beats every byte ``i``.
     # ------------------------------------------------------------------
     def load_vector(self, addrs: np.ndarray, dtype: str,
                     mask: np.ndarray | None = None) -> np.ndarray:
         """Gather one element of ``dtype`` per active lane."""
-        width = DTYPE_WIDTHS[dtype]
-        addrs = np.asarray(addrs, dtype=np.int64)
-        out = np.zeros(addrs.shape, dtype=np.dtype(dtype))
-        active = np.ones(addrs.shape, dtype=bool) if mask is None else mask
-        if not active.any():
-            return out
-        sel = addrs[active]
-        self._check_vec(sel, width)
-        gathered = np.stack(
-            [self.data[sel + i] for i in range(width)], axis=-1
-        )
-        out[active] = gathered.reshape(-1, width).copy().view(
-            np.dtype(dtype)).ravel()
-        return out
+        return self._load(addrs, np.dtype(dtype), 1, mask).reshape(
+            np.shape(addrs))
 
     def load_vector_wide(self, addrs: np.ndarray, dtype: str, elems: int,
                          mask: np.ndarray | None = None) -> np.ndarray:
         """Gather ``elems`` consecutive elements of ``dtype`` per lane
         (vectorised 8/16-byte loads).  Returns shape ``(lanes, elems)``."""
-        width = DTYPE_WIDTHS[dtype]
-        addrs = np.asarray(addrs, dtype=np.int64)
-        cols = [self.load_vector(addrs + i * width, dtype, mask=mask)
-                for i in range(elems)]
-        return np.stack(cols, axis=1)
+        return self._load(addrs, np.dtype(dtype), elems, mask)
 
     def store_vector(self, addrs: np.ndarray, values: np.ndarray,
                      dtype: str, mask: np.ndarray | None = None) -> None:
         """Scatter one element of ``dtype`` per active lane."""
-        width = DTYPE_WIDTHS[dtype]
-        addrs = np.asarray(addrs, dtype=np.int64)
-        values = np.asarray(values, dtype=np.dtype(dtype))
-        active = np.ones(addrs.shape, dtype=bool) if mask is None else mask
-        if not active.any():
-            return
-        sel = addrs[active]
-        self._check_vec(sel, width)
-        raw = values[active].copy().view(np.uint8).reshape(-1, width)
-        for i in range(width):
-            self.data[sel + i] = raw[:, i]
+        self._store(addrs, values, np.dtype(dtype), mask)
+
+    def store_vector_wide(self, addrs: np.ndarray, values: np.ndarray,
+                          dtype: str, mask: np.ndarray | None = None
+                          ) -> None:
+        """Scatter ``values`` of shape ``(lanes, elems)``: ``elems``
+        consecutive elements of ``dtype`` per active lane."""
+        self._store(addrs, values, np.dtype(dtype), mask)
 
     def transactions_for(self, addrs: np.ndarray, width: int,
                          mask: np.ndarray | None = None) -> int:
@@ -122,12 +111,56 @@ class GlobalMemory:
         addrs = np.asarray(addrs, dtype=np.int64)
         if mask is not None:
             addrs = addrs[mask]
-        if addrs.size == 0:
-            return 0
-        first = addrs // self.transaction_bytes
-        last = (addrs + width - 1) // self.transaction_bytes
-        segments = np.union1d(first, last)
-        return int(segments.size)
+        lanes = addrs.tolist()
+        tb, last = self.transaction_bytes, width - 1
+        return len({a // tb for a in lanes} | {(a + last) // tb
+                                               for a in lanes})
+
+    def _load(self, addrs, dt: np.dtype, elems: int, mask) -> np.ndarray:
+        """``(lanes, elems)`` elements of ``dt`` from each lane's address;
+        inactive lanes read as zero."""
+        addrs = np.asarray(addrs, dtype=np.int64).ravel()
+        nbytes = dt.itemsize * elems
+        if mask is None:
+            return self._gather(addrs, nbytes).view(dt)
+        out = np.zeros((addrs.size, elems), dtype=dt)
+        active = mask.ravel()
+        sel = addrs[active]
+        if sel.size:
+            out[active] = self._gather(sel, nbytes).view(dt)
+        return out
+
+    def _gather(self, addrs: np.ndarray, nbytes: int) -> np.ndarray:
+        """``nbytes`` bytes from each address, shape ``(lanes, nbytes)``.
+
+        Read order does not matter, so the index is built lane-major and
+        the gathered rows are already contiguous per lane."""
+        self._check_vec(addrs, nbytes)
+        return self.data[addrs[:, None] + self._offsets(nbytes)]
+
+    def _store(self, addrs, values, dt: np.dtype, mask) -> None:
+        """Scatter each lane's row of ``values`` (one or more elements of
+        ``dt``) to its address."""
+        addrs = np.asarray(addrs, dtype=np.int64).ravel()
+        raw = np.ascontiguousarray(values, dtype=dt).view(np.uint8)
+        raw = raw.reshape(addrs.size, -1)
+        if mask is not None:
+            active = mask.ravel()
+            addrs = addrs[active]
+            if not addrs.size:
+                return
+            raw = raw[active]
+        nbytes = raw.shape[1]
+        self._check_vec(addrs, nbytes)
+        index = self._offsets(nbytes)[:, None] + addrs
+        self.data[index.ravel()] = raw.T.ravel()
+
+    def _offsets(self, nbytes: int) -> np.ndarray:
+        offsets = self._offset_cache.get(nbytes)
+        if offsets is None:
+            offsets = self._offset_cache[nbytes] = np.arange(
+                nbytes, dtype=np.int64)
+        return offsets
 
     # ------------------------------------------------------------------
     def _check(self, addr: int, nbytes: int) -> None:
@@ -138,7 +171,10 @@ class GlobalMemory:
             )
 
     def _check_vec(self, addrs: np.ndarray, width: int) -> None:
-        if addrs.size and (addrs.min() < 0 or addrs.max() + width > self.size):
+        # Viewed as unsigned, a negative address exceeds any size, so one
+        # reduction checks both ends.
+        if addrs.size and (int(addrs.view(np.uint64).max()) + width
+                           > self.size):
             raise MemoryError_(
                 f"device vector access out of bounds: "
                 f"[{addrs.min()}, {addrs.max() + width}) size {self.size}"

@@ -218,7 +218,9 @@ class TransferBatcher:
         step = width * ctx.warp_size
         for off in range(0, nbytes, step):
             lane_off = off + ctx.lane * width
-            mask = lane_off + width <= nbytes
+            # Only a partial last step needs a mask.
+            mask = None if off + step <= nbytes \
+                else lane_off + width <= nbytes
             ctx.charge(4)
             vals = yield from ctx.load(src_addr + lane_off, "u8", mask=mask)
             yield from ctx.store(dst_addr + lane_off, vals, "u8", mask=mask)

@@ -155,6 +155,31 @@ class TestTornWrite:
         device.launch(kernel, grid=1, block_threads=64)
         assert gpufs.sanitizer.violations == []
 
+    @pytest.mark.parametrize("gap, torn", [(12, 1), (16, 0)])
+    def test_wide_store_is_checked_over_its_full_extent(self, env, gap,
+                                                        torn):
+        # Warp 0 writes 4 x f4 = 16 bytes per lane; warp 1 writes one f4
+        # at byte ``gap`` of each lane's slot.  Byte 12 lies inside the
+        # wide extent (not inside its first element), byte 16 past it.
+        device, gpufs, _ = env
+        buf = device.alloc(PAGE)
+        wide = np.arange(32 * 4, dtype=np.float32).reshape(32, 4)
+
+        def kernel(ctx):
+            slot = buf + ctx.lane * 32
+            if ctx.warp_in_block == 0:
+                yield from ctx.store_wide(slot, wide, "f4")
+            else:
+                yield from ctx.store(slot + gap, np.full(32, -1.0,
+                                                         np.float32), "f4")
+
+        device.launch(kernel, grid=1, block_threads=64)
+        violations = gpufs.sanitizer.violations
+        assert len(violations) == torn
+        assert all(v.invariant == "torn-write" for v in violations)
+        slots = device.memory.read(buf, 32 * 32).view(np.float32)
+        assert np.array_equal(slots.reshape(32, 8)[:, :3], wide[:, :3])
+
     def test_barrier_orders_the_writes(self, env):
         device, gpufs, _ = env
         buf = device.alloc(PAGE)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.gpu.memory import DTYPE_WIDTHS, GlobalMemory, MemoryError_, Scratchpad
 
@@ -99,6 +101,20 @@ class TestVectorAccess:
                               mask=np.zeros(32, dtype=bool))
         assert np.all(out == 0)
 
+    def test_wide_store_roundtrips_through_wide_load(self, mem):
+        addrs = np.arange(32) * 16
+        vals = np.arange(32 * 4, dtype=np.float32).reshape(32, 4)
+        mem.store_vector_wide(addrs, vals, "f4")
+        assert np.array_equal(mem.load_vector_wide(addrs, "f4", 4), vals)
+        assert np.array_equal(mem.read(0, 32 * 16).view(np.float32),
+                              vals.ravel())
+
+    def test_wide_store_past_end_raises_and_writes_nothing(self, mem):
+        addrs = np.array([0, mem.size - 8])
+        with pytest.raises(MemoryError_):
+            mem.store_vector_wide(addrs, np.ones((2, 4), np.float32), "f4")
+        assert not mem.data.any()
+
 
 class TestCoalescing:
     def test_fully_coalesced_4byte_is_one_transaction(self, mem):
@@ -130,6 +146,205 @@ class TestCoalescing:
     def test_empty_mask_is_zero_transactions(self, mem):
         assert mem.transactions_for(np.arange(32), 4,
                                     mask=np.zeros(32, dtype=bool)) == 0
+
+
+class PerByteMemory:
+    """Reference: the per-byte warp accessors ``GlobalMemory`` had before
+    it moved each access with one gather or scatter.  Loads stacked one
+    fancy-index gather per byte, stores scattered one byte column at a
+    time, wide accesses looped over elements and the coalescer sorted
+    with ``np.union1d``."""
+
+    def __init__(self, data: np.ndarray, transaction_bytes: int = 128):
+        self.data = data
+        self.size = data.size
+        self.transaction_bytes = transaction_bytes
+
+    def load_vector(self, addrs, dtype, mask=None):
+        width = DTYPE_WIDTHS[dtype]
+        addrs = np.asarray(addrs, dtype=np.int64)
+        out = np.zeros(addrs.shape, dtype=np.dtype(dtype))
+        active = np.ones(addrs.shape, dtype=bool) if mask is None else mask
+        if not active.any():
+            return out
+        sel = addrs[active]
+        self._check_vec(sel, width)
+        gathered = np.stack(
+            [self.data[sel + i] for i in range(width)], axis=-1
+        )
+        out[active] = gathered.reshape(-1, width).copy().view(
+            np.dtype(dtype)).ravel()
+        return out
+
+    def load_vector_wide(self, addrs, dtype, elems, mask=None):
+        width = DTYPE_WIDTHS[dtype]
+        addrs = np.asarray(addrs, dtype=np.int64)
+        cols = [self.load_vector(addrs + i * width, dtype, mask=mask)
+                for i in range(elems)]
+        return np.stack(cols, axis=1)
+
+    def store_vector(self, addrs, values, dtype, mask=None):
+        width = DTYPE_WIDTHS[dtype]
+        addrs = np.asarray(addrs, dtype=np.int64)
+        values = np.asarray(values, dtype=np.dtype(dtype))
+        active = np.ones(addrs.shape, dtype=bool) if mask is None else mask
+        if not active.any():
+            return
+        sel = addrs[active]
+        self._check_vec(sel, width)
+        raw = values[active].copy().view(np.uint8).reshape(-1, width)
+        for i in range(width):
+            self.data[sel + i] = raw[:, i]
+
+    def store_vector_wide(self, addrs, values, dtype, mask=None):
+        # WarpContext.store_wide's per-element loop.
+        width = DTYPE_WIDTHS[dtype]
+        addrs = np.asarray(addrs, dtype=np.int64)
+        for j in range(values.shape[1]):
+            self.store_vector(addrs + j * width, values[:, j], dtype,
+                              mask=mask)
+
+    def transactions_for(self, addrs, width, mask=None):
+        addrs = np.asarray(addrs, dtype=np.int64)
+        if mask is not None:
+            addrs = addrs[mask]
+        if addrs.size == 0:
+            return 0
+        first = addrs // self.transaction_bytes
+        last = (addrs + width - 1) // self.transaction_bytes
+        return int(np.union1d(first, last).size)
+
+    def _check_vec(self, addrs, width):
+        if addrs.size and (addrs.min() < 0
+                           or addrs.max() + width > self.size):
+            raise MemoryError_("out of bounds")
+
+
+SIZE = 512
+
+
+def masks(lanes: int):
+    return st.one_of(
+        st.none(),
+        st.just(np.zeros(lanes, dtype=bool)),
+        st.just(np.ones(lanes, dtype=bool)),
+        st.lists(st.booleans(), min_size=lanes, max_size=lanes).map(
+            lambda m: np.array(m, dtype=bool)),
+    )
+
+
+@st.composite
+def accesses(draw, max_elems: int = 1):
+    """(dtype, elems, lane addresses, mask, values, initial memory)."""
+    dtype = draw(st.sampled_from(sorted(DTYPE_WIDTHS)))
+    elems = draw(st.integers(1, max_elems))
+    nbytes = DTYPE_WIDTHS[dtype] * elems
+    lanes = draw(st.integers(1, 32))
+    # A narrow window makes duplicate and overlapping lanes common;
+    # addresses are unaligned throughout.
+    window = draw(st.sampled_from([nbytes + 1, 2 * nbytes, 64, SIZE]))
+    addrs = np.array(draw(st.lists(st.integers(0, window - nbytes),
+                                   min_size=lanes, max_size=lanes)),
+                     dtype=np.int64)
+    mask = draw(masks(lanes))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.integers(0, 256, lanes * nbytes, dtype=np.uint8).view(
+        np.dtype(dtype)).reshape(lanes, elems)
+    init = rng.integers(0, 256, SIZE, dtype=np.uint8)
+    return dtype, elems, addrs, mask, values, init
+
+
+def pair(init: np.ndarray):
+    mem = GlobalMemory(SIZE)
+    mem.data[:] = init
+    return mem, PerByteMemory(init.copy())
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal dtype, shape and bytes (float NaN payloads included)."""
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and np.array_equal(a.view(np.uint8), b.view(np.uint8)))
+
+
+def raises(fn) -> bool:
+    try:
+        fn()
+    except MemoryError_:
+        return True
+    return False
+
+
+class TestAgainstPerByteReference:
+    @settings(max_examples=300, deadline=None)
+    @given(accesses())
+    def test_load_vector(self, access):
+        dtype, _, addrs, mask, _, init = access
+        mem, ref = pair(init)
+        assert same_bits(mem.load_vector(addrs, dtype, mask=mask),
+                         ref.load_vector(addrs, dtype, mask=mask))
+
+    @settings(max_examples=300, deadline=None)
+    @given(accesses())
+    def test_store_vector(self, access):
+        dtype, _, addrs, mask, values, init = access
+        mem, ref = pair(init)
+        mem.store_vector(addrs, values[:, 0], dtype, mask=mask)
+        ref.store_vector(addrs, values[:, 0], dtype, mask=mask)
+        assert np.array_equal(mem.data, ref.data)
+
+    @settings(max_examples=300, deadline=None)
+    @given(accesses(max_elems=4))
+    def test_load_vector_wide(self, access):
+        dtype, elems, addrs, mask, _, init = access
+        mem, ref = pair(init)
+        assert same_bits(mem.load_vector_wide(addrs, dtype, elems, mask),
+                         ref.load_vector_wide(addrs, dtype, elems, mask))
+
+    @settings(max_examples=300, deadline=None)
+    @given(accesses(max_elems=4))
+    def test_store_vector_wide(self, access):
+        dtype, _, addrs, mask, values, init = access
+        mem, ref = pair(init)
+        mem.store_vector_wide(addrs, values, dtype, mask=mask)
+        ref.store_vector_wide(addrs, values, dtype, mask=mask)
+        assert np.array_equal(mem.data, ref.data)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 32).flatmap(lambda lanes: st.tuples(
+        st.lists(st.integers(0, 1 << 20), min_size=lanes, max_size=lanes),
+        st.sampled_from([1, 2, 4, 8, 16, 32, 128, 200]),
+        masks(lanes))))
+    def test_transactions_for(self, case):
+        addrs, width, mask = case
+        addrs = np.array(addrs, dtype=np.int64)
+        mem = GlobalMemory(SIZE)
+        assert mem.transactions_for(addrs, width, mask=mask) \
+            == PerByteMemory(mem.data).transactions_for(addrs, width, mask)
+
+    @settings(max_examples=300, deadline=None)
+    @given(accesses(max_elems=4),
+           st.sampled_from([-1, -64, SIZE, SIZE - 1, SIZE + 100]),
+           st.integers(0, 31))
+    def test_out_of_bounds_raises_like_reference(self, access, bad,
+                                                 where):
+        dtype, elems, addrs, mask, values, init = access
+        addrs = addrs.copy()
+        addrs[where % addrs.size] = bad
+        mem, ref = pair(init)
+        ops = [
+            lambda m: m.load_vector(addrs, dtype, mask=mask),
+            lambda m: m.load_vector_wide(addrs, dtype, elems, mask),
+            lambda m: m.store_vector(addrs, values[:, 0], dtype,
+                                     mask=mask),
+        ]
+        for op in ops:
+            assert raises(lambda: op(mem)) == raises(lambda: op(ref))
+        assert np.array_equal(mem.data, ref.data)
+        # The per-element reference can write a prefix of the elements
+        # before a later one fails its check; only the verdict must agree.
+        assert raises(lambda: mem.store_vector_wide(
+            addrs, values, dtype, mask=mask)) == raises(
+            lambda: ref.store_vector_wide(addrs, values, dtype, mask=mask))
 
 
 class TestScratchpad:
