@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
-from repro.gpu.engine import Engine, EngineProfile, EngineStats
+from repro.gpu.engine import Engine, EngineStats
 from repro.gpu.kernel import BlockContext, KernelFn, WarpContext
 from repro.gpu.launch import EngineHooks, LaunchPlan
 from repro.gpu.memory import GlobalMemory, Scratchpad
@@ -87,17 +87,14 @@ class Device:
                args: tuple = (), regs_per_thread: int = 64,
                scratchpad_bytes: int = 0,
                block_init: Optional[Callable[[BlockContext], None]] = None,
-               tracer=None, profiler=None,
-               hooks: Optional[EngineHooks] = None) -> LaunchResult:
+               tracer=None, profiler=None) -> LaunchResult:
         """Run ``kernel`` over ``grid`` threadblocks and return timing."""
         cfg = KernelLaunch(kernel, grid, block_threads, args,
                            regs_per_thread, scratchpad_bytes, block_init)
-        return self.launch_cfg(cfg, tracer=tracer, profiler=profiler,
-                               hooks=hooks)
+        return self.launch_cfg(cfg, tracer=tracer, profiler=profiler)
 
     def launch_cfg(self, cfg: KernelLaunch, tracer=None,
-                   profiler=None,
-                   hooks: Optional[EngineHooks] = None) -> LaunchResult:
+                   profiler=None) -> LaunchResult:
         spec = self.spec
         occ = occupancy_limits(spec, cfg.block_threads,
                                cfg.regs_per_thread, cfg.scratchpad_bytes)
@@ -106,31 +103,16 @@ class Device:
                 f"kernel cannot be scheduled: {occ.limiting_factor}")
         warps_per_block = -(-cfg.block_threads // spec.warp_size)
 
-        if hooks is not None:
-            # Caller supplied a pre-assembled instrumentation bundle.
-            tracer = hooks.tracer
-            sampler = hooks.sampler
-        else:
-            # Ambient profiling (repro.telemetry.capture): one pointer
-            # test per launch when off, a full profile per launch on.
-            if profiler is None:
-                profiler = telemetry_hooks.current()
-            engine_profile = None
-            sampler = None
-            if profiler is not None:
-                if tracer is None:
-                    tracer = profiler.begin_launch()
-                engine_profile = EngineProfile.for_sms(spec.num_sms)
-                # Cycle-window sampling (None unless the profiler
-                # enables it) — live series stream out as the launch
-                # runs.
-                begin_sampling = getattr(profiler, "begin_sampling", None)
-                if begin_sampling is not None:
-                    sampler = begin_sampling(spec, tracer=tracer)
-            hooks = EngineHooks(tracer=tracer, profile=engine_profile,
-                                sampler=sampler)
-        san = (hooks.sanitizer if hooks.sanitizer is not None
-               else self.sanitizer)
+        # Ambient profiling (repro.telemetry.capture): one pointer
+        # test per launch when off, a full profile per launch on.
+        if profiler is None:
+            profiler = telemetry_hooks.current()
+        engine_profile = None
+        if profiler is not None:
+            if tracer is None:
+                tracer = profiler.begin_launch()
+            engine_profile = profiler.begin_profile(spec, tracer=tracer)
+        san = self.sanitizer
 
         def make_block(block_id: int):
             def factory():
@@ -158,18 +140,18 @@ class Device:
 
         if san is not None:
             san.begin_launch()
-        engine = Engine(spec, occ.blocks_per_sm, hooks=hooks)
+        engine = Engine(spec, occ.blocks_per_sm,
+                        hooks=EngineHooks(tracer=tracer,
+                                          profile=engine_profile))
         cycles = engine.launch(LaunchPlan.single(
             [make_block(b) for b in range(cfg.grid)]))
         self.total_cycles += cycles
         self.launches += 1
         launch_profile = None
         if profiler is not None:
-            if sampler is not None:
-                sampler.finish(cycles)
             launch_profile = profiler.record_launch(
                 device=self, cfg=cfg, occ=occ, engine=engine,
-                tracer=tracer, sampler=sampler)
+                tracer=tracer)
         return LaunchResult(
             cycles=cycles,
             seconds=spec.cycles_to_seconds(cycles),

@@ -3,16 +3,16 @@
 These two small value objects replace the keyword-argument sprawl that
 the engine's constructor and entry points accumulated PR over PR:
 
-* :class:`EngineHooks` bundles every instrumentation hook a launch can
-  carry — Chrome-trace tracer, :class:`~repro.gpu.engine.EngineProfile`
-  deep counters, the cycle-window time-series sampler, and the runtime
-  sanitizer — into one object passed as ``Engine(..., hooks=...)`` (or
-  ``Device.launch(..., hooks=...)``).  Instrumented and uninstrumented
+* :class:`EngineHooks` bundles the two instrumentation hooks a launch
+  can carry — the Chrome-trace tracer and the
+  :class:`~repro.gpu.engine.EngineProfile` observer, which may window
+  its counters into a time series — into one object passed as
+  ``Engine(..., hooks=...)``.  Instrumented and uninstrumented
   launches are cycle-bit-identical; the engine only ever tests each
   hook against ``None``.
 * :class:`LaunchPlan` describes *what* to run: one list of block
-  factories per device, the resident-blocks-per-SM occupancy, and the
-  hooks.  ``Engine.launch(plan)`` is the single entry point.
+  factories per device.  ``Engine.launch(plan)`` is the single entry
+  point.
 
 Neither class imports the engine, so they are cheap to construct and
 safe to build in caller modules without circular imports.
@@ -20,34 +20,28 @@ safe to build in caller modules without circular imports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Sequence
 
 
 @dataclass
 class EngineHooks:
     """Every instrumentation hook one launch can carry, in one bundle.
 
-    All fields default to ``None`` (= off); a launch with the null
+    Both fields default to ``None`` (= off); a launch with the null
     bundle pays one pointer test per hook per event and nothing else.
 
     * ``tracer`` — Chrome-trace event recorder
       (:class:`repro.gpu.trace.Tracer`); also drives the attribution
       overlay of :mod:`repro.telemetry.attribution`.
     * ``profile`` — :class:`repro.gpu.engine.EngineProfile` deep
-      per-launch counters (per-SM busy, stall mix, DRAM queueing).
-    * ``sampler`` — cycle-window time-series sampler
-      (:mod:`repro.telemetry.timeseries`).
-    * ``sanitizer`` — runtime sanitizer
-      (:mod:`repro.analysis.sanitizer`); consumed by
-      :meth:`Device.launch_cfg` when building warp contexts (the
-      engine itself never calls it).
+      per-launch counters (per-SM busy, stall mix, DRAM queueing); a
+      :class:`repro.telemetry.timeseries.TimeseriesSampler` also
+      buckets them into cycle windows.
     """
 
     tracer: Any = None
     profile: Any = None
-    sampler: Any = None
-    sanitizer: Any = None
 
 
 @dataclass
@@ -58,14 +52,9 @@ class LaunchPlan:
     runs ``groups[d]`` on its own SMs and DRAM); a single-device launch
     uses :meth:`LaunchPlan.single`.  Each factory is a zero-argument
     callable returning ``(BlockContext, [warp generators])``.
-
-    ``blocks_per_sm`` (the occupancy-derived resident-block limit) and
-    ``hooks`` override the engine's constructor defaults when set.
     """
 
     groups: Sequence[Sequence[Callable]]
-    blocks_per_sm: Optional[int] = None
-    hooks: Optional[EngineHooks] = field(default=None, repr=False)
 
     def __post_init__(self):
         if callable(self.groups):
@@ -80,12 +69,9 @@ class LaunchPlan:
                     "LaunchPlan.single(factories)")
 
     @classmethod
-    def single(cls, factories: Sequence[Callable],
-               blocks_per_sm: Optional[int] = None,
-               hooks: Optional[EngineHooks] = None) -> "LaunchPlan":
+    def single(cls, factories: Sequence[Callable]) -> "LaunchPlan":
         """Plan a one-device launch from a flat factory list."""
-        return cls(groups=[list(factories)], blocks_per_sm=blocks_per_sm,
-                   hooks=hooks)
+        return cls(groups=[list(factories)])
 
     @property
     def num_groups(self) -> int:

@@ -41,21 +41,23 @@ Cross-process observability
 ---------------------------
 
 Tracers and samplers cannot cross process boundaries as live objects,
-so each shard runs its *own* :class:`~repro.gpu.trace.Tracer` /
-:class:`~repro.telemetry.timeseries.TimeseriesSampler` and spills the
-results to per-shard JSONL files (``trace-shardNNN.jsonl`` /
-``series-shardNNN.jsonl``), every record stamped with ``(shard,
-device, epoch)``.  The parent merges them deterministically in shard
-order: SM ids rebase to the global range (shard *i* owns SMs ``[i *
-num_sms, (i+1) * num_sms)``, matching :meth:`EngineProfile.merged`),
-and causal request ids rebase their device prefix to the shard index.
-``jobs=1`` runs the *same* spill-and-merge pipeline, so traces and
-series are bit-identical across job counts exactly as stats already
-are.  Component counter sections of an ambient profiler reflect
-parent-process stats objects only (spawn workers mutate their own
-copies), so they are meaningful under ``jobs=1`` and zero under
-``jobs>1`` — engine stats, traces, series, and attribution merge
-either way.
+so each shard runs its *own* :class:`~repro.gpu.trace.Tracer` and
+engine profile — a :class:`~repro.telemetry.timeseries.TimeseriesSampler`
+when sampling is on — and spills the event streams to per-shard JSONL
+files (``trace-shardNNN.jsonl`` / ``series-shardNNN.jsonl``), every
+record stamped with ``(shard, device, epoch)``.  The parent merges
+them deterministically in shard order: SM ids rebase to the global
+range (shard *i* owns SMs ``[i * num_sms, (i+1) * num_sms)``, matching
+:meth:`EngineProfile.merged`), and causal request ids rebase their
+device prefix to the shard index.  ``jobs=1`` runs the *same*
+spill-and-merge pipeline, so traces and series are bit-identical
+across job counts exactly as stats already are.  Profile totals travel
+back from workers as a plain :class:`~repro.gpu.engine.EngineProfile`,
+never the windowed sampler (which holds a tracer).  Component counter
+sections of an ambient profiler reflect parent-process stats objects
+only (spawn workers mutate their own copies), so they are meaningful
+under ``jobs=1`` and zero under ``jobs>1`` — engine stats, traces,
+series, and attribution merge either way.
 
 Worker RNGs are seeded with the stable per-shard
 :func:`repro.harness.runner.point_seed` before block factories run,
@@ -118,7 +120,7 @@ def default_epoch_cycles(spec) -> float:
 class _ShardInstrument:
     """Picklable per-shard instrumentation request.
 
-    Travels to spawn workers in place of live tracer/sampler objects;
+    Travels to spawn workers in place of live tracer/profile objects;
     each shard constructs its own instruments from it and spills their
     output to ``spill_dir`` (see module docstring).
     """
@@ -142,29 +144,29 @@ class _ShardInstrument:
 
 def _build_shard(launch, blocks_per_sm: int, inst: _ShardInstrument):
     """One single-device engine for one :class:`ClusterLaunch`, gated
-    on the host server and seeded with its block factories.  Returns
-    ``(engine, tracer, sampler)`` — the shard-local instruments."""
+    on the host server and seeded with its block factories.  The
+    shard-local instruments are ``engine.tracer`` and
+    ``engine.profile`` (windowed when sampling is on)."""
     from repro.gpu.multigpu import _plan_cluster
 
     spec = launch.device.spec
     tracer = (Tracer(max_events=inst.max_trace_events)
               if inst.trace else None)
     _, groups = _plan_cluster([launch], spec, tracer=tracer)
-    sampler = None
+    profile = None
     if inst.timeseries:
         from repro.telemetry.timeseries import TimeseriesSampler
-        sampler = TimeseriesSampler(num_sms=spec.num_sms,
+        profile = TimeseriesSampler(num_sms=spec.num_sms,
                                     window_cycles=inst.window_cycles,
                                     tracer=tracer)
-    hooks = EngineHooks(
-        tracer=tracer,
-        profile=EngineProfile.for_sms(spec.num_sms) if inst.profile
-        else None,
-        sampler=sampler)
-    engine = Engine(spec, blocks_per_sm, hooks=hooks, num_devices=1)
+    elif inst.profile:
+        profile = EngineProfile.for_sms(spec.num_sms)
+    engine = Engine(spec, blocks_per_sm,
+                    hooks=EngineHooks(tracer=tracer, profile=profile),
+                    num_devices=1)
     engine.gate_host()
     engine.begin(groups)
-    return engine, tracer, sampler
+    return engine
 
 
 def _shard_status(engine: Engine, horizon: float) -> tuple:
@@ -211,50 +213,52 @@ def _series_spill_path(spill_dir: str, index: int) -> str:
     return os.path.join(spill_dir, f"series-shard{index:03d}.jsonl")
 
 
-def _finish_shard(index: int, engine: Engine, inst: _ShardInstrument,
-                  tracer, sampler) -> float:
+def _write_spill(path: str, index: int, epoch: float, meta: dict,
+                 records, start_key: str) -> None:
+    """Write one spill file: a header line (``meta`` after the ``(shard,
+    device, epoch_cycles)`` stamp), then one line per record, copied
+    and stamped ``(shard, device, epoch)`` with the epoch its
+    ``record[start_key]`` cycle falls in."""
+    with open(path, "w") as f:
+        f.write(json.dumps({"shard": index, "device": index,
+                            "epoch_cycles": epoch, **meta}) + "\n")
+        for record in records:
+            epoch_index = int(record[start_key] // epoch)
+            f.write(json.dumps(dict(record, shard=index, device=index,
+                                    epoch=epoch_index)) + "\n")
+
+
+def _read_spill(path: str):
+    """Yield the header, then every record, of one spill file; nothing
+    when the shard wrote none."""
+    if not os.path.exists(path):
+        return
+    with open(path) as f:
+        for line in f:
+            yield json.loads(line)
+
+
+def _finish_shard(index: int, engine: Engine,
+                  inst: _ShardInstrument) -> float:
     """Drain the shard and spill its event streams: ``engine.finish()``
-    first (so late counter-mirror windows still land in the tracer),
-    then one JSONL file per stream, every record stamped ``(shard,
-    device, epoch)``."""
+    first (it closes the profile's windows, so late counter mirrors
+    still land in the tracer), then one JSONL file per stream."""
     cycles = engine.finish()
-    if sampler is not None:
-        sampler.finish(cycles)
-    if not inst.spills:
-        return cycles
     epoch = inst.epoch_cycles
+    tracer = engine.tracer
     if tracer is not None:
-        with open(_trace_spill_path(inst.spill_dir, index), "w") as f:
-            f.write(json.dumps({
-                "shard": index, "device": index,
-                "epoch_cycles": epoch,
-                "events": len(tracer.events),
-                "dropped": tracer.dropped,
-            }) + "\n")
-            for e in tracer.events:
-                f.write(json.dumps({
-                    "warp": e.warp, "block": e.block, "kind": e.kind,
-                    "start": e.start, "end": e.end,
-                    "detail": e.detail, "sm": e.sm, "req": e.req,
-                    "shard": index, "device": index,
-                    "epoch": int(e.start // epoch),
-                }) + "\n")
-    if sampler is not None:
-        with open(_series_spill_path(inst.spill_dir, index), "w") as f:
-            f.write(json.dumps({
-                "shard": index, "device": index,
-                "epoch_cycles": epoch,
-                "window_cycles": sampler.window_cycles,
-                "windows": (len(sampler.windows)
-                            + sampler.dropped_windows),
-                "dropped_windows": sampler.dropped_windows,
-            }) + "\n")
-            for record in sampler.windows:
-                out = dict(record)
-                out["shard"] = index
-                out["device"] = index
-                out["epoch"] = int(record["t0"] // epoch)
-                f.write(json.dumps(out) + "\n")
+        _write_spill(
+            _trace_spill_path(inst.spill_dir, index), index, epoch,
+            {"events": len(tracer.events), "dropped": tracer.dropped},
+            map(vars, tracer.events), "start")
+    if inst.timeseries:
+        sampler = engine.profile
+        _write_spill(
+            _series_spill_path(inst.spill_dir, index), index, epoch,
+            {"window_cycles": sampler.window_cycles,
+             "windows": len(sampler.windows) + sampler.dropped_windows,
+             "dropped_windows": sampler.dropped_windows},
+            sampler.windows, "t0")
     return cycles
 
 
@@ -276,35 +280,34 @@ def _merge_spills(inst: _ShardInstrument, n: int, num_sms: int,
     window_cycles = 0.0
     for index in range(n):
         base = index * num_sms
-        tpath = _trace_spill_path(inst.spill_dir, index)
-        if tracer is not None and os.path.exists(tpath):
-            with open(tpath) as f:
-                meta = json.loads(f.readline())
+        if tracer is not None:
+            records = _read_spill(_trace_spill_path(inst.spill_dir,
+                                                    index))
+            meta = next(records, None)
+            if meta is not None:
                 tracer.dropped += int(meta.get("dropped", 0))
-                for line in f:
-                    rec = json.loads(line)
-                    sm = rec["sm"]
-                    if sm >= 0:
-                        sm += base
-                    req = rec["req"]
-                    if req:
-                        req = f"{index}{req[req.index(':'):]}"
-                    tracer.record(rec["warp"], rec["block"],
-                                  rec["kind"], rec["start"],
-                                  rec["end"], rec["detail"], sm=sm,
-                                  req=req)
-        spath = _series_spill_path(inst.spill_dir, index)
-        if inst.timeseries and os.path.exists(spath):
-            with open(spath) as f:
-                meta = json.loads(f.readline())
+            for rec in records:
+                sm = rec["sm"]
+                if sm >= 0:
+                    sm += base
+                req = rec["req"]
+                if req:
+                    req = f"{index}{req[req.index(':'):]}"
+                tracer.record(rec["warp"], rec["block"], rec["kind"],
+                              rec["start"], rec["end"], rec["detail"],
+                              sm=sm, req=req)
+        if inst.timeseries:
+            records = _read_spill(_series_spill_path(inst.spill_dir,
+                                                     index))
+            meta = next(records, None)
+            if meta is not None:
                 enabled = 1
                 windows += int(meta.get("windows", 0))
                 dropped_windows += int(meta.get("dropped_windows", 0))
                 window_cycles = max(window_cycles,
                                     float(meta.get("window_cycles",
                                                    0.0)))
-                for line in f:
-                    series.append(json.loads(line))
+            series.extend(records)
     if not inst.timeseries:
         return None
     return {
@@ -328,13 +331,9 @@ def _run_inprocess(launches, blocks_per_sm: int, epoch: float,
 
     spec = launches[0].device.spec
     engines = []
-    instruments = []
     for index, launch in enumerate(launches):
         _seed_rngs(_shard_seed(base_seed, index))
-        engine, tracer, sampler = _build_shard(launch, blocks_per_sm,
-                                               inst)
-        engines.append(engine)
-        instruments.append((tracer, sampler))
+        engines.append(_build_shard(launch, blocks_per_sm, inst))
     horizon = epoch
     host_avail = 0.0
     status = {i: _shard_status(eng, horizon)
@@ -358,7 +357,7 @@ def _run_inprocess(launches, blocks_per_sm: int, epoch: float,
                      "shards_waiting": len(waiting)})
         for index in waiting:
             status[index] = _shard_status(engines[index], horizon)
-    cycles = [_finish_shard(i, eng, inst, *instruments[i])
+    cycles = [_finish_shard(i, eng, inst)
               for i, eng in enumerate(engines)]
     stats = [eng.stats for eng in engines]
     profiles = ([eng.profile for eng in engines] if inst.profile
@@ -384,7 +383,7 @@ def _shard_worker(index: int, launch, blocks_per_sm: int, epoch: float,
     from repro.harness.runner import _seed_rngs
 
     _seed_rngs(seed)
-    engine, tracer, sampler = _build_shard(launch, blocks_per_sm, inst)
+    engine = _build_shard(launch, blocks_per_sm, inst)
     beats = HeartbeatSender(
         lambda beat: rep_q.put(("beat", index, beat)),
         min_interval=heartbeat_interval)
@@ -404,10 +403,13 @@ def _shard_worker(index: int, launch, blocks_per_sm: int, epoch: float,
         rep_q.put(("waiting", index))
         cmd = cmd_q.get()
         horizon = cmd[1]
-    cycles = _finish_shard(index, engine, inst, tracer, sampler)
+    cycles = _finish_shard(index, engine, inst)
     memory = launch.device.memory.data.tobytes()
-    return (index, cycles, engine.stats,
-            engine.profile if inst.profile else None, memory)
+    # Ship the profile's launch totals only: a windowed profile holds
+    # the shard's tracer, and its series already left in the spill.
+    totals = (EngineProfile.merged([engine.profile]) if inst.profile
+              else None)
+    return (index, cycles, engine.stats, totals, memory)
 
 
 def _run_workers(launches, blocks_per_sm: int, epoch: float,

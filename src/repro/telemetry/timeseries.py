@@ -2,11 +2,13 @@
 
 Everything else in :mod:`repro.telemetry` is post-hoc: a launch must
 finish before its :class:`LaunchProfile` exists.  The
-:class:`TimeseriesSampler` closes that gap.  The engine drives it from
-the event loop behind the same ``is not None`` pointer test that guards
-``EngineProfile`` — an unsampled launch pays one comparison per event
-and nothing else — and the sampler buckets everything it sees into
-fixed-width *windows* of simulated cycles:
+:class:`TimeseriesSampler` closes that gap.  It *is* the launch's
+:class:`~repro.gpu.engine.EngineProfile`: the engine feeds it through
+the one profile hook, behind one ``is not None`` test per handler site,
+and it updates the profile's launch totals exactly as the plain class
+does before bucketing the same events into fixed-width *windows* of
+simulated cycles.  An unsampled launch pays one pointer test per event
+for the window roll and nothing else.  Each window holds:
 
 * per-SM issue-server busy cycles (occupancy) and instructions issued;
 * warp stall cycles keyed by reason (``memory``, ``barrier``, ...);
@@ -40,6 +42,8 @@ import json
 import math
 import os
 from typing import Callable, Optional
+
+from repro.gpu.engine import EngineProfile
 
 #: Default window width, simulated cycles.  At the K80's 0.56 GHz this
 #: is ~90 us of simulated time per sample — fine enough to see phase
@@ -75,11 +79,15 @@ class _Window:
         self.pcie_busy = 0.0
 
 
-class TimeseriesSampler:
-    """Buckets engine activity into fixed cycle windows.  See module
-    docstring for the full contract; the engine-facing hooks are
-    :meth:`advance`, :meth:`issue`, :meth:`stall`, :meth:`dram`,
-    :meth:`pcie`, and :meth:`finish`."""
+class TimeseriesSampler(EngineProfile):
+    """An :class:`~repro.gpu.engine.EngineProfile` that also buckets
+    engine activity into fixed cycle windows.  See module docstring for
+    the full contract; the engine-facing hooks are :meth:`advance`,
+    :meth:`issue`, :meth:`stall`, :meth:`dram`, :meth:`pcie`, and
+    :meth:`finish`.  Each updates the launch totals first, in the plain
+    profile's order, then the windows; the totals lines are inlined
+    rather than ``super()`` calls because this is the per-event path
+    (``test_totals_match_plain_profile`` keeps the two in step)."""
 
     def __init__(self, num_sms: int,
                  window_cycles: float = DEFAULT_WINDOW_CYCLES,
@@ -90,6 +98,7 @@ class TimeseriesSampler:
                  gauges: Optional[list] = None):
         if window_cycles <= 0:
             raise ValueError("window_cycles must be positive")
+        super().__init__(sm_busy=[0.0] * num_sms)
         self.num_sms = num_sms
         self.window_cycles = float(window_cycles)
         self.max_windows = max_windows
@@ -135,6 +144,7 @@ class TimeseriesSampler:
               count: float) -> None:
         """One issue-server reservation: ``cycles`` busy on ``sm``
         issuing ``count`` instructions, starting at ``start``."""
+        self.sm_busy[sm] += cycles
         if cycles <= 0 and count <= 0:
             return
         w = self.window_cycles
@@ -169,6 +179,7 @@ class TimeseriesSampler:
         append-only)."""
         if cycles <= 0:
             return
+        self.stalls[reason] = self.stalls.get(reason, 0.0) + cycles
         index = int(end / self.window_cycles)
         if index < self._flushed_until:
             index = self._flushed_until
@@ -183,6 +194,8 @@ class TimeseriesSampler:
         window containing the access start (so the byte series
         integrates exactly to the launch total); server busy cycles are
         spread over the service interval."""
+        self.dram_queue_cycles += queue_cycles
+        self.dram_queued_accesses += 1
         w = self.window_cycles
         index = int(start / w)
         if index < self._flushed_until:

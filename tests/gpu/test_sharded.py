@@ -213,6 +213,15 @@ class TestShardedTracing:
         assert parallel.tracer.dropped == serial.tracer.dropped
         assert json.dumps(parallel.series, sort_keys=True) \
             == json.dumps(serial.series, sort_keys=True)
+        # Windowed shard profiles come back from workers as plain
+        # totals; they must merge to the in-process result.
+        assert serial.profile.sm_busy
+        assert parallel.profile.sm_busy == serial.profile.sm_busy
+        assert parallel.profile.stalls == serial.profile.stalls
+        assert parallel.profile.dram_queue_cycles \
+            == serial.profile.dram_queue_cycles
+        assert parallel.profile.dram_queued_accesses \
+            == serial.profile.dram_queued_accesses
         # Attribution over the merged traces agrees too (acceptance:
         # identical reports, not merely identical event streams).
         assert attribute_tracer(parallel.tracer).to_dict() \

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro.gpu import Device
+from repro.gpu.engine import EngineProfile
 from repro.gpu.trace import COUNTER_KIND, Tracer, events_from_chrome_trace
 from repro.telemetry import capture, validate_profile
 from repro.telemetry.timeseries import (
@@ -175,6 +176,43 @@ class TestSamplerUnit:
     def test_rejects_nonpositive_window(self):
         with pytest.raises(ValueError):
             TimeseriesSampler(num_sms=1, window_cycles=0.0)
+
+    def test_totals_match_plain_profile(self):
+        # The sampler is the launch's EngineProfile: the same engine
+        # calls must leave the same launch totals as the plain class,
+        # whatever the windows do (splits, late stalls, zero cycles).
+        plain = EngineProfile.for_sms(2)
+        sampler = TimeseriesSampler(num_sms=2, window_cycles=100.0)
+        for prof in (plain, sampler):
+            prof.issue(0, 50.0, 175.0, 8.0)
+            prof.issue(1, 0.0, 0.0, 0.0)
+            prof.stall("issue_queue", 50.0, 50.0)
+            prof.stall("memory", 240.0, 0.1)
+            prof.stall("memory", 260.0, 0.2)
+            prof.stall("barrier", 30.0, 0.0)
+            prof.dram(120.0, 256, 2, 30.5, 12.25)
+            prof.dram(199.0, 128, 1, 15.0, 0.0)
+            prof.pcie(90.0, 4096, 400.0)
+            if prof.advance is not None:
+                prof.advance(300.0)
+            prof.stall("lock", 310.0, 250.0)
+            prof.finish(320.0)
+        assert plain.advance is None and sampler.advance is not None
+        assert sampler.sm_busy == plain.sm_busy == [175.0, 0.0]
+        assert sampler.stalls == plain.stalls
+        assert list(sampler.stalls) == list(plain.stalls)
+        assert sampler.stalls["memory"] == 0.1 + 0.2
+        assert "barrier" not in sampler.stalls
+        assert sampler.dram_queue_cycles == plain.dram_queue_cycles
+        assert sampler.dram_queued_accesses \
+            == plain.dram_queued_accesses == 2
+        # ... and the windows split those same totals.
+        assert [sum(w["sm_busy"][sm] for w in sampler.windows)
+                for sm in range(2)] == sampler.sm_busy
+        assert sum(w["stalls"].get("lock", 0.0)
+                   for w in sampler.windows) == sampler.stalls["lock"]
+        assert sum(w["dram_queued_accesses"] for w in sampler.windows) \
+            == sampler.dram_queued_accesses
 
 
 class TestJsonlSink:
