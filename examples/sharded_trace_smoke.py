@@ -5,8 +5,8 @@ in-process, then one spawn worker per device — and asserts the merged
 observability surfaces are bit-identical: trace events (including
 causal request ids), cycle-window series, stats, and cycles.  Then
 re-runs under the ambient profiler, validates the merged schema-v8
-profile it records, and drives the ``repro-spans`` / ``repro-attr``
-CLIs over the written trace.
+profile it records, and drives ``repro-obs spans`` / ``repro-obs
+attr`` over the written trace.
 
 CI runs this as the sharded-tracing gate.  It is a real file (not a
 heredoc) because the ``jobs=2`` leg spawns workers, and spawn
@@ -86,10 +86,9 @@ def main() -> int:
           f"{len(reqs)} causal requests")
 
     # Ambient profiler leg: the merged cluster lands as one schema-v8
-    # profile whose spans component repro-spans / repro-attr can read.
+    # profile whose spans component repro-obs spans / attr can read.
     from repro.telemetry import capture, validate_profile
-    from repro.telemetry.cli import main as attr_main
-    from repro.telemetry.spans import main as spans_main
+    from repro.telemetry.cli import main as obs_main
 
     with capture(trace=True, timeseries=True,
                  window_cycles=WINDOW) as prof:
@@ -101,9 +100,9 @@ def main() -> int:
         doc["components"]["spans"]
     out = tempfile.mkdtemp(prefix="sharded-smoke-")
     prof.write(out)
-    assert spans_main([out]) == 0
-    assert attr_main([out, "--validate"]) == 0
-    print(f"v8 profile validated; repro-spans and repro-attr ok ({out})")
+    assert obs_main(["spans", out]) == 0
+    assert obs_main(["attr", out, "--validate"]) == 0
+    print(f"v8 profile validated; repro-obs spans and attr ok ({out})")
     return 0
 
 

@@ -60,9 +60,7 @@ under ``jobs=1`` and zero under ``jobs>1`` — engine stats, traces,
 series, and attribution merge either way.
 
 Worker RNGs are seeded with the stable per-shard
-:func:`repro.harness.runner.point_seed` before block factories run,
-and progress heartbeats reuse the rate-limited
-:class:`repro.harness.heartbeat.HeartbeatSender`.
+:func:`repro.harness.runner.point_seed` before block factories run.
 """
 
 from __future__ import annotations
@@ -195,10 +193,10 @@ def _pick_grant(status: dict) -> tuple | None:
     return min(parked)
 
 
-def _shard_seed(base_seed: int, index: int) -> int:
+def _shard_seed(index: int) -> int:
     from repro.harness.runner import point_seed
     return point_seed("gpu.sharded", index, {"shard": index},
-                      base_seed=base_seed)
+                      base_seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -325,14 +323,13 @@ def _merge_spills(inst: _ShardInstrument, n: int, num_sms: int,
 
 
 def _run_inprocess(launches, blocks_per_sm: int, epoch: float,
-                   base_seed: int, inst: _ShardInstrument,
-                   on_beat=None):
+                   inst: _ShardInstrument):
     from repro.harness.runner import _seed_rngs
 
     spec = launches[0].device.spec
     engines = []
     for index, launch in enumerate(launches):
-        _seed_rngs(_shard_seed(base_seed, index))
+        _seed_rngs(_shard_seed(index))
         engines.append(_build_shard(launch, blocks_per_sm, inst))
     horizon = epoch
     host_avail = 0.0
@@ -352,9 +349,6 @@ def _run_inprocess(launches, blocks_per_sm: int, epoch: float,
         if not waiting:
             break
         horizon += epoch
-        if on_beat is not None:
-            on_beat({"kind": "window", "horizon": horizon,
-                     "shards_waiting": len(waiting)})
         for index in waiting:
             status[index] = _shard_status(engines[index], horizon)
     cycles = [_finish_shard(i, eng, inst)
@@ -371,22 +365,18 @@ def _run_inprocess(launches, blocks_per_sm: int, epoch: float,
 
 def _shard_worker(index: int, launch, blocks_per_sm: int, epoch: float,
                   seed: int, inst: _ShardInstrument,
-                  cmd_q, rep_q, heartbeat_interval: float):
+                  cmd_q, rep_q):
     """Worker side of the epoch protocol.  Messages to the parent:
     ``("parked", index, arrival, seconds)``, ``("waiting", index)``,
-    ``("done", index)``, ``("beat", index, payload)``; commands from
-    the parent: ``("grant", start, done)`` and ``("advance", horizon)``.
+    ``("done", index)``; commands from the parent: ``("grant", start,
+    done)`` and ``("advance", horizon)``.
     Event streams never ride the queues — shards spill them to
     ``inst.spill_dir`` (see :func:`_finish_shard`).
     """
-    from repro.harness.heartbeat import HeartbeatSender
     from repro.harness.runner import _seed_rngs
 
     _seed_rngs(seed)
     engine = _build_shard(launch, blocks_per_sm, inst)
-    beats = HeartbeatSender(
-        lambda beat: rep_q.put(("beat", index, beat)),
-        min_interval=heartbeat_interval)
     horizon = epoch
     while True:
         state = _shard_status(engine, horizon)
@@ -398,8 +388,6 @@ def _shard_worker(index: int, launch, blocks_per_sm: int, epoch: float,
         if state[0] == "done":
             rep_q.put(("done", index))
             break
-        beats.send({"kind": "window", "shard": index,
-                    "horizon": horizon})
         rep_q.put(("waiting", index))
         cmd = cmd_q.get()
         horizon = cmd[1]
@@ -413,7 +401,7 @@ def _shard_worker(index: int, launch, blocks_per_sm: int, epoch: float,
 
 
 def _run_workers(launches, blocks_per_sm: int, epoch: float,
-                 base_seed: int, inst: _ShardInstrument, on_beat=None):
+                 inst: _ShardInstrument):
     import multiprocessing
 
     from repro.harness.runner import spawn_executor
@@ -429,8 +417,7 @@ def _run_workers(launches, blocks_per_sm: int, epoch: float,
         cmd_qs = [manager.Queue() for _ in range(n)]
         futures = [
             pool.submit(_shard_worker, i, launch, blocks_per_sm, epoch,
-                        _shard_seed(base_seed, i), inst,
-                        cmd_qs[i], rep_q, 2.0)
+                        _shard_seed(i), inst, cmd_qs[i], rep_q)
             for i, launch in enumerate(launches)]
         status: dict[int, tuple] = {}
         horizon = epoch
@@ -448,10 +435,6 @@ def _run_workers(launches, blocks_per_sm: int, epoch: float,
                     raise TimeoutError(
                         "sharded workers made no progress for "
                         f"{timeout}s")
-                if msg[0] == "beat":
-                    if on_beat is not None:
-                        on_beat(msg[2])
-                    continue
                 index = msg[1]
                 pending.discard(index)
                 if msg[0] == "parked":
@@ -495,14 +478,12 @@ def _run_workers(launches, blocks_per_sm: int, epoch: float,
 
 def launch_cluster_sharded(launches, jobs: int = 1,
                            epoch_cycles: float | None = None,
-                           base_seed: int = 0,
                            profile: bool = False,
                            trace: bool = False,
                            tracer=None,
                            timeseries: bool = False,
                            window_cycles: float | None = None,
-                           spill_dir: str | None = None,
-                           on_beat=None) -> LaunchResult:
+                           spill_dir: str | None = None) -> LaunchResult:
     """Run one engine per device with the deterministic epoch barrier.
 
     ``jobs=1`` drives every shard in this process; any larger value
@@ -576,12 +557,10 @@ def launch_cluster_sharded(launches, jobs: int = 1,
     try:
         if jobs <= 1 or len(launches) == 1:
             cycles, stats, profiles, memories = _run_inprocess(
-                launches, blocks_per_sm, epoch, base_seed, inst,
-                on_beat)
+                launches, blocks_per_sm, epoch, inst)
         else:
             cycles, stats, profiles, memories = _run_workers(
-                launches, blocks_per_sm, epoch, base_seed, inst,
-                on_beat)
+                launches, blocks_per_sm, epoch, inst)
 
         merged_tracer = None
         series = None

@@ -49,7 +49,7 @@ class TraceEvent:
     #: translation loop, GPUfs fault handling, readahead, and the
     #: PCIe/staging transfer of one logical request share one id.
     #: Format ``"<device>:<warp>:<seq>"`` — deterministic, never wall
-    #: clock.  ``repro-spans`` reconstructs request trees from it.
+    #: clock.  ``repro-obs spans`` reconstructs request trees from it.
     req: str = ""
 
     @property

@@ -18,7 +18,7 @@ With ``--profile-dir`` every kernel launch inside an experiment is
 profiled (``repro.telemetry``): one ``LaunchProfile`` JSON per launch
 (plus Chrome-trace files when running serially — traces stay in the
 workers under ``--jobs``), and one merged *suite profile*
-(``suite-profile.json``, schema v5 with a ``run.workers`` section)
+(``suite-profile.json``, schema v8 with a ``run.workers`` section)
 per experiment, written under ``PROFILE_DIR/<experiment>/``.
 ``--attribute`` additionally runs the cycle-attribution analyzer on
 every launch (:mod:`repro.telemetry.attribution`) and stores its
@@ -26,15 +26,15 @@ summary in each profile's ``components.attribution``.
 
 ``--trend-file PATH`` appends one schema-stamped row — commit, date,
 and each experiment's key metric — to the benchmark trend record
-after the run; ``repro-attr --compare`` diffs the latest two rows and
+after the run; ``repro-obs trend`` diffs the latest two rows and
 fails on tier-1 regressions.
 
 ``--timeseries`` turns on cycle-window sampling
 (:mod:`repro.telemetry.timeseries`) for every launch: profiles gain a
-``components.timeseries`` section (schema v6) holding the sampled
+``components.timeseries`` section holding the sampled
 series.  ``--live-dir PATH`` additionally streams the samples as they
 happen — ``PATH/<experiment>/series-*.jsonl`` plus ``heartbeats.jsonl``
-and a Prometheus ``metrics.prom`` snapshot — the layout ``repro-top
+and a Prometheus ``metrics.prom`` snapshot — the layout ``repro-obs top
 PATH/<experiment>`` renders live.  ``--window-cycles N`` sets the
 sampling window width; ``--no-progress`` suppresses the stderr
 progress line (heartbeat files are still written).
@@ -96,7 +96,7 @@ def main(argv=None) -> int:
                         help="append one schema-stamped row (commit, "
                              "date, key metric per experiment) to "
                              "this benchmark trend record; compare "
-                             "rows with repro-attr --compare")
+                             "rows with repro-obs trend")
     parser.add_argument("--timeseries", action="store_true",
                         help="sample every launch in cycle windows "
                              "(implies profiling; the series lands in "
@@ -105,7 +105,7 @@ def main(argv=None) -> int:
                         help="stream sampled windows and worker "
                              "heartbeats here as the run progresses "
                              "(implies --timeseries; watch with "
-                             "repro-top PATH/<experiment>)")
+                             "repro-obs top PATH/<experiment>)")
     parser.add_argument("--window-cycles", type=float, default=None,
                         metavar="N",
                         help="sampling window width in simulated "

@@ -14,13 +14,13 @@ Heartbeat kinds:
 * ``start`` — a run began: experiment name, total points, job count;
 * ``window`` — a sampled cycle window closed inside a launch: point
   index, window index, per-SM busy fractions, key gauges (what
-  ``repro-top`` renders as live bars);
+  ``repro-obs top`` renders as live bars);
 * ``point_done`` — one grid point finished (ok or error);
 * ``run_done`` — the experiment finished.
 
 The renderer also appends every heartbeat to ``<live_dir>/
 heartbeats.jsonl`` when a live directory is given — the stream
-``repro-top`` tails — and periodically rewrites a Prometheus
+``repro-obs top`` tails — and periodically rewrites a Prometheus
 text-exposition snapshot next to it.
 """
 

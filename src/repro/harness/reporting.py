@@ -114,7 +114,7 @@ def format_profile(profile) -> str:
                           for k, v in sorted(counters.items()) if v)
         lines.append(f"{kind}: {shown or '(all zero)'}")
     # Silent data loss must not stay silent: truncated traces fail
-    # repro-attr much later, and capped series quietly thin out.
+    # repro-obs attr much later, and capped series quietly thin out.
     trace = doc.get("trace") or {}
     if trace.get("dropped"):
         lines.append(

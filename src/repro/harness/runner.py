@@ -15,7 +15,7 @@ with:
 * **per-worker profile merging** — with ``profile=True`` each point
   runs under :func:`repro.telemetry.capture` and its
   ``LaunchProfile`` documents are shipped back and merged into one
-  suite profile (:func:`repro.telemetry.merge_profiles`, schema v4
+  suite profile (:func:`repro.telemetry.merge_profiles`, schema v8
   with a ``run.workers`` section);
 * **live telemetry** — with a :class:`LiveOptions`, every point runs
   under the cycle-window sampler
@@ -61,7 +61,7 @@ DEFAULT_BASE_SEED = 0x5EED
 class LiveOptions:
     """Live-telemetry configuration for a run (implies profiling).
 
-    ``live_dir`` receives the streaming layout ``repro-top`` tails:
+    ``live_dir`` receives the streaming layout ``repro-obs top`` tails:
     one ``series-<experiment>-p<NNN>.jsonl`` per grid point, written
     by whichever process ran the point, plus parent-written
     ``heartbeats.jsonl`` and ``metrics.prom`` snapshots.  With
@@ -141,7 +141,7 @@ class RunReport:
     outcomes: list
     profiles: list = field(default_factory=list)   # docs, grid order
     tracers: list = field(default_factory=list)    # parallel to profiles
-    merged: Optional[dict] = None                  # suite profile (v4)
+    merged: Optional[dict] = None                  # suite profile
     jobs: int = 1
     elapsed: float = 0.0
 

@@ -17,9 +17,9 @@ turns them into one structured, exportable view of a launch:
 * :func:`attribute_tracer` / :func:`attribute_events` — the cycle
   attribution analyzer (:mod:`repro.telemetry.attribution`): per-warp
   stall accounting, the launch critical path, and the hidden-vs-exposed
-  decomposition of translation cycles (``repro-attr`` CLI).
+  decomposition of translation cycles (``repro-obs attr``).
 * :mod:`repro.telemetry.trend` — the append-only ``BENCH_trend.json``
-  performance record and the ``repro-attr --compare`` regression gate.
+  performance record and the ``repro-obs trend`` regression gate.
 
 See ``docs/observability.md`` for the counter glossary and a worked
 diagnosis example.

@@ -230,8 +230,8 @@ class AttributionReport:
         }
 
     def to_component(self) -> dict:
-        """The ``components.attribution`` section of a schema-v5
-        launch profile (flat numbers so profiles stay mergeable)."""
+        """The ``components.attribution`` section of a launch
+        profile (flat numbers so profiles stay mergeable)."""
         t = self.translation
         return {
             "translation_cycles": t.total,

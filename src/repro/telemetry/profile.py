@@ -18,58 +18,30 @@ from dataclasses import dataclass, field
 from typing import Any
 
 SCHEMA_NAME = "repro.telemetry/launch-profile"
-#: v2 added the ``components.readahead`` section (always present, like
-#: ``translation``/``paging``) and flattened-histogram counters.
-#: v3 added the ``components.sanitizer`` section (runtime invariant
-#: checker, ``repro.analysis.sanitizer``).
-#: v4 added the optional ``run`` section carried by *merged* suite
-#: profiles (:func:`merge_profiles`): ``run.workers`` records how the
-#: parallel runner distributed the suite.  Per-launch profiles omit it.
-#: v5 added the ``components.attribution`` section (cycle attribution,
-#: :mod:`repro.telemetry.attribution`): translation hidden/exposed
-#: cycles, the launch critical-path length, and an ``attributed`` flag
-#: (0 when no tracer was attached or the trace was truncated).
-#: v6 added the ``components.timeseries`` section (cycle-window
-#: sampling, :mod:`repro.telemetry.timeseries`): ``enabled`` flag,
-#: window width, window count, and the per-window ``series`` list
-#: (empty when sampling was off for the launch).
-#: v7 added the ``components.syscalls`` section (warp-level syscall
-#: layer, :mod:`repro.syscalls`): per-syscall invocation counts,
-#: cycles spent blocked inside blocking calls, and bytes written back
-#: to the host through the PCIe model.
-#: v8 added the ``components.spans`` section (causal request spans,
-#: :mod:`repro.telemetry.spans`): distinct request ids minted at warp
-#: fault / syscall entry, the count of trace spans carrying one, and
-#: their summed span-cycles.  All zero when no tracer was attached.
+#: The one version ``validate_profile`` accepts.  What each version
+#: added is recorded in ``docs/observability.md``.
 SCHEMA_VERSION = 8
 
-#: Versions ``validate_profile`` accepts: current plus archived ones
-#: whose required sections are a subset of what we still emit.
-ACCEPTED_VERSIONS = frozenset({2, 3, 4, 5, 6, 7, SCHEMA_VERSION})
-
 #: Required integer counters of ``run.workers`` when a ``run`` section
-#: is present (v4+).
+#: is present (merged suite profiles only).
 _RUN_WORKER_KEYS = ("count", "jobs", "points", "launches", "errors")
 
-#: components.* keys required per version (cumulative: version N
-#: requires every entry with ``since <= N``).
-_COMPONENT_KEYS = (
-    ("translation", 1, ("tlb_hit_rate", "tlb_hits", "tlb_misses",
-                        "translation_faults")),
-    ("paging", 1, ("minor_faults", "major_faults")),
-    ("readahead", 2, ("issued", "hits", "wasted", "cancelled",
-                      "hit_rate")),
-    ("sanitizer", 3, ("warps_watched", "lockstep_violations",
-                      "torn_writes", "pin_leaks")),
-    ("attribution", 5, ("translation_cycles", "translation_hidden",
-                        "translation_exposed", "hidden_fraction",
-                        "critical_path_cycles", "attributed")),
-    ("timeseries", 6, ("enabled", "window_cycles", "windows")),
-    ("syscalls", 7, ("pread", "pwrite", "msync", "madvise",
-                     "ftruncate", "blocked_cycles",
-                     "writeback_bytes")),
-    ("spans", 8, ("requests", "spans", "span_cycles")),
-)
+#: Required numeric keys of each components.* section.
+_COMPONENT_KEYS = {
+    "translation": ("tlb_hit_rate", "tlb_hits", "tlb_misses",
+                    "translation_faults"),
+    "paging": ("minor_faults", "major_faults"),
+    "readahead": ("issued", "hits", "wasted", "cancelled", "hit_rate"),
+    "sanitizer": ("warps_watched", "lockstep_violations", "torn_writes",
+                  "pin_leaks"),
+    "attribution": ("translation_cycles", "translation_hidden",
+                    "translation_exposed", "hidden_fraction",
+                    "critical_path_cycles", "attributed"),
+    "timeseries": ("enabled", "window_cycles", "windows"),
+    "syscalls": ("pread", "pwrite", "msync", "madvise", "ftruncate",
+                 "blocked_cycles", "writeback_bytes"),
+    "spans": ("requests", "spans", "span_cycles"),
+}
 
 
 def _numeric_fields(obj) -> dict:
@@ -217,7 +189,7 @@ def validate_profile(doc: dict) -> None:
     if doc.get("schema") != SCHEMA_NAME:
         raise ValueError(f"bad schema marker: {doc.get('schema')!r}")
     version = doc.get("version")
-    if version not in ACCEPTED_VERSIONS:
+    if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported version: {version!r}")
     for section, fields in PROFILE_SCHEMA.items():
         sub = doc.get(section)
@@ -243,9 +215,7 @@ def validate_profile(doc: dict) -> None:
         if not isinstance(doc.get(section), dict):
             raise ValueError(f"{section} must be an object")
     components = doc["components"]
-    for kind, since, keys in _COMPONENT_KEYS:
-        if version < since:
-            continue
+    for kind, keys in _COMPONENT_KEYS.items():
         sub = components.get(kind)
         if not isinstance(sub, dict):
             raise ValueError(f"components.{kind} missing")
@@ -254,20 +224,18 @@ def validate_profile(doc: dict) -> None:
                     or isinstance(sub.get(key), bool):
                 raise ValueError(
                     f"components.{kind}.{key} missing or mistyped")
-    if version >= 6:
-        # timeseries carries the one non-scalar component payload: the
-        # per-window series list (possibly empty when sampling is off).
-        series = components["timeseries"].get("series")
-        if not isinstance(series, list):
-            raise ValueError("components.timeseries.series must be "
-                             "a list")
-        for record in series:
-            if not isinstance(record, dict) \
-                    or not isinstance(record.get("window"), int) \
-                    or not isinstance(record.get("sm_busy"), list):
-                raise ValueError(
-                    "components.timeseries.series[] records need "
-                    "integer 'window' and list 'sm_busy' keys")
+    # timeseries carries the one non-scalar component payload: the
+    # per-window series list (possibly empty when sampling is off).
+    series = components["timeseries"].get("series")
+    if not isinstance(series, list):
+        raise ValueError("components.timeseries.series must be a list")
+    for record in series:
+        if not isinstance(record, dict) \
+                or not isinstance(record.get("window"), int) \
+                or not isinstance(record.get("sm_busy"), list):
+            raise ValueError(
+                "components.timeseries.series[] records need "
+                "integer 'window' and list 'sm_busy' keys")
     for key, value in doc["stalls"].items():
         if not isinstance(value, (int, float)):
             raise ValueError(f"stalls.{key} must be numeric")
@@ -276,9 +244,6 @@ def validate_profile(doc: dict) -> None:
         raise ValueError("trace must be an object or null")
     run = doc.get("run")
     if run is not None:
-        if version < 4:
-            raise ValueError(f"run section requires version >= 4, "
-                             f"got {version}")
         if not isinstance(run, dict) \
                 or not isinstance(run.get("workers"), dict):
             raise ValueError("run.workers must be an object")
@@ -302,10 +267,6 @@ def merge_profiles(docs: list, *, name: str = "suite",
     short one); per-SM busy cycles are accumulated by SM id.  The
     result is a valid current-schema profile whose ``run.workers``
     section records the fan-out (worker/point/launch/error counts).
-
-    ``docs`` may come from different schema versions; missing component
-    sections are zero-filled so the merged document always carries the
-    current version's full component set.
     """
     if not docs:
         raise ValueError("merge_profiles needs at least one profile")
@@ -347,29 +308,20 @@ def merge_profiles(docs: list, *, name: str = "suite",
     from repro.telemetry.timeseries import merge_series
     components["timeseries"] = merge_series(docs)
 
-    # Zero-fill every component section the current schema requires,
-    # then recompute the derived rates from the summed raw counters.
-    for kind, _since, keys in _COMPONENT_KEYS:
-        sub = components.setdefault(kind, {})
-        for key in keys:
-            sub.setdefault(key, 0)
+    # Recompute the derived rates from the summed raw counters.
     tr = components["translation"]
-    lookups = tr.get("tlb_hits", 0) + tr.get("tlb_misses", 0)
-    tr["tlb_hit_rate"] = (tr.get("tlb_hits", 0) / lookups
-                          if lookups else 0.0)
+    lookups = tr["tlb_hits"] + tr["tlb_misses"]
+    tr["tlb_hit_rate"] = tr["tlb_hits"] / lookups if lookups else 0.0
     ra = components["readahead"]
-    ra["hit_rate"] = (ra.get("hits", 0) / ra["issued"]
-                      if ra.get("issued") else 0.0)
+    ra["hit_rate"] = ra["hits"] / ra["issued"] if ra["issued"] else 0.0
     attr = components["attribution"]
     attr["hidden_fraction"] = (
-        attr.get("translation_hidden", 0)
-        / attr["translation_cycles"]
-        if attr.get("translation_cycles") else 0.0)
+        attr["translation_hidden"] / attr["translation_cycles"]
+        if attr["translation_cycles"] else 0.0)
 
     dram_bytes = sum(d["dram"]["bytes"] for d in docs)
-    dram_queue = sum(d["dram"].get("queue_cycles", 0) for d in docs)
-    dram_accesses = sum(d["dram"].get("queued_accesses", 0)
-                        for d in docs)
+    dram_queue = sum(d["dram"]["queue_cycles"] for d in docs)
+    dram_accesses = sum(d["dram"]["queued_accesses"] for d in docs)
     pcie_busy = sum(d["pcie"]["busy_cycles"] for d in docs)
     total_instr = sum(d["issue"]["instructions_per_cycle"]
                       * d["launch"]["cycles"] for d in docs)

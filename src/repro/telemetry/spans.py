@@ -1,4 +1,4 @@
-"""``repro-spans`` — query causal request spans in trace exports.
+"""Causal request spans in trace exports (``repro-obs spans``).
 
 The paging/translation/syscall layers stamp every span they record
 with a *request id* minted at warp fault / syscall entry
@@ -15,21 +15,16 @@ module groups them back into per-request summaries and reports:
 Inputs are the ``trace-*.json`` files written by ``repro-experiments
 --profile-dir`` or :meth:`Profiler.write` — including merged sharded
 traces, whose request ids are rebased per shard and therefore stay
-distinct.  Exit codes: 0 ok, 2 usage error (no trace files).
+distinct.
 """
 
 from __future__ import annotations
 
-import argparse
-import glob
-import json
 import math
-import os
-import sys
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from repro.gpu.trace import TraceEvent, events_from_chrome_trace
+from repro.gpu.trace import TraceEvent
 
 __all__ = [
     "RequestSummary",
@@ -131,7 +126,7 @@ def stage_percentiles(requests: list) -> dict:
 
 
 def spans_component(events: Iterable[TraceEvent]) -> dict:
-    """The schema-v8 ``components.spans`` section for one trace."""
+    """The ``components.spans`` section for one trace."""
     requests = 0
     spans = 0
     span_cycles = 0.0
@@ -183,70 +178,3 @@ def format_spans_report(events: Iterable[TraceEvent], *,
             line += f" {row[f'p{int(q * 100)}']:10.0f}"
         lines.append(line)
     return "\n".join(lines)
-
-
-# ----------------------------------------------------------------------
-# CLI
-# ----------------------------------------------------------------------
-def _iter_traces(paths: list) -> list:
-    traces = []
-    for path in paths:
-        if os.path.isdir(path):
-            traces.extend(sorted(glob.glob(
-                os.path.join(path, "trace-*.json"))))
-        else:
-            traces.append(path)
-    return traces
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro-spans",
-        description="Causal request-span reports over trace exports: "
-                    "slowest requests, per-stage latency percentiles, "
-                    "fan-out per fault.")
-    parser.add_argument(
-        "paths", nargs="+",
-        help="trace JSON files or --profile-dir directories")
-    parser.add_argument(
-        "--top", type=int, default=5,
-        help="slowest requests to list (default: %(default)s)")
-    parser.add_argument(
-        "--json", action="store_true",
-        help="dump per-request summaries as JSON instead of rendering")
-    args = parser.parse_args(argv)
-
-    traces = _iter_traces(args.paths)
-    if not traces:
-        print("repro-spans: no trace files found (expected "
-              "trace-*.json; run repro-experiments with --trace and "
-              "--profile-dir)", file=sys.stderr)
-        return 2
-    dumped = {}
-    for path in traces:
-        with open(path) as f:
-            trace = json.load(f)
-        events, dropped = events_from_chrome_trace(trace)
-        if dropped:
-            print(f"{path}: WARNING: {dropped} events dropped at "
-                  f"record time; request spans may be incomplete",
-                  file=sys.stderr)
-        if args.json:
-            dumped[path] = {
-                "requests": [r.to_dict()
-                             for r in collect_requests(events)],
-                "stages": stage_percentiles(collect_requests(events)),
-                "component": spans_component(events),
-            }
-            continue
-        print(f"-- {path}")
-        print(format_spans_report(events, top=args.top))
-        print()
-    if args.json:
-        json.dump(dumped, sys.stdout, indent=2, sort_keys=True)
-        print()
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -28,10 +28,10 @@ cycles to an unsampled one (regression-tested, like the attribution
 layer's traced==untraced invariant).
 
 Windows stream out through an optional ``sink`` callable as they close
-(:class:`JsonlSink` appends them to a JSONL file — what ``repro-top``
+(:class:`JsonlSink` appends them to a JSONL file — what ``repro-obs top``
 tails), are mirrored as Chrome-trace ``"C"`` counter events when a
 tracer is attached, and land in the launch profile under
-``components.timeseries`` (schema v6).  :func:`prometheus_lines` /
+``components.timeseries``.  :func:`prometheus_lines` /
 :func:`write_prometheus` render a cumulative snapshot in Prometheus
 text exposition format for scrape-style consumers.
 """
@@ -334,7 +334,7 @@ class TimeseriesSampler(EngineProfile):
             self.dropped_windows += 1
             # Overflow records still stream; stamping the running drop
             # count (only on them — retained records stay unmutated)
-            # lets live consumers like repro-top surface the loss.
+            # lets live consumers like repro-obs top surface the loss.
             record["dropped_windows"] = self.dropped_windows
         if self.sink is not None:
             self.sink(record)
@@ -395,7 +395,7 @@ class TimeseriesSampler(EngineProfile):
 # ----------------------------------------------------------------------
 class JsonlSink:
     """Appends one JSON object per window to a file — the append-only
-    series stream ``repro-top`` tails.  ``meta`` keys (experiment name,
+    series stream ``repro-obs top`` tails.  ``meta`` keys (experiment name,
     point index, worker pid) are stamped onto every record."""
 
     def __init__(self, path: str, meta: Optional[dict] = None,

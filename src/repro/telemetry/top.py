@@ -1,4 +1,4 @@
-"""``repro-top`` — a live dashboard over a running experiment suite.
+"""A live dashboard over a running experiment suite (``repro-obs top``).
 
 Point it at the ``--live-dir`` of a ``repro-experiments`` run (any
 number of jobs) and it tails the two streams the runner writes there:
@@ -23,11 +23,9 @@ stays cheap.
 
 from __future__ import annotations
 
-import argparse
 import glob
 import json
 import os
-import sys
 import time
 from typing import Optional
 
@@ -163,7 +161,7 @@ class Dashboard:
     def render(self) -> str:
         lines = []
         state = ("done" if self.run_done else "running")
-        header = (f"repro-top — {self.experiment or '(waiting)'} "
+        header = (f"repro-obs top — {self.experiment or '(waiting)'} "
                   f"[{state}]  "
                   f"points {self.points_done}/{self.points_total}  "
                   f"jobs {self.jobs}")
@@ -242,52 +240,3 @@ def _human_bytes(n: float) -> str:
             return f"{n:.1f} {unit}"
         n /= 1024
     return f"{n:.1f} GiB"
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro-top",
-        description="Live dashboard over a repro-experiments "
-                    "--live-dir (tails heartbeats + window series).")
-    parser.add_argument("live_dir",
-                        help="the --live-dir of a running (or "
-                             "finished) repro-experiments invocation")
-    parser.add_argument("--interval", type=float, default=1.0,
-                        metavar="SEC",
-                        help="redraw period in follow mode "
-                             "(default: 1.0)")
-    parser.add_argument("--once", action="store_true",
-                        help="print one frame and exit (no screen "
-                             "clearing; CI/script-friendly)")
-    args = parser.parse_args(argv)
-
-    if not os.path.isdir(args.live_dir):
-        print(f"error: {args.live_dir} is not a directory",
-              file=sys.stderr)
-        return 2
-
-    dash = Dashboard(args.live_dir)
-    try:
-        if args.once:
-            dash.poll()
-            print(dash.render())
-            return 0
-        while True:
-            dash.poll()
-            # ANSI clear + home; falls out harmlessly on dumb pipes.
-            sys.stdout.write("\x1b[2J\x1b[H" + dash.render() + "\n")
-            sys.stdout.flush()
-            if dash.run_done:
-                return 0
-            time.sleep(args.interval)
-    except KeyboardInterrupt:
-        return 0
-    except BrokenPipeError:
-        # `repro-top --once | head` closing early is not an error.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -4,7 +4,7 @@ Every ``repro-experiments --all --quick`` run (and the CI bench-smoke
 job) appends one *run row* per experiment to a schema-stamped JSON file:
 which commit, when, at what scale, and one key metric per experiment
 (extracted by the experiment's registered ``trend`` callable).  The file
-is the repo's long-term performance memory — ``repro-attr --compare``
+is the repo's long-term performance memory — ``repro-obs trend``
 diffs the latest row against the previous one and fails (non-zero exit)
 on a >10% regression of any tier-1 metric, which is what gates perf in
 CI.
@@ -16,6 +16,7 @@ show up in review.
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import time
@@ -130,8 +131,13 @@ def compare(doc: dict, *, threshold: float = REGRESSION_THRESHOLD
     with a ``WARNING`` marker when the metric is tier-1 — a vanished
     tier-1 metric cannot regress, which is exactly how a perf gate
     silently rots.  Fewer than two rows compares nothing (no
-    regressions, a note line).
+    regressions, a note line).  ``threshold`` must be finite and
+    non-negative (``ValueError`` otherwise): a NaN would pass every
+    regression, a negative one flag unchanged metrics.
     """
+    if not (math.isfinite(threshold) and threshold >= 0):
+        raise ValueError(f"threshold must be finite and >= 0, "
+                         f"got {threshold!r}")
     runs = doc.get("runs", [])
     if len(runs) < 2:
         return [], [f"({len(runs)} run(s) recorded; nothing to compare)"]

@@ -1,5 +1,5 @@
 """Heartbeat plumbing: sender rate limiting, the single-writer
-renderer, live runs (serial and spawn-parallel), and repro-top."""
+renderer, live runs (serial and spawn-parallel), and repro-obs top."""
 
 import io
 import json
@@ -17,8 +17,8 @@ from repro.harness.runner import (
     run_experiment,
 )
 from repro.telemetry import validate_profile
+from repro.telemetry.cli import main as obs_main
 from repro.telemetry.top import Dashboard
-from repro.telemetry.top import main as top_main
 
 from tests.harness.test_runner import SYNTH
 
@@ -194,16 +194,16 @@ class TestLiveRuns:
                            heartbeat_interval=0.0)
         run_experiment(REGISTRY["table2"], jobs=2, progress=False,
                        instrument=Instrumentation(live=live))
-        rc = top_main([str(tmp_path), "--once"])
+        rc = obs_main(["top", str(tmp_path), "--once"])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "repro-top — table2 [done]" in out
+        assert "repro-obs top — table2 [done]" in out
         assert "SM0" in out and "[#" in out
         assert "dram" in out
         assert "2 worker(s) heard" in out
 
     def test_repro_top_rejects_missing_dir(self, tmp_path, capsys):
-        rc = top_main([str(tmp_path / "absent"), "--once"])
+        rc = obs_main(["top", str(tmp_path / "absent"), "--once"])
         assert rc == 2
 
 

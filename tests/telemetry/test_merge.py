@@ -1,8 +1,7 @@
 """merge_profiles: suite profiles from per-launch documents.
 
-Covers the schema ``run`` section (v4+): counter summing, rate
-recomputation, zero-filling of component sections from older-version
-inputs, and validation of the ``run.workers`` block.
+Covers the schema ``run`` section: counter summing, rate
+recomputation, and validation of the ``run.workers`` block.
 """
 
 import json
@@ -11,8 +10,6 @@ import pytest
 
 from repro.gpu import Device
 from repro.telemetry import capture, merge_profiles, validate_profile
-
-V2_FIXTURE = "tests/telemetry/fixtures/profile-v2.json"
 
 
 @pytest.fixture
@@ -87,15 +84,6 @@ class TestMerge:
                            "launches": len(launch_docs), "errors": 1}
         validate_profile(json.loads(json.dumps(merged)))
 
-    def test_v2_inputs_zero_fill_new_components(self):
-        with open(V2_FIXTURE) as f:
-            doc = json.load(f)
-        assert "sanitizer" not in doc["components"]
-        merged = merge_profiles([doc, json.loads(json.dumps(doc))])
-        validate_profile(merged)
-        san = merged["components"]["sanitizer"]
-        assert san["warps_watched"] == 0
-
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
             merge_profiles([])
@@ -108,14 +96,6 @@ class TestMerge:
 
 
 class TestRunSectionValidation:
-    def test_run_requires_v4(self):
-        with open(V2_FIXTURE) as f:
-            doc = json.load(f)
-        doc["run"] = {"workers": {"count": 1, "jobs": 1, "points": 1,
-                                  "launches": 1, "errors": 0}}
-        with pytest.raises(ValueError, match="version"):
-            validate_profile(doc)
-
     def test_missing_worker_keys_rejected(self, launch_docs):
         merged = merge_profiles(launch_docs)
         broken = json.loads(json.dumps(merged))

@@ -80,15 +80,21 @@ class TestLaunchProfileSchema:
 
 
 class TestSchemaVersioning:
-    FIXTURE = "tests/telemetry/fixtures/profile-v2.json"
-    FIXTURE_V5 = "tests/telemetry/fixtures/profile-v5.json"
-    FIXTURE_V6 = "tests/telemetry/fixtures/profile-v6.json"
-    FIXTURE_V7 = "tests/telemetry/fixtures/profile-v7.json"
-
     def test_live_profiles_are_current_version(self, memcpy_profile):
         from repro.telemetry.profile import SCHEMA_VERSION
         doc = memcpy_profile.profiles[0].to_dict()
         assert doc["version"] == SCHEMA_VERSION == 8
+
+    def test_v3_requires_sanitizer_component(self, memcpy_profile):
+        doc = memcpy_profile.profiles[0].to_dict()
+        san = doc["components"]["sanitizer"]
+        for key in ("warps_watched", "lockstep_violations",
+                    "torn_writes", "pin_leaks"):
+            assert key in san
+        broken = json.loads(json.dumps(doc))
+        broken["components"].pop("sanitizer")
+        with pytest.raises(ValueError, match="sanitizer"):
+            validate_profile(broken)
 
     def test_v5_requires_attribution_component(self, memcpy_profile):
         doc = memcpy_profile.profiles[0].to_dict()
@@ -102,44 +108,6 @@ class TestSchemaVersioning:
         with pytest.raises(ValueError, match="attribution"):
             validate_profile(broken)
 
-    def test_v4_document_without_attribution_still_validates(
-            self, memcpy_profile):
-        # v4 predates components.attribution; dropping the section and
-        # restamping must keep loading (ACCEPTED_VERSIONS covers 2-5).
-        doc = json.loads(json.dumps(memcpy_profile.profiles[0].to_dict()))
-        doc["version"] = 4
-        doc["components"].pop("attribution")
-        validate_profile(doc)
-
-    def test_v3_requires_sanitizer_component(self, memcpy_profile):
-        doc = memcpy_profile.profiles[0].to_dict()
-        san = doc["components"]["sanitizer"]
-        for key in ("warps_watched", "lockstep_violations",
-                    "torn_writes", "pin_leaks"):
-            assert key in san
-        broken = json.loads(json.dumps(doc))
-        broken["components"].pop("sanitizer")
-        with pytest.raises(ValueError):
-            validate_profile(broken)
-
-    def test_archived_v2_profile_still_validates(self):
-        # Regression gate for the v2 -> v3 bump: profiles written
-        # before the sanitizer component existed must keep loading.
-        with open(self.FIXTURE) as f:
-            doc = json.load(f)
-        assert doc["version"] == 2
-        assert "sanitizer" not in doc["components"]
-        validate_profile(doc)
-
-    def test_v2_document_claiming_v3_is_rejected(self):
-        # The fixture lacks components.sanitizer, so stamping it as v3
-        # must fail: version gating is real, not cosmetic.
-        with open(self.FIXTURE) as f:
-            doc = json.load(f)
-        doc["version"] = 3
-        with pytest.raises(ValueError, match="sanitizer"):
-            validate_profile(doc)
-
     def test_v6_requires_timeseries_component(self, memcpy_profile):
         doc = memcpy_profile.profiles[0].to_dict()
         series = doc["components"]["timeseries"]
@@ -149,22 +117,6 @@ class TestSchemaVersioning:
         broken["components"].pop("timeseries")
         with pytest.raises(ValueError, match="timeseries"):
             validate_profile(broken)
-
-    def test_archived_v5_profile_still_validates(self):
-        # Regression gate for the v5 -> v6 bump: profiles written
-        # before the timeseries component existed must keep loading.
-        with open(self.FIXTURE_V5) as f:
-            doc = json.load(f)
-        assert doc["version"] == 5
-        assert "timeseries" not in doc["components"]
-        validate_profile(doc)
-
-    def test_v5_document_claiming_v6_is_rejected(self):
-        with open(self.FIXTURE_V5) as f:
-            doc = json.load(f)
-        doc["version"] = 6
-        with pytest.raises(ValueError, match="timeseries"):
-            validate_profile(doc)
 
     def test_v7_requires_syscalls_component(self, memcpy_profile):
         doc = memcpy_profile.profiles[0].to_dict()
@@ -177,22 +129,6 @@ class TestSchemaVersioning:
         with pytest.raises(ValueError, match="syscalls"):
             validate_profile(broken)
 
-    def test_archived_v6_profile_still_validates(self):
-        # Regression gate for the v6 -> v7 bump: profiles written
-        # before the syscalls component existed must keep loading.
-        with open(self.FIXTURE_V6) as f:
-            doc = json.load(f)
-        assert doc["version"] == 6
-        assert "syscalls" not in doc["components"]
-        validate_profile(doc)
-
-    def test_v6_document_claiming_v7_is_rejected(self):
-        with open(self.FIXTURE_V6) as f:
-            doc = json.load(f)
-        doc["version"] = 7
-        with pytest.raises(ValueError, match="syscalls"):
-            validate_profile(doc)
-
     def test_v8_requires_spans_component(self, memcpy_profile):
         doc = memcpy_profile.profiles[0].to_dict()
         spans = doc["components"]["spans"]
@@ -203,29 +139,18 @@ class TestSchemaVersioning:
         with pytest.raises(ValueError, match="spans"):
             validate_profile(broken)
 
-    def test_archived_v7_profile_still_validates(self):
-        # Regression gate for the v7 -> v8 bump: profiles written
-        # before the spans component existed must keep loading.
-        with open(self.FIXTURE_V7) as f:
-            doc = json.load(f)
-        assert doc["version"] == 7
-        assert "spans" not in doc["components"]
+    @pytest.mark.parametrize(
+        "version", [1, 2, 3, 4, 5, 6, 7, 9, "8", None], ids=repr)
+    def test_only_current_version_validates(self, memcpy_profile,
+                                            version):
+        # Only the version the code writes validates: an otherwise
+        # complete v8 document restamped with any other version is
+        # rejected for its version.
+        doc = json.loads(json.dumps(memcpy_profile.profiles[0].to_dict()))
         validate_profile(doc)
-
-    def test_v7_document_claiming_v8_is_rejected(self):
-        with open(self.FIXTURE_V7) as f:
-            doc = json.load(f)
-        doc["version"] = 8
-        with pytest.raises(ValueError, match="spans"):
+        doc["version"] = version
+        with pytest.raises(ValueError, match="unsupported version"):
             validate_profile(doc)
-
-    def test_unknown_versions_rejected(self):
-        with open(self.FIXTURE) as f:
-            doc = json.load(f)
-        for version in (1, 9, "2", None):
-            doc["version"] = version
-            with pytest.raises(ValueError, match="version"):
-                validate_profile(doc)
 
 
 class TestEngineInvariants:

@@ -1,4 +1,4 @@
-"""Causal request spans (repro.telemetry.spans / repro-spans).
+"""Causal request spans (repro.telemetry.spans / repro-obs spans).
 
 The layers mint a request id at warp fault / syscall entry and stamp
 every nested span with it; this module's job is grouping those spans
@@ -10,11 +10,11 @@ trace.
 import json
 
 from repro.gpu.trace import TraceEvent, Tracer
+from repro.telemetry.cli import main
 from repro.telemetry.spans import (
     PERCENTILES,
     collect_requests,
     format_spans_report,
-    main,
     spans_component,
     stage_percentiles,
 )
@@ -120,18 +120,18 @@ class TestCli:
             json.dump(tracer.to_chrome_trace(), f)
 
     def test_no_traces_is_usage_error(self, tmp_path, capsys):
-        assert main([str(tmp_path)]) == 2
+        assert main(["spans", str(tmp_path)]) == 2
         assert "no trace files" in capsys.readouterr().err
 
     def test_renders_report(self, tmp_path, capsys):
         self._write_trace(tmp_path / "trace-000.json")
-        assert main([str(tmp_path)]) == 0
+        assert main(["spans", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "slowest" in out and "0:1:0" in out
 
     def test_json_dump(self, tmp_path, capsys):
         self._write_trace(tmp_path / "trace-000.json")
-        assert main([str(tmp_path), "--json"]) == 0
+        assert main(["spans", str(tmp_path), "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         (path, sub), = doc.items()
         assert sub["component"]["requests"] == 2
@@ -146,5 +146,5 @@ class TestCli:
         assert tracer.dropped
         with open(tmp_path / "trace-000.json", "w") as f:
             json.dump(tracer.to_chrome_trace(), f)
-        assert main([str(tmp_path)]) == 0
+        assert main(["spans", str(tmp_path)]) == 0
         assert "WARNING" in capsys.readouterr().err

@@ -118,6 +118,18 @@ class TestCompare:
         regressions, _ = compare(two_runs(100.0, 91.0), threshold=0.05)
         assert len(regressions) == 1
 
+    @pytest.mark.parametrize("threshold", [float("nan"), -0.5,
+                                           float("inf")])
+    def test_out_of_range_threshold_rejected(self, threshold):
+        with pytest.raises(ValueError, match="threshold"):
+            compare(two_runs(100.0, 10.0), threshold=threshold)
+
+    def test_zero_threshold_flags_any_harmful_move(self):
+        regressions, _ = compare(two_runs(100.0, 99.0), threshold=0.0)
+        assert len(regressions) == 1
+        regressions, _ = compare(two_runs(100.0, 100.0), threshold=0.0)
+        assert regressions == []
+
     def test_non_tier1_never_gates(self):
         regressions, lines = compare(two_runs(100.0, 10.0, tier1=False))
         assert regressions == []
@@ -191,13 +203,13 @@ class TestCliGate:
         path = str(tmp_path / "trend.json")
         append_run(path, {"exp": metric(100.0)}, commit="a")
         append_run(path, {"exp": metric(50.0)}, commit="b")
-        assert main(["--compare", "--trend-file", path]) == 1
+        assert main(["trend", "--trend-file", path]) == 1
         assert "REGRESSION" in capsys.readouterr().out
 
         good = str(tmp_path / "good.json")
         append_run(good, {"exp": metric(100.0)}, commit="a")
         append_run(good, {"exp": metric(101.0)}, commit="b")
-        assert main(["--compare", "--trend-file", good]) == 0
+        assert main(["trend", "--trend-file", good]) == 0
         assert "no tier-1 regressions" in capsys.readouterr().out
 
     def test_repro_attr_compare_bad_file(self, tmp_path, capsys):
@@ -205,11 +217,34 @@ class TestCliGate:
 
         path = tmp_path / "trend.json"
         path.write_text("{\"schema\": \"nope\"}")
-        assert main(["--compare", "--trend-file", str(path)]) == 2
+        assert main(["trend", "--trend-file", str(path)]) == 2
         assert "cannot read" in capsys.readouterr().err
 
+    def test_nan_threshold_is_usage_error(self, tmp_path, capsys):
+        # NaN compares false against everything, so as a threshold it
+        # would pass this 90% tier-1 regression.
+        from repro.telemetry.cli import main
+
+        path = str(tmp_path / "trend.json")
+        append_run(path, {"exp": metric(100.0)}, commit="a")
+        append_run(path, {"exp": metric(10.0)}, commit="b")
+        assert main(["trend", "--trend-file", path,
+                     "--threshold", "nan"]) == 2
+        assert "threshold" in capsys.readouterr().err
+
+    def test_negative_threshold_is_usage_error(self, tmp_path, capsys):
+        # A negative threshold would flag an unchanged metric.
+        from repro.telemetry.cli import main
+
+        path = str(tmp_path / "trend.json")
+        append_run(path, {"exp": metric(100.0)}, commit="a")
+        append_run(path, {"exp": metric(100.0)}, commit="b")
+        assert main(["trend", "--trend-file", path,
+                     "--threshold", "-0.5"]) == 2
+        assert "threshold" in capsys.readouterr().err
+
     def test_committed_baseline_is_loadable(self):
-        # The repo ships a baseline row so CI's --compare has history.
+        # The repo ships a baseline row so CI's trend gate has history.
         doc = load_trend("BENCH_trend.json")
         assert doc["runs"], "committed BENCH_trend.json must hold a row"
         for rec in doc["runs"][-1]["metrics"].values():
