@@ -23,8 +23,7 @@ import numpy as np
 
 from repro.core import APConfig, AVM
 from repro.gpu import Device, K80_SPEC
-from repro.gpu.multigpu import ClusterLaunch
-from repro.gpu.sharded import launch_cluster_sharded
+from repro.gpu.multigpu import ClusterLaunch, launch_cluster
 
 ITERS = 64          # reads per thread
 STRIDE = 128        # bytes between reads: crosses a page every 32
@@ -56,9 +55,9 @@ def build():
 
 
 def run(jobs):
-    return launch_cluster_sharded(build(), jobs=jobs, trace=True,
-                                  timeseries=True,
-                                  window_cycles=WINDOW, profile=True)
+    return launch_cluster(build(), jobs=jobs, trace=True,
+                          timeseries=True, window_cycles=WINDOW,
+                          profile=True)
 
 
 def event_tuples(tracer):

@@ -14,7 +14,7 @@ from typing import Any, Callable, Optional
 
 from repro.gpu.engine import Engine, EngineStats
 from repro.gpu.kernel import BlockContext, KernelFn, WarpContext
-from repro.gpu.launch import EngineHooks, LaunchPlan
+from repro.gpu.launch import EngineHooks
 from repro.gpu.memory import GlobalMemory, Scratchpad
 from repro.gpu.occupancy import OccupancyLimits, occupancy_limits
 from repro.gpu.specs import GPUSpec, K80_SPEC
@@ -51,13 +51,13 @@ class LaunchResult:
     #: Populated when a profiler observed the launch (explicitly passed
     #: or ambient via ``repro.telemetry.capture``).
     profile: Optional[Any] = None
-    #: Merged execution trace of a sharded cluster launch
-    #: (:func:`repro.gpu.sharded.launch_cluster_sharded` with tracing
-    #: on); ``None`` elsewhere — single-device launches hand the tracer
+    #: Merged execution trace of a cluster launch
+    #: (:func:`repro.gpu.multigpu.launch_cluster` with tracing on);
+    #: ``None`` elsewhere — single-device launches hand the tracer
     #: back to its owner instead.
     tracer: Optional[Any] = None
-    #: Merged ``components.timeseries`` section of a sharded cluster
-    #: launch with sampling on; ``None`` elsewhere.
+    #: Merged ``components.timeseries`` section of a cluster launch
+    #: with sampling on; ``None`` elsewhere.
     series: Optional[dict] = None
 
     def dram_bandwidth(self, spec: GPUSpec) -> float:
@@ -143,8 +143,7 @@ class Device:
         engine = Engine(spec, occ.blocks_per_sm,
                         hooks=EngineHooks(tracer=tracer,
                                           profile=engine_profile))
-        cycles = engine.launch(LaunchPlan.single(
-            [make_block(b) for b in range(cfg.grid)]))
+        cycles = engine.launch([make_block(b) for b in range(cfg.grid)])
         self.total_cycles += cycles
         self.launches += 1
         launch_profile = None

@@ -35,11 +35,12 @@ reservation, stall, DRAM access and PCIe transfer and may bucket them
 into cycle windows (:mod:`repro.telemetry.timeseries` subclasses it).
 Hooks are only ever tested against ``None`` (the profile once per
 handler site), so instrumented runs stay cycle-bit-identical to
-uninstrumented ones.  :meth:`Engine.launch` takes a
-:class:`~repro.gpu.launch.LaunchPlan` and is the single entry point.
+uninstrumented ones.  :meth:`Engine.launch` takes the grid's block
+factories and is the single entry point.
 
-For sharded epoch execution (:mod:`repro.gpu.sharded`) the loop is also
-exposed incrementally: :meth:`Engine.begin` seeds the launch wave,
+One engine simulates one device.  A multi-GPU cluster runs one engine
+per device (:mod:`repro.gpu.sharded`), so the loop is also exposed
+incrementally: :meth:`Engine.begin` seeds the launch wave,
 :meth:`Engine.advance` drains events up to an epoch horizon, and
 host-compute requests can be *parked* (:meth:`Engine.gate_host`) so a
 parent process can serialise the shared host server deterministically.
@@ -66,7 +67,7 @@ from repro.gpu.instructions import (
     Sleep,
 )
 from repro.gpu.kernel import BlockContext
-from repro.gpu.launch import EngineHooks, LaunchPlan
+from repro.gpu.launch import EngineHooks
 from repro.gpu.specs import GPUSpec
 
 _INF = math.inf
@@ -214,8 +215,7 @@ class Engine:
     """Executes a grid of threadblocks on the simulated GPU."""
 
     def __init__(self, spec: GPUSpec, blocks_per_sm: int,
-                 hooks: EngineHooks | None = None,
-                 num_devices: int = 1):
+                 hooks: EngineHooks | None = None):
         self.spec = spec
         self.blocks_per_sm = max(1, blocks_per_sm)
         hooks = hooks if hooks is not None else EngineHooks()
@@ -227,20 +227,18 @@ class Engine:
         self.profile = hooks.profile
         self._advance = (hooks.profile.advance
                          if hooks.profile is not None else None)
-        self.num_devices = num_devices
         self.stats = EngineStats()
-        total_sms = spec.num_sms * num_devices
-        self._issue_avail = [0.0] * total_sms
-        self._dram_avail = [0.0] * num_devices
-        self._pcie_avail = [0.0] * num_devices
-        self._host_avail = 0.0           # one host serves all devices
-        self._atomic_avail: dict[tuple, float] = {}
+        self._issue_avail = [0.0] * spec.num_sms
+        self._dram_avail = 0.0
+        self._pcie_avail = 0.0
+        self._host_avail = 0.0
+        self._atomic_avail: dict[int, float] = {}
         self._heap: list = []
         self._seq = itertools.count()
-        self._pending_groups: list = [[] for _ in range(num_devices)]
-        self._resident = [0] * total_sms
+        self._pending: list = []         # block factories not yet started
+        self._resident = [0] * spec.num_sms
         self._eff_ipc = spec.effective_issue_rate()
-        self._extra_blocks = [0] * total_sms   # preemption slots used
+        self._extra_blocks = [0] * spec.num_sms   # preemption slots used
         self._dram_bpc = spec.dram_bytes_per_cycle()
         self._pcie_bpc = spec.pcie_bytes_per_cycle()
         self._end_time = 0.0
@@ -261,36 +259,30 @@ class Engine:
         }
 
     # -- entry points --------------------------------------------------
-    def launch(self, plan: LaunchPlan) -> float:
-        """Run one :class:`~repro.gpu.launch.LaunchPlan` to completion.
+    def launch(self, factories: list) -> float:
+        """Run a grid to completion; ``factories`` holds one zero-argument
+        callable per threadblock, returning ``(BlockContext, [warp
+        generators])``.
 
         Returns total elapsed cycles.
         """
-        self.begin(plan.groups)
+        self.begin(factories)
         self.advance()
         return self.finish()
 
     # -- incremental interface (used by launch() and repro.gpu.sharded)
-    def begin(self, groups: list) -> None:
-        """Seed the launch: one list of block factories per device.
+    def begin(self, factories: list) -> None:
+        """Seed the launch with the grid's block factories.
 
-        Device *d*'s blocks execute on its own SMs and DRAM; the host
-        CPU is shared.  Breadth-first initial wave per device: one
-        block per SM, then a second round, as the hardware block
-        scheduler does.
+        Breadth-first initial wave: one block per SM, then a second
+        round, as the hardware block scheduler does.
         """
-        if len(groups) > self.num_devices:
-            raise ValueError("more groups than devices")
-        self._pending_groups = [list(g) for g in groups]
-        while len(self._pending_groups) < self.num_devices:
-            self._pending_groups.append([])
-        for dev in range(self.num_devices):
-            base = dev * self.spec.num_sms
-            for _ in range(self.blocks_per_sm):
-                for sm in range(base, base + self.spec.num_sms):
-                    if not self._pending_groups[dev]:
-                        break
-                    self._start_next_block(sm, 0.0)
+        self._pending = list(factories)
+        for _ in range(self.blocks_per_sm):
+            for sm in range(self.spec.num_sms):
+                if not self._pending:
+                    return
+                self._start_next_block(sm, 0.0)
 
     def advance(self, horizon: float = _INF) -> float:
         """Drain events with time ≤ ``horizon`` (all of them by default).
@@ -322,13 +314,11 @@ class Engine:
 
     # ------------------------------------------------------------------
     def _start_next_block(self, sm: int, time: float) -> bool:
-        dev = sm // self.spec.num_sms
-        pending = self._pending_groups[dev]
+        pending = self._pending
         if not pending:
             return False
         factory = pending.pop(0)
         block, gens = factory()
-        block.device_index = dev
         block.sm_index = sm
         block.live_warps = len(gens)
         block.done_warps = 0
@@ -576,12 +566,11 @@ class Engine:
     def _h_atomic(self, req: AtomicOp, runner: _WarpRunner,
                   now: float) -> None:
         spec = self.spec
-        key = (runner.block.device_index, req.address)
-        avail = self._atomic_avail.get(key, 0.0)
+        avail = self._atomic_avail.get(req.address, 0.0)
         start = max(now, avail)
         # Pipelined: the address accepts another atomic after the
         # issue interval; the issuing warp sees the full latency.
-        self._atomic_avail[key] = (
+        self._atomic_avail[req.address] = (
             start + spec.atomic_interval_cycles)
         self.stats.atomics += 1
         done = start + spec.atomic_latency_cycles
@@ -655,10 +644,9 @@ class Engine:
         # setup costs go through HostCompute instead — that is the
         # CPU-centric bottleneck of the paper's Figure 1.
         spec = self.spec
-        dev = runner.block.device_index
-        start = max(now, self._pcie_avail[dev])
+        start = max(now, self._pcie_avail)
         xfer = req.nbytes / self._pcie_bpc
-        self._pcie_avail[dev] = start + xfer
+        self._pcie_avail = start + xfer
         self.stats.pcie_busy += xfer
         self.stats.pcie_bytes += req.nbytes
         self.stats.pcie_transactions += 1
@@ -734,10 +722,9 @@ class Engine:
         # Serial chain before the access can be issued.
         pre_done = (start + spec.macro_op_overhead_cycles
                     + req.chain * spec.dependent_issue_cycles)
-        dev = runner.block.device_index
-        dram_avail = self._dram_avail[dev]
+        dram_avail = self._dram_avail
         dram_start = max(pre_done, dram_avail)
-        self._dram_avail[dev] = dram_start + nbytes / self._dram_bpc
+        self._dram_avail = dram_start + nbytes / self._dram_bpc
         self.stats.dram_busy += nbytes / self._dram_bpc
         if self.profile is not None:
             self.profile.issue(sm, start, issue_time, req.count + 1)
@@ -834,7 +821,7 @@ class Engine:
             block.io_stalled += 1
         if not spec.io_preemption:
             return
-        if not self._pending_groups[block.device_index]:
+        if not self._pending:
             return
         running = block.live_warps - block.done_warps
         sm = block.sm_index

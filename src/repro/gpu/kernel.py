@@ -60,8 +60,6 @@ class BlockContext:
     # I/O preemption bookkeeping (§VII what-if).
     io_stalled: int = 0
     preempted: bool = False
-    # Which device this block runs on (multi-GPU co-simulation).
-    device_index: int = 0
 
 
 class WarpContext:
@@ -152,8 +150,9 @@ class WarpContext:
         if self.tracer is None:
             return
         if self._request_depth == 0:
-            self._request_id = (f"{self.block.device_index}:"
-                                f"{self.warp_id}:{self._request_seq}")
+            # One engine runs one device, so the device prefix is 0;
+            # a cluster merge rebases it to the shard's device index.
+            self._request_id = f"0:{self.warp_id}:{self._request_seq}"
             self._request_seq += 1
         self._request_depth += 1
 

@@ -1,11 +1,12 @@
 """Deterministic sharded epoch execution for multi-GPU launches.
 
-:func:`launch_cluster_sharded` runs each device of a
-:func:`repro.gpu.multigpu.launch_cluster` on its **own engine** — in
-process for ``jobs=1``, one spawn worker per device otherwise — and
-recombines the results so that the merged stats, profiles, traces,
-time series, and memory contents are identical regardless of the job
-count.
+:func:`repro.gpu.multigpu.launch_cluster` runs each device of a cluster
+on its **own engine** — in process for ``jobs=1``, one spawn worker per
+device otherwise — and recombines the results so that the merged stats,
+profiles, traces, time series, and memory contents are identical
+regardless of the job count.  This module holds the shard side of that
+protocol and the two drivers (:func:`_run_inprocess`,
+:func:`_run_workers`).
 
 Synchronisation model
 ---------------------
@@ -17,8 +18,7 @@ is the **host CPU**, which the parent owns:
 * Every shard engine is host-gated (:meth:`Engine.gate_host`): the
   moment a warp yields :class:`HostCompute` the shard *parks* — it
   stops draining immediately (strict stop), so no later event consumes
-  a sequence number before the host result is known, and resuming
-  reproduces the shard-local event order of an unsharded run exactly.
+  a sequence number before the host result is known.
 * Shards otherwise advance in **epochs** of ``epoch_cycles`` simulated
   cycles (default: the PCIe round-trip, the minimum latency of any
   cross-device interaction), reporting at each epoch barrier.
@@ -31,11 +31,7 @@ is the **host CPU**, which the parent owns:
 
 The decision sequence depends only on simulated time, never on wall
 clock or scheduling, which is what makes ``jobs=1`` and ``jobs=N``
-bit-identical.  Runs with no host work also match the unsharded
-single-engine result exactly; with host work the only permitted
-divergence from the unsharded path is the tie-break between host
-requests arriving on different devices at the same cycle (global
-sequence number there, ``(arrival, shard)`` here).
+bit-identical; ``tests/gpu/golden_cluster.json`` pins the results.
 
 Cross-process observability
 ---------------------------
@@ -68,20 +64,24 @@ from __future__ import annotations
 import json
 import math
 import os
-import shutil
-import tempfile
+import time
 from dataclasses import dataclass
 from queue import Empty
 
-from repro.gpu.device import LaunchResult
-from repro.gpu.engine import Engine, EngineProfile, EngineStats
+from repro.gpu.engine import Engine, EngineProfile
+from repro.gpu.kernel import BlockContext, WarpContext
 from repro.gpu.launch import EngineHooks
+from repro.gpu.memory import Scratchpad
 from repro.gpu.trace import Tracer
 
-#: Seconds without any worker message before the parent checks futures
-#: for crashed workers (and ultimately gives up).  Overridable through
-#: the environment (:data:`WORKER_TIMEOUT_ENV`) for slow CI machines.
+#: Seconds without any worker message before the parent gives up.
+#: Overridable through the environment (:data:`WORKER_TIMEOUT_ENV`) for
+#: slow CI machines.
 WORKER_TIMEOUT = 120.0
+
+#: Seconds between the parent's checks for crashed workers while it
+#: waits for shard messages; a failed shard re-raises within this.
+WORKER_POLL = 0.1
 
 #: Environment variable overriding :data:`WORKER_TIMEOUT` (seconds,
 #: positive number); validated by :func:`worker_timeout`.
@@ -140,17 +140,41 @@ class _ShardInstrument:
 # Shard-side execution (shared by the in-process and worker paths).
 
 
+def _block_factories(launch, tracer) -> list:
+    """One zero-argument factory per threadblock of ``launch``, each
+    returning ``(BlockContext, [warp generators])``.  ``tracer``
+    threads into every :class:`WarpContext`, so layer-level spans
+    (translation faults, page-ins, syscalls) land in cluster traces."""
+    spec = launch.device.spec
+    warps_per_block = -(-launch.block_threads // spec.warp_size)
+
+    def make_block(block_id: int):
+        def factory():
+            block = BlockContext(
+                block_id=block_id,
+                threads=launch.block_threads,
+                warps=warps_per_block,
+                scratchpad=Scratchpad(max(launch.scratchpad_bytes, 1)),
+            )
+            gens = []
+            for w in range(warps_per_block):
+                ctx = WarpContext(spec, launch.device.memory, block, w,
+                                  tracer=tracer)
+                gens.append(launch.kernel(ctx, *launch.args))
+            return block, gens
+        return factory
+
+    return [make_block(b) for b in range(launch.grid)]
+
+
 def _build_shard(launch, blocks_per_sm: int, inst: _ShardInstrument):
-    """One single-device engine for one :class:`ClusterLaunch`, gated
-    on the host server and seeded with its block factories.  The
+    """One engine for one :class:`~repro.gpu.multigpu.ClusterLaunch`,
+    gated on the host server and seeded with its block factories.  The
     shard-local instruments are ``engine.tracer`` and
     ``engine.profile`` (windowed when sampling is on)."""
-    from repro.gpu.multigpu import _plan_cluster
-
     spec = launch.device.spec
     tracer = (Tracer(max_events=inst.max_trace_events)
               if inst.trace else None)
-    _, groups = _plan_cluster([launch], spec, tracer=tracer)
     profile = None
     if inst.timeseries:
         from repro.telemetry.timeseries import TimeseriesSampler
@@ -160,10 +184,9 @@ def _build_shard(launch, blocks_per_sm: int, inst: _ShardInstrument):
     elif inst.profile:
         profile = EngineProfile.for_sms(spec.num_sms)
     engine = Engine(spec, blocks_per_sm,
-                    hooks=EngineHooks(tracer=tracer, profile=profile),
-                    num_devices=1)
+                    hooks=EngineHooks(tracer=tracer, profile=profile))
     engine.gate_host()
-    engine.begin(groups)
+    engine.begin(_block_factories(launch, tracer))
     return engine
 
 
@@ -184,8 +207,7 @@ def _shard_status(engine: Engine, horizon: float) -> tuple:
 
 def _pick_grant(status: dict) -> tuple | None:
     """The globally earliest parked request, ordered by
-    ``(arrival cycle, shard index)`` — the deterministic stand-in for
-    the unsharded engine's global sequence tie-break."""
+    ``(arrival cycle, shard index)``."""
     parked = [(s[1], idx, s[2]) for idx, s in status.items()
               if s[0] == "parked"]
     if not parked:
@@ -228,12 +250,19 @@ def _write_spill(path: str, index: int, epoch: float, meta: dict,
 
 def _read_spill(path: str):
     """Yield the header, then every record, of one spill file; nothing
-    when the shard wrote none."""
+    when the shard wrote none.  A truncated or corrupt line raises
+    ``ValueError`` naming the file and line."""
     if not os.path.exists(path):
         return
     with open(path) as f:
-        for line in f:
-            yield json.loads(line)
+        for lineno, line in enumerate(f, 1):
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(
+                    f"corrupt spill file {path}, line {lineno}: "
+                    f"{exc.msg}") from None
+            yield record
 
 
 def _finish_shard(index: int, engine: Engine,
@@ -410,9 +439,12 @@ def _run_workers(launches, blocks_per_sm: int, epoch: float,
     timeout = worker_timeout()
     n = len(launches)
     # Every shard must be live for the barrier to close, so the pool
-    # holds one worker per shard regardless of the jobs value.
-    with multiprocessing.Manager() as manager, \
-            spawn_executor(n) as pool:
+    # holds one worker per shard regardless of the jobs value.  The
+    # manager exits first: on an error it takes the queues down, so
+    # shards blocked on a command fail instead of hanging the pool's
+    # shutdown.
+    with spawn_executor(n) as pool, \
+            multiprocessing.Manager() as manager:
         rep_q = manager.Queue()
         cmd_qs = [manager.Queue() for _ in range(n)]
         futures = [
@@ -425,16 +457,20 @@ def _run_workers(launches, blocks_per_sm: int, epoch: float,
         pending = set(range(n))     # shards we await a message from
 
         def collect():
+            deadline = time.monotonic() + timeout
             while pending:
                 try:
-                    msg = rep_q.get(timeout=timeout)
+                    msg = rep_q.get(timeout=WORKER_POLL)
                 except Empty:
                     for fut in futures:
                         if fut.done():
                             fut.result()  # surfaces worker tracebacks
-                    raise TimeoutError(
-                        "sharded workers made no progress for "
-                        f"{timeout}s")
+                    if time.monotonic() > deadline:
+                        raise TimeoutError(
+                            "sharded workers made no progress for "
+                            f"{timeout}s") from None
+                    continue
+                deadline = time.monotonic() + timeout
                 index = msg[1]
                 pending.discard(index)
                 if msg[0] == "parked":
@@ -471,135 +507,3 @@ def _run_workers(launches, blocks_per_sm: int, epoch: float,
     profiles = [r[3] for r in results] if inst.profile else None
     memories = [r[4] for r in results]
     return cycles, stats, profiles, memories
-
-
-# ---------------------------------------------------------------------------
-
-
-def launch_cluster_sharded(launches, jobs: int = 1,
-                           epoch_cycles: float | None = None,
-                           profile: bool = False,
-                           trace: bool = False,
-                           tracer=None,
-                           timeseries: bool = False,
-                           window_cycles: float | None = None,
-                           spill_dir: str | None = None) -> LaunchResult:
-    """Run one engine per device with the deterministic epoch barrier.
-
-    ``jobs=1`` drives every shard in this process; any larger value
-    spawns one worker per device (the protocol needs every shard live
-    to close its barrier, so the pool is sized by the cluster, not by
-    ``jobs``).  Results are bit-identical across job counts.
-
-    ``trace=True`` (or a supplied ``tracer``) merges per-shard traces
-    into ``result.tracer``; ``timeseries=True`` merges per-shard
-    cycle-window series into ``result.series`` (the
-    ``components.timeseries`` shape).  ``spill_dir`` keeps the
-    per-shard JSONL spill files for inspection; by default they live
-    in a temporary directory removed after the merge.  Under an
-    ambient profiler (:func:`repro.telemetry.capture`) tracing,
-    sampling, and profiling follow the profiler's configuration and
-    the merged launch lands in ``profiler.profiles``.
-    """
-    from repro.gpu.multigpu import _validate_cluster
-    from repro.gpu.occupancy import occupancy_limits
-    from repro.telemetry import hooks as telemetry_hooks
-
-    spec = _validate_cluster(launches)
-    occupancies = [
-        occupancy_limits(spec, launch.block_threads,
-                         launch.regs_per_thread,
-                         launch.scratchpad_bytes)
-        for launch in launches]
-    for occ in occupancies:
-        if not occ.is_schedulable:
-            raise ValueError(
-                f"unschedulable kernel: {occ.limiting_factor}")
-    blocks_per_sm = min(o.blocks_per_sm for o in occupancies)
-    epoch = (default_epoch_cycles(spec) if epoch_cycles is None
-             else float(epoch_cycles))
-    if epoch <= 0:
-        raise ValueError("epoch_cycles must be positive")
-
-    max_trace_events = 200_000
-    profiler = telemetry_hooks.current()
-    if profiler is not None:
-        profile = True
-        if tracer is None and profiler.trace \
-                and len(profiler.traces) < profiler.max_traces:
-            trace = True
-            max_trace_events = profiler.max_trace_events
-        if profiler.timeseries:
-            timeseries = True
-            if window_cycles is None:
-                window_cycles = profiler.window_cycles
-    if tracer is not None:
-        trace = True
-        max_trace_events = tracer.max_events
-
-    from repro.telemetry.timeseries import DEFAULT_WINDOW_CYCLES
-    tmp_dir = None
-    if (trace or timeseries) and spill_dir is None:
-        tmp_dir = tempfile.mkdtemp(prefix="repro-shards-")
-        spill_dir = tmp_dir
-    elif spill_dir is not None:
-        os.makedirs(spill_dir, exist_ok=True)
-    inst = _ShardInstrument(
-        profile=profile,
-        trace=trace,
-        max_trace_events=max_trace_events,
-        timeseries=timeseries,
-        window_cycles=(float(window_cycles) if window_cycles
-                       else DEFAULT_WINDOW_CYCLES),
-        epoch_cycles=epoch,
-        spill_dir=spill_dir or "")
-
-    try:
-        if jobs <= 1 or len(launches) == 1:
-            cycles, stats, profiles, memories = _run_inprocess(
-                launches, blocks_per_sm, epoch, inst)
-        else:
-            cycles, stats, profiles, memories = _run_workers(
-                launches, blocks_per_sm, epoch, inst)
-
-        merged_tracer = None
-        series = None
-        if inst.spills:
-            if trace:
-                merged_tracer = tracer if tracer is not None else \
-                    Tracer(max_events=max_trace_events * len(launches))
-            series = _merge_spills(inst, len(launches), spec.num_sms,
-                                   merged_tracer)
-    finally:
-        if tmp_dir is not None:
-            shutil.rmtree(tmp_dir, ignore_errors=True)
-
-    if memories is not None:
-        # Worker shards mutated their own copy of device memory; fold
-        # the bytes back into the parent's devices.
-        import numpy as np
-        for launch, memory in zip(launches, memories):
-            data = launch.device.memory.data
-            data[:] = np.frombuffer(memory, dtype=np.uint8)
-
-    makespan = max(cycles)
-    for launch in launches:
-        launch.device.total_cycles += makespan
-        launch.device.launches += 1
-    result = LaunchResult(
-        cycles=makespan,
-        seconds=spec.cycles_to_seconds(makespan),
-        stats=EngineStats.merged(stats),
-        occupancy=occupancies[0],
-        tracer=merged_tracer,
-        series=series,
-    )
-    if profile:
-        result.profile = EngineProfile.merged(profiles)
-    if profiler is not None:
-        profiler.record_cluster(
-            spec=spec, launches=launches, occ=occupancies[0],
-            cycles=makespan, stats=result.stats,
-            engine_profile=result.profile, tracer=merged_tracer,
-            series=series)
-    return result

@@ -115,14 +115,13 @@ class Profiler:
     def record_cluster(self, *, spec, launches, occ, cycles, stats,
                        engine_profile, tracer=None,
                        series=None) -> LaunchProfile:
-        """Reduce one merged sharded cluster launch to a
-        :class:`LaunchProfile`.
+        """Reduce one merged cluster launch to a :class:`LaunchProfile`.
 
-        The sharded launcher (:mod:`repro.gpu.sharded`) calls this with
+        :func:`repro.gpu.multigpu.launch_cluster` calls this with
         already-merged engine stats/profile, the merged tracer, and the
         merged ``components.timeseries`` section — so ambient profiling
-        (:func:`capture`) covers ``launch_cluster(jobs=N)`` exactly as
-        it covers single-device launches.  ``sms`` spans every shard's
+        (:func:`capture`) covers every cluster launch exactly as it
+        covers single-device launches.  ``sms`` spans every shard's
         SM range in shard order.
         """
         name = getattr(launches[0].kernel, "__name__", "kernel")

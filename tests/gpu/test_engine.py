@@ -11,7 +11,6 @@ import pytest
 from repro.gpu import Device, K80_SPEC, Tracer
 from repro.gpu.engine import Engine
 from repro.gpu.instructions import TimedLock
-from repro.gpu.launch import LaunchPlan
 
 
 @pytest.fixture
@@ -247,17 +246,3 @@ class TestLaunchValidation:
         assert r1.stats.loads == 1
         assert r1.stats.stores == 1
         assert dev.launches == 1
-
-
-class TestLaunchPlanValidation:
-    def test_single_wraps_factories(self):
-        plan = LaunchPlan.single([lambda: None])
-        assert plan.num_groups == 1
-
-    def test_flat_factory_list_rejected(self):
-        with pytest.raises(TypeError, match="groups"):
-            LaunchPlan(groups=[lambda: None])
-
-    def test_callable_groups_rejected(self):
-        with pytest.raises(TypeError):
-            LaunchPlan(groups=lambda: None)

@@ -5,6 +5,13 @@ import pytest
 
 from repro.gpu import Device, K80_SPEC
 from repro.gpu.multigpu import ClusterLaunch, launch_cluster
+from repro.telemetry import capture, validate_profile
+
+#: Synthetic instruction counts — named so the calibration linter can
+#: see they are deliberate test loads, not drifted hardware estimates.
+LONG_BLOCK = 2000
+LONG_CHAIN = 60
+SHORT_BLOCK = 100
 
 
 def make_devices(n=2):
@@ -13,7 +20,7 @@ def make_devices(n=2):
 
 
 def compute_kernel(ctx, out):
-    yield from ctx.compute(2000, chain=60)
+    yield from ctx.compute(LONG_BLOCK, chain=LONG_CHAIN)
     out.append(ctx.warp_id)
 
 
@@ -97,7 +104,7 @@ class TestClusterLaunch:
         d0, d1 = make_devices()
 
         def short(ctx):
-            yield from ctx.compute(100)
+            yield from ctx.compute(SHORT_BLOCK)
 
         long_solo = d1.launch(compute_kernel, grid=26, block_threads=1024,
                               args=([],))
@@ -107,3 +114,15 @@ class TestClusterLaunch:
             ClusterLaunch(d3, compute_kernel, 26, 1024, args=([],)),
         ])
         assert both.cycles == pytest.approx(long_solo.cycles, rel=0.05)
+
+    def test_default_cluster_profiled_under_capture(self):
+        """The default cluster call is visible to ambient telemetry:
+        one merged profile with every device's SMs."""
+        launches = [ClusterLaunch(d, compute_kernel, 2, 64, args=([],))
+                    for d in make_devices()]
+        with capture() as prof:
+            launch_cluster(launches)
+        (profile,) = prof.profiles
+        doc = profile.to_dict()
+        validate_profile(doc)
+        assert len(doc["sms"]) == K80_SPEC.num_sms * len(launches)

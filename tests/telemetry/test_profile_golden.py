@@ -75,15 +75,14 @@ def _rpc_kernel(ctx, base):
 
 
 def _sharded():
-    from repro.gpu.multigpu import ClusterLaunch
-    from repro.gpu.sharded import launch_cluster_sharded
+    from repro.gpu.multigpu import ClusterLaunch, launch_cluster
 
     devices = [Device(spec=K80_SPEC, memory_bytes=8 * 1024 * 1024)
                for _ in range(2)]
     launches = [ClusterLaunch(d, _rpc_kernel, 2, 64,
                               args=(d.alloc(4096),)) for d in devices]
-    launch_cluster_sharded(launches, jobs=1, profile=True, trace=True,
-                           timeseries=True, window_cycles=500.0)
+    launch_cluster(launches, jobs=1, profile=True, trace=True,
+                   timeseries=True, window_cycles=500.0)
 
 
 def _launch_records(run, **capture_kwargs):
