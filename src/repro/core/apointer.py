@@ -21,6 +21,15 @@ the paper's heuristic for keeping pinned pages few); assignment from
 another apointer copies the position but stays unlinked; destruction
 unlinks everything.
 
+Alongside the lane arrays each pointer keeps a small *warp summary*
+(whether any / every lane is linked, the page and frame every lane
+shares, the lane position range and a power-of-two alignment bound).
+The fault-free, warp-uniform dereference tests only those scalars — the
+simulator's analogue of the single ``__all`` vote — and anything they
+cannot prove (divergent lanes, masked lanes out of range, a page
+crossing) takes the per-lane vector path.  The summary is recomputed
+after every per-lane mutation and updated in O(1) on a scalar ``add``.
+
 Page faults use the warp-level *translation aggregation* of Listing 1:
 subgroups of lanes that fault on the same page elect a leader with
 ``__ballot``/``__ffs``, broadcast the backing address with ``__shfl``,
@@ -83,6 +92,7 @@ class APtr:
         # write through a read-only link must re-fault (the upgrade
         # fault that lets paging backends observe S->M transitions).
         self.linked_write = np.zeros(n, dtype=bool)
+        self._summarize()
         if ctx.sanitizer is not None:
             ctx.sanitizer.register_aptr(ctx, self)
 
@@ -95,9 +105,9 @@ class APtr:
 
     @property
     def state(self) -> APtrState:
-        if self.valid.all():
+        if self._all_linked:
             return APtrState.LINKED
-        if self.valid.any():
+        if self._any_linked:
             return APtrState.MIXED
         return APtrState.UNLINKED
 
@@ -127,6 +137,7 @@ class APtr:
         twin = APtr(ctx, self.avm, self.backend, self.base_offset,
                     self.size, self.writable)
         twin.pos = self.pos.copy()
+        twin._summarize()
         return twin
 
     # ------------------------------------------------------------------
@@ -142,12 +153,31 @@ class APtr:
                    chain=cm.arith_chain + cm.fmt_extra_chain,
                    tag="translation")
         self.avm.stats.arith_ops += 1
-        new_pos = self.pos + np.asarray(delta, dtype=np.int64)
-        new_xpage = (self.base_offset + new_pos) // self.page_size
-        crossing = self.valid & (new_xpage != self.linked_xpage)
-        self.pos = new_pos
+        per_lane = not isinstance(delta, (int, np.integer))
+        if per_lane:
+            self.pos = self.pos + np.asarray(delta, dtype=np.int64)
+        else:
+            # Every lane moves together: the position range and the
+            # alignment bound shift in O(1), and a pointer with no link,
+            # or whose range stays inside the page every lane is linked
+            # to, has nothing to unlink.
+            delta = int(delta)
+            self.pos = self.pos + delta
+            self._lo += delta
+            self._hi += delta
+            bits = self._align | delta
+            self._align = bits & -bits
+            page, ps = self._page, self.page_size
+            if not self._any_linked or (
+                    page is not None
+                    and (self.base_offset + self._lo) // ps == page
+                    == (self.base_offset + self._hi) // ps):
+                return
+        crossing = self.valid & (self.xpage_vec() != self.linked_xpage)
         if crossing.any():
             yield from self._unlink(ctx, crossing)
+        elif per_lane:
+            self._summarize()
 
     def seek(self, ctx: WarpContext, pos):
         """Timed: set each lane's absolute position in the mapping."""
@@ -248,7 +278,7 @@ class APtr:
     # ------------------------------------------------------------------
     def destroy(self, ctx: WarpContext):
         """Timed: drop all references (scope exit in Figure 3)."""
-        if self.valid.any():
+        if self._any_linked:
             yield from self._unlink(ctx, self.valid.copy())
 
     # ------------------------------------------------------------------
@@ -261,7 +291,7 @@ class APtr:
         self._check_bounds(width, active)
         if write and not self.writable:
             raise ProtectionError("write through a read-only apointer")
-        if write:
+        if write and not self._all_write:
             # Upgrade fault: lanes linked read-only must re-fault so the
             # paging backend sees the write (dirty marking, coherence).
             upgrade = self.valid & ~self.linked_write & active
@@ -271,13 +301,17 @@ class APtr:
         # fault-free path has no divergent control flow.  Under
         # speculative prefetch the vote overlaps the memory access
         # (§IV-B), so it adds no serial latency.
-        all_valid = wp.all_sync(self.valid, active)
+        all_valid = self._all_linked or wp.all_sync(self.valid, active)
         prefetching = self.config.variant is ImplVariant.PREFETCH
         ctx.charge(1, chain=0 if prefetching else 1, tag="translation")
         if not all_valid:
             yield from self._page_fault(ctx, active, write)
         elif write:
             self._mark_dirty(active)
+        if self._page is not None:
+            # One shared page: frame + in-page offset is pos + constant.
+            return self.pos + (self._frame + self.base_offset
+                               - self._page * self.page_size)
         return self.frame_addr + self.in_page_vec()
 
     def _page_fault(self, ctx: WarpContext, active: np.ndarray,
@@ -317,6 +351,7 @@ class APtr:
                     ctx.charge(cm.fault_link_count)
                     self.avm.stats.links += refs
             finally:
+                self._summarize()
                 ctx.pop_activity()
             if ctx.tracer is not None:
                 ctx.trace_span("translation_fault", t0, ctx.now,
@@ -362,27 +397,30 @@ class APtr:
         cm = self.cost
         remaining = mask.copy()
         tlb = self.avm.tlb_for(ctx)
-        while remaining.any():
-            leader = int(np.argmax(remaining))
-            xpage = int(self.linked_xpage[leader])
-            via_tlb = bool(self.tlb_backed[leader])
-            group = (remaining & (self.linked_xpage == xpage)
-                     & (self.tlb_backed == via_tlb))
-            refs = int(group.sum())
-            ctx.charge(cm.fault_setup_count, tag="translation")
-            if via_tlb and tlb is not None:
-                found = yield from tlb.unref(
-                    ctx, self.backend.file_id, xpage, refs)
-                if not found:
-                    raise RuntimeError(
-                        "TLB-backed lane lost its TLB entry")
-            else:
-                yield from self.backend.release(ctx, xpage, refs)
-            self.valid &= ~group
-            self.tlb_backed &= ~group
-            self.linked_write &= ~group
-            self.avm.stats.unlinks += refs
-            remaining &= ~group
+        try:
+            while remaining.any():
+                leader = int(np.argmax(remaining))
+                xpage = int(self.linked_xpage[leader])
+                via_tlb = bool(self.tlb_backed[leader])
+                group = (remaining & (self.linked_xpage == xpage)
+                         & (self.tlb_backed == via_tlb))
+                refs = int(group.sum())
+                ctx.charge(cm.fault_setup_count, tag="translation")
+                if via_tlb and tlb is not None:
+                    found = yield from tlb.unref(
+                        ctx, self.backend.file_id, xpage, refs)
+                    if not found:
+                        raise RuntimeError(
+                            "TLB-backed lane lost its TLB entry")
+                else:
+                    yield from self.backend.release(ctx, xpage, refs)
+                self.valid &= ~group
+                self.tlb_backed &= ~group
+                self.linked_write &= ~group
+                self.avm.stats.unlinks += refs
+                remaining &= ~group
+        finally:
+            self._summarize()
 
     def _mark_dirty(self, active: np.ndarray) -> None:
         backend = self.backend
@@ -394,7 +432,42 @@ class APtr:
             if entry is not None:
                 entry.dirty = True
 
+    def _summarize(self) -> None:
+        """Recompute the warp summary from the lane arrays.
+
+        ``_any_linked``/``_all_linked``: some / every lane is linked;
+        ``_all_write``: every lane is linked for writing; ``_page`` and
+        ``_frame``: the page and frame every lane is linked to (``None``
+        unless all lanes share one); ``_lo``/``_hi``: the lane position
+        range; ``_align``: a power of two dividing every
+        ``base_offset + pos`` (0 when all of them are 0).
+        """
+        valid = self.valid
+        linked = int(np.count_nonzero(valid))
+        self._any_linked = linked > 0
+        self._all_linked = all_linked = linked == valid.size
+        self._all_write = all_linked and bool(self.linked_write.all())
+        self._page = self._frame = None
+        if all_linked:
+            page = int(self.linked_xpage[0])
+            frame = int(self.frame_addr[0])
+            if ((self.linked_xpage == page).all()
+                    and (self.frame_addr == frame).all()):
+                self._page, self._frame = page, frame
+        pos = self.pos
+        self._lo = int(pos.min())
+        self._hi = int(pos.max())
+        bits = int(np.bitwise_or.reduce(self.base_offset + pos))
+        self._align = bits & -bits
+
     def _check_bounds(self, width: int, active: np.ndarray) -> None:
+        # Every lane (active or not) in range, width-aligned, and width
+        # divides the page: no access can leave the mapping or straddle
+        # a page.  Otherwise check the active lanes one by one.
+        if (self._lo >= 0 and self._hi + width <= self.size
+                and self._align % width == 0
+                and self.page_size % width == 0):
+            return
         pos = self.pos[active]
         if pos.size == 0:
             return
@@ -407,3 +480,8 @@ class APtr:
             raise BoundsError(
                 f"{width}-byte access not {width}-aligned "
                 "(would straddle a page boundary)")
+        if int(in_page.max()) + width > self.page_size:
+            raise BoundsError(
+                f"{width}-byte access at in-page offset "
+                f"{int(in_page.max())} straddles a "
+                f"{self.page_size}-byte page boundary")
