@@ -14,7 +14,6 @@ from typing import Any, Callable, Optional
 
 from repro.gpu.engine import Engine, EngineStats
 from repro.gpu.kernel import BlockContext, KernelFn, WarpContext
-from repro.gpu.launch import EngineHooks
 from repro.gpu.memory import GlobalMemory, Scratchpad
 from repro.gpu.occupancy import OccupancyLimits, occupancy_limits
 from repro.gpu.specs import GPUSpec, K80_SPEC
@@ -107,11 +106,10 @@ class Device:
         # test per launch when off, a full profile per launch on.
         if profiler is None:
             profiler = telemetry_hooks.current()
-        engine_profile = None
-        if profiler is not None:
-            if tracer is None:
-                tracer = profiler.begin_launch()
-            engine_profile = profiler.begin_profile(spec, tracer=tracer)
+        observer = telemetry_hooks.launch_observer(spec.num_sms, tracer,
+                                                   profiler)
+        if observer is not None:
+            tracer = observer.tracer
         san = self.sanitizer
 
         def make_block(block_id: int):
@@ -140,17 +138,14 @@ class Device:
 
         if san is not None:
             san.begin_launch()
-        engine = Engine(spec, occ.blocks_per_sm,
-                        hooks=EngineHooks(tracer=tracer,
-                                          profile=engine_profile))
+        engine = Engine(spec, occ.blocks_per_sm, profile=observer)
         cycles = engine.launch([make_block(b) for b in range(cfg.grid)])
         self.total_cycles += cycles
         self.launches += 1
         launch_profile = None
         if profiler is not None:
             launch_profile = profiler.record_launch(
-                device=self, cfg=cfg, occ=occ, engine=engine,
-                tracer=tracer)
+                device=self, cfg=cfg, occ=occ, engine=engine)
         return LaunchResult(
             cycles=cycles,
             seconds=spec.cycles_to_seconds(cycles),

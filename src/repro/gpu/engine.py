@@ -28,15 +28,15 @@ memory effects across engine changes.
 
 The dispatch handlers are looked up by request type in a handler table
 (:attr:`Engine._handlers`) instead of an ``isinstance`` chain.  The
-instrumentation arrives bundled in one
-:class:`~repro.gpu.launch.EngineHooks` object with two hooks: the
-tracer and an :class:`EngineProfile`, which observes every issue
-reservation, stall, DRAM access and PCIe transfer and may bucket them
-into cycle windows (:mod:`repro.telemetry.timeseries` subclasses it).
-Hooks are only ever tested against ``None`` (the profile once per
-handler site), so instrumented runs stay cycle-bit-identical to
-uninstrumented ones.  :meth:`Engine.launch` takes the grid's block
-factories and is the single entry point.
+engine has one instrumentation hook, ``Engine(..., profile=...)``: an
+observer following the :class:`repro.telemetry.hooks.EngineProfile`
+protocol, which sees every macro-op, issue reservation, stall, lock
+grant, translation decomposition, DRAM access and PCIe transfer, with
+the warp and the whole interval.  What it keeps — launch totals, cycle
+windows, trace records — is its own business; the engine only tests it
+against ``None``, once per handler site, so observed runs stay
+cycle-bit-identical to unobserved ones.  :meth:`Engine.launch` takes
+the grid's block factories and is the single entry point.
 
 One engine simulates one device.  A multi-GPU cluster runs one engine
 per device (:mod:`repro.gpu.sharded`), so the loop is also exposed
@@ -51,7 +51,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 from repro.gpu.instructions import (
     AcquireLock,
@@ -67,7 +67,6 @@ from repro.gpu.instructions import (
     Sleep,
 )
 from repro.gpu.kernel import BlockContext
-from repro.gpu.launch import EngineHooks
 from repro.gpu.specs import GPUSpec
 
 _INF = math.inf
@@ -116,89 +115,10 @@ class EngineStats:
         return out
 
 
-@dataclass
-class EngineProfile:
-    """The engine's observer: deep per-launch counters, collected only
-    when profiling is on.
-
-    The engine takes an optional :class:`EngineProfile` and feeds it
-    through :meth:`issue`, :meth:`stall`, :meth:`dram`, :meth:`pcie`
-    and :meth:`finish`, one ``is not None`` guard per handler site, so
-    an unprofiled launch pays one pointer test per dispatched request
-    and nothing else.  This class keeps launch totals only and ignores
-    the event times; :class:`repro.telemetry.timeseries.TimeseriesSampler`
-    subclasses it to also bucket the same events into cycle windows
-    (and defines :attr:`advance`, the per-event window roll).
-
-    * ``sm_busy`` — issue-server busy cycles per SM; idle is the launch
-      span minus busy (the per-SM utilisation of the paper's Figure 6
-      occupancy sweeps).
-    * ``stalls`` — cycles warps spent not issuing, keyed by reason
-      (``memory``, ``barrier``, ``lock``, ``atomic``, ``io``, ``spin``,
-      ``issue_queue``, ``exec_dependency``, ``scratch``).
-    * ``dram_queue_cycles`` — time memory accesses waited for the DRAM
-      bandwidth server beyond their own issue/dependency chain, i.e.
-      pure bandwidth contention.
-    """
-
-    sm_busy: list[float] = field(default_factory=list)
-    stalls: dict[str, float] = field(default_factory=dict)
-    dram_queue_cycles: float = 0.0
-    dram_queued_accesses: int = 0
-
-    #: ``advance(now)`` closes the windows that ended before event
-    #: time ``now``; ``None`` for a profile that does not window.
-    advance = None
-
-    @classmethod
-    def for_sms(cls, total_sms: int) -> "EngineProfile":
-        return cls(sm_busy=[0.0] * total_sms)
-
-    def issue(self, sm: int, start: float, cycles: float,
-              count: float) -> None:
-        """One issue-server reservation: ``cycles`` busy on ``sm``
-        issuing ``count`` instructions from ``start``."""
-        self.sm_busy[sm] += cycles
-
-    def stall(self, reason: str, end: float, cycles: float) -> None:
-        """``cycles`` of warp stall time tagged ``reason``, ending at
-        ``end``."""
-        if cycles > 0:
-            self.stalls[reason] = self.stalls.get(reason, 0.0) + cycles
-
-    def dram(self, start: float, nbytes: int, transactions: int,
-             busy: float, queue_cycles: float) -> None:
-        """One DRAM access starting at ``start`` after ``queue_cycles``
-        of bandwidth queueing (bytes and busy time are in
-        :class:`EngineStats`)."""
-        self.dram_queue_cycles += queue_cycles
-        self.dram_queued_accesses += 1
-
-    def pcie(self, start: float, nbytes: int, busy: float) -> None:
-        """One PCIe transfer; its totals are in :class:`EngineStats`."""
-
-    def finish(self, total_cycles: float) -> None:
-        """Launch over after ``total_cycles``; totals need no closing."""
-
-    @classmethod
-    def merged(cls, parts: list["EngineProfile"]) -> "EngineProfile":
-        """Merge per-shard profiles: ``sm_busy`` concatenates in shard
-        order (shard *i* owns device *i*'s SMs), stall buckets and DRAM
-        queue counters sum."""
-        out = cls()
-        for part in parts:
-            out.sm_busy.extend(part.sm_busy)
-            for reason, cycles in part.stalls.items():
-                out.stalls[reason] = out.stalls.get(reason, 0.0) + cycles
-            out.dram_queue_cycles += part.dram_queue_cycles
-            out.dram_queued_accesses += part.dram_queued_accesses
-        return out
-
-
 class _WarpRunner:
     """Engine-side handle for one executing warp coroutine."""
 
-    __slots__ = ("gen", "block", "started", "outstanding", "warp_index",
+    __slots__ = ("gen", "block", "started", "outstanding", "warp_id",
                  "io_stalled", "pending_req")
 
     def __init__(self, gen, block: BlockContext, warp_index: int = 0):
@@ -206,7 +126,7 @@ class _WarpRunner:
         self.block = block
         self.started = False
         self.outstanding = 0.0   # completion time of in-flight async loads
-        self.warp_index = warp_index
+        self.warp_id = block.warp_id(warp_index)
         self.io_stalled = False  # currently waiting on a host transfer
         self.pending_req = None  # sliced request awaiting re-dispatch
 
@@ -214,19 +134,15 @@ class _WarpRunner:
 class Engine:
     """Executes a grid of threadblocks on the simulated GPU."""
 
-    def __init__(self, spec: GPUSpec, blocks_per_sm: int,
-                 hooks: EngineHooks | None = None):
+    def __init__(self, spec: GPUSpec, blocks_per_sm: int, profile=None):
         self.spec = spec
         self.blocks_per_sm = max(1, blocks_per_sm)
-        hooks = hooks if hooks is not None else EngineHooks()
         # Plain attributes: read per event in the hot loop and by
         # external consumers (telemetry profiler).  ``_advance`` is
         # bound once so a profile that does not window costs one
         # pointer test per event.
-        self.tracer = hooks.tracer
-        self.profile = hooks.profile
-        self._advance = (hooks.profile.advance
-                         if hooks.profile is not None else None)
+        self.profile = profile
+        self._advance = profile.advance if profile is not None else None
         self.stats = EngineStats()
         self._issue_avail = [0.0] * spec.num_sms
         self._dram_avail = 0.0
@@ -305,7 +221,7 @@ class Engine:
         return self._heap[0][0] if self._heap else _INF
 
     def finish(self) -> float:
-        """Record and return total elapsed cycles; the profile closes
+        """Record and return total elapsed cycles; the observer closes
         its remaining windows."""
         self.stats.cycles = self._end_time
         if self.profile is not None:
@@ -404,60 +320,6 @@ class Engine:
             return
         self._dispatch(req, runner, now)
 
-    def _warp_id(self, runner: _WarpRunner) -> int:
-        block = runner.block
-        return (block.block_id * max(block.live_warps, 1)
-                + runner.warp_index)
-
-    def _trace(self, runner: _WarpRunner, req, start: float,
-               end: float) -> None:
-        if self.tracer is not None:
-            block = runner.block
-            self.tracer.record(self._warp_id(runner), block.block_id,
-                               type(req).__name__.lower(), start, end,
-                               sm=block.sm_index)
-
-    # -- attribution events (callers guard on ``self.tracer``) ---------
-    def _stall(self, runner: _WarpRunner, req, default: str,
-               start: float, end: float) -> None:
-        """Record one non-issuing interval, tagged with its reason: the
-        request's activity tag when set ("translation", "tlb_miss",
-        "fault_wait", ...), else the mechanical ``default``."""
-        if end <= start:
-            return
-        block = runner.block
-        reason = default if req is None else (req.tag or default)
-        self.tracer.record(self._warp_id(runner), block.block_id,
-                           "stall", start, end, reason,
-                           sm=block.sm_index)
-
-    def _issue_ev(self, runner: _WarpRunner, start: float,
-                  end: float) -> None:
-        """Record one issue-server occupancy interval of this warp."""
-        if end <= start:
-            return
-        block = runner.block
-        self.tracer.record(self._warp_id(runner), block.block_id,
-                           "issue", start, end, sm=block.sm_index)
-
-    def _translation_ev(self, runner: _WarpRunner, start: float,
-                        end: float, iss: float, lat: float,
-                        hid: float) -> None:
-        """Record the translation-cycle decomposition of one request:
-        ``iss`` issue slots consumed, ``lat`` warp-visible latency the
-        translation chains added (exposed at warp level), ``hid`` chain
-        cycles absorbed by the memory bubble or bandwidth queue (hidden
-        even at warp level).  The analyzer reclassifies ``iss``/``lat``
-        at launch level using concurrent-warp overlap."""
-        if iss <= 0 and lat <= 0 and hid <= 0:
-            return
-        block = runner.block
-        self.tracer.record(
-            self._warp_id(runner), block.block_id, "translation",
-            start, max(end, start),
-            f"iss={iss:.6g};lat={lat:.6g};hid={hid:.6g}",
-            sm=block.sm_index)
-
     def _slice_issue(self, req, runner: _WarpRunner, now: float,
                      sm: int) -> bool:
         """Issue one slice of an oversized instruction block; returns
@@ -470,23 +332,23 @@ class Engine:
         self._issue_avail[sm] = start + issue_time
         self.stats.issue_busy += issue_time
         self.stats.instructions += self.ISSUE_SLICE
-        if self.profile is not None:
-            self.profile.issue(sm, start, issue_time, self.ISSUE_SLICE)
-            self.profile.stall("issue_queue", start, start - now)
         req.count -= self.ISSUE_SLICE
         chain = (req.chain_length() if isinstance(req, Compute)
                  else req.chain)
         used = min(chain, self.ISSUE_SLICE)
         req.chain = chain - used
         latency = used * spec.dependent_issue_cycles
-        if self.tracer is not None:
-            wake = start + max(issue_time, latency)
-            self._stall(runner, None, "issue_queue", now, start)
-            self._issue_ev(runner, start, start + issue_time)
-            self._stall(runner, req, "exec_dependency",
-                        start + issue_time, wake)
+        wake = start + max(issue_time, latency)
+        prof = self.profile
+        if prof is not None:
+            prof.issue(runner, sm, now, start, issue_time,
+                       self.ISSUE_SLICE)
+            # Traced, not counted: the profile's stall mix has no
+            # dependency wait between slices.
+            prof.stall(runner, req, "exec_dependency",
+                       start + issue_time, wake, 0.0)
         runner.pending_req = req
-        self._schedule(runner, start + max(issue_time, latency))
+        self._schedule(runner, wake)
         return True
 
     # -- dispatch ------------------------------------------------------
@@ -517,27 +379,23 @@ class Engine:
                    + req.chain_length() * spec.dependent_issue_cycles)
         self.stats.instructions += req.count
         done = start + max(issue_time, latency)
-        if self.profile is not None:
-            self.profile.issue(sm, start, issue_time, req.count)
-            self.profile.stall("issue_queue", start, start - now)
-            self.profile.stall("exec_dependency", done,
-                               latency - issue_time)
-        self._trace(runner, req, start, done)
-        if self.tracer is not None:
-            self._stall(runner, None, "issue_queue", now, start)
-            self._issue_ev(runner, start, start + issue_time)
-            self._stall(runner, req, "exec_dependency",
-                        start + issue_time, done)
+        prof = self.profile
+        if prof is not None:
+            prof.op(runner, req, start, done)
+            prof.issue(runner, sm, now, start, issue_time, req.count)
+            prof.stall(runner, req, "exec_dependency", start + issue_time,
+                       done, latency - issue_time)
+            # Requests carry tags only while a trace is recorded, so
+            # the decomposition feeds the attribution overlay alone.
             tr = (req.tags.get("translation")
                   if req.tags is not None else None)
             if tr is not None:
-                dep = spec.dependent_issue_cycles
-                pre = min(tr[1], req.chain_length()) * dep
-                done0 = start + max(issue_time, latency - pre)
-                pre_x = done - done0
-                self._translation_ev(runner, start, done,
-                                     tr[0] / self._eff_ipc,
-                                     pre_x, pre - pre_x)
+                pre = (min(tr[1], req.chain_length())
+                       * spec.dependent_issue_cycles)
+                pre_x = done - (start + max(issue_time, latency - pre))
+                prof.translation(runner, start, done,
+                                 tr[0] / self._eff_ipc, pre_x,
+                                 pre - pre_x)
         self._schedule(runner, done)
 
     def _h_scratch(self, req: ScratchAccess, runner: _WarpRunner,
@@ -550,17 +408,12 @@ class Engine:
         self.stats.instructions += req.count
         self.stats.scratch_accesses += req.count
         done = start + max(issue_time, spec.scratchpad_latency_cycles)
-        if self.profile is not None:
-            self.profile.issue(sm, start, issue_time, req.count)
-            self.profile.stall("issue_queue", start, start - now)
-            self.profile.stall("scratch", done,
-                               done - start - issue_time)
-        self._trace(runner, req, start, done)
-        if self.tracer is not None:
-            self._stall(runner, None, "issue_queue", now, start)
-            self._issue_ev(runner, start, start + issue_time)
-            self._stall(runner, req, "scratch",
-                        start + issue_time, done)
+        prof = self.profile
+        if prof is not None:
+            prof.op(runner, req, start, done)
+            prof.issue(runner, sm, now, start, issue_time, req.count)
+            prof.stall(runner, req, "scratch", start + issue_time, done,
+                       done - start - issue_time)
         self._schedule(runner, done)
 
     def _h_atomic(self, req: AtomicOp, runner: _WarpRunner,
@@ -574,21 +427,18 @@ class Engine:
             start + spec.atomic_interval_cycles)
         self.stats.atomics += 1
         done = start + spec.atomic_latency_cycles
-        if self.profile is not None:
-            self.profile.stall("atomic", done, done - now)
-        self._trace(runner, req, start, done)
-        if self.tracer is not None:
-            self._stall(runner, req, "atomic", now, done)
+        prof = self.profile
+        if prof is not None:
+            prof.op(runner, req, start, done)
+            prof.stall(runner, req, "atomic", now, done, done - now)
         self._schedule(runner, done)
 
     def _h_fence(self, req: LoadFence, runner: _WarpRunner,
                  now: float) -> None:
         if self.profile is not None:
-            self.profile.stall("memory", max(runner.outstanding, now),
+            self.profile.stall(runner, req, "memory", now,
+                               runner.outstanding,
                                runner.outstanding - now)
-        if self.tracer is not None:
-            self._stall(runner, req, "memory", now,
-                        runner.outstanding)
         self._schedule(runner, max(now, runner.outstanding))
 
     def _h_barrier(self, req: Barrier, runner: _WarpRunner,
@@ -605,8 +455,8 @@ class Engine:
         if lock.holder is None:
             lock.holder = runner
             self.stats.lock_acquisitions += 1
-            if self.tracer is not None:
-                self._stall(runner, req, "lock", now, now + cost)
+            if self.profile is not None:
+                self.profile.grant(runner, req.tag, now, now, cost)
             self._schedule(runner, now + cost)
         else:
             lock.contended += 1
@@ -625,14 +475,7 @@ class Engine:
             cost = (spec.atomic_latency_cycles if lock.latency is None
                     else lock.latency)
             if self.profile is not None:
-                self.profile.stall("lock", now, now - enqueued)
-            if self.tracer is not None:
-                block = waiter.block
-                self.tracer.record(self._warp_id(waiter),
-                                   block.block_id, "stall",
-                                   enqueued, now + cost,
-                                   wtag or "lock",
-                                   sm=block.sm_index)
+                self.profile.grant(waiter, wtag, enqueued, now, cost)
             self._schedule(waiter, now + cost)
         self._schedule(runner, now)
 
@@ -652,12 +495,11 @@ class Engine:
         self.stats.pcie_transactions += 1
         fixed = 0.0 if req.latency_free else spec.pcie_latency_cycles()
         done = start + xfer + fixed
-        if self.profile is not None:
-            self.profile.pcie(start, req.nbytes, xfer)
-            self.profile.stall("io", done, done - now)
-        self._trace(runner, req, start, done)
-        if self.tracer is not None:
-            self._stall(runner, req, "io", now, done)
+        prof = self.profile
+        if prof is not None:
+            prof.pcie(start, req.nbytes, xfer)
+            prof.op(runner, req, start, done)
+            prof.stall(runner, req, "io", now, done, done - now)
         self._maybe_preempt(runner, now, done)
         self._schedule(runner, done)
 
@@ -677,26 +519,22 @@ class Engine:
     def _complete_host(self, req: HostCompute, runner: _WarpRunner,
                        now: float, start: float, done: float) -> None:
         self.stats.host_seconds += req.seconds
-        if self.profile is not None:
-            self.profile.stall("io", done, done - now)
-        self._trace(runner, req, start, done)
-        if self.tracer is not None:
-            self._stall(runner, req, "io", now, done)
+        prof = self.profile
+        if prof is not None:
+            prof.op(runner, req, start, done)
+            prof.stall(runner, req, "io", now, done, done - now)
         self._maybe_preempt(runner, now, done)
         self._schedule(runner, done)
 
     def _h_sleep(self, req: Sleep, runner: _WarpRunner,
                  now: float) -> None:
         self.stats.sleep_cycles += req.cycles
-        if req.cycles:
-            self._trace(runner, req, now, now + req.cycles)
-            if self.tracer is not None:
-                self._stall(runner, req,
-                            "spin" if req.io_wait else "sleep",
-                            now, now + req.cycles)
-        if self.profile is not None:
-            self.profile.stall("spin" if req.io_wait else "sleep",
-                               now + req.cycles, req.cycles)
+        prof = self.profile
+        if prof is not None:
+            if req.cycles:
+                prof.op(runner, req, now, now + req.cycles)
+            prof.stall(runner, req, "spin" if req.io_wait else "sleep",
+                       now, now + req.cycles, req.cycles)
         if req.io_wait:
             self._maybe_preempt(runner, now, now + req.cycles)
         self._schedule(runner, now + req.cycles)
@@ -711,101 +549,82 @@ class Engine:
     def _dispatch_mem(self, req: MemAccess, runner: _WarpRunner,
                       now: float, sm: int) -> None:
         spec = self.spec
+        dep = spec.dependent_issue_cycles
         start = max(now, self._issue_avail[sm])
         issue_time = (req.count + 1) / self._eff_ipc
-        self._issue_avail[sm] = start + issue_time
+        issued = start + issue_time
+        self._issue_avail[sm] = issued
         self.stats.issue_busy += issue_time
         self.stats.instructions += req.count + 1
         nbytes = req.transactions * spec.dram_transaction_bytes
         self.stats.dram_bytes += nbytes
         self.stats.dram_transactions += req.transactions
         # Serial chain before the access can be issued.
-        pre_done = (start + spec.macro_op_overhead_cycles
-                    + req.chain * spec.dependent_issue_cycles)
+        pre_done = start + spec.macro_op_overhead_cycles + req.chain * dep
         dram_avail = self._dram_avail
         dram_start = max(pre_done, dram_avail)
-        self._dram_avail = dram_start + nbytes / self._dram_bpc
-        self.stats.dram_busy += nbytes / self._dram_bpc
-        if self.profile is not None:
-            self.profile.issue(sm, start, issue_time, req.count + 1)
-            self.profile.stall("issue_queue", start, start - now)
-            self.profile.dram(dram_start, nbytes, req.transactions,
-                              nbytes / self._dram_bpc,
-                              dram_start - pre_done)
-        dep = spec.dependent_issue_cycles
-        tr_attr = False
-        tr_cnt = tr_chain = pre = 0.0
-        if self.tracer is not None:
-            self._stall(runner, None, "issue_queue", now, start)
-            self._issue_ev(runner, start, start + issue_time)
-            tr = (req.tags.get("translation")
-                  if req.tags is not None else None)
-            tr_attr = tr is not None or req.chain_tag == "translation"
-            if tr is not None:
-                tr_cnt, tr_chain = tr
-                tr_chain = min(tr_chain, req.chain)
-            pre = tr_chain * dep
+        busy = nbytes / self._dram_bpc
+        self._dram_avail = dram_start + busy
+        self.stats.dram_busy += busy
+        blocking = not (req.is_store or req.nonblocking)
         if req.is_store:
             self.stats.stores += 1
-            resume = max(pre_done, start + issue_time)
-            if self.tracer is not None:
-                self._stall(runner, req, "exec_dependency",
-                            start + issue_time, resume)
-                if tr_attr:
+            resume = max(pre_done, issued)
+        else:
+            self.stats.loads += 1
+            data_ready = dram_start + spec.dram_latency_cycles
+            if blocking:
+                overlap_done = pre_done + req.overlap_chain * dep
+                ready = max(data_ready, overlap_done)
+                ready += req.post_chain * dep
+                resume = max(ready, issued)
+            else:
+                # Memory-level parallelism: the warp keeps issuing; a
+                # LoadFence later waits for the slowest outstanding load.
+                runner.outstanding = max(runner.outstanding, data_ready)
+                resume = max(pre_done, issued)
+        prof = self.profile
+        if prof is not None:
+            prof.issue(runner, sm, now, start, issue_time, req.count + 1)
+            prof.dram(dram_start, nbytes, req.transactions, busy,
+                      dram_start - pre_done)
+            if not req.is_store:
+                prof.op(runner, req, start, data_ready)
+            if blocking:
+                prof.stall(runner, req, "memory", issued, resume,
+                           ready - issued)
+            else:   # traced, not counted (as between issue slices)
+                prof.stall(runner, req, "exec_dependency", issued,
+                           resume, 0.0)
+            # Requests carry tags only while a trace is recorded, so
+            # the decomposition feeds the attribution overlay alone.
+            tr = (req.tags.get("translation")
+                  if req.tags is not None else None)
+            if tr is not None or req.chain_tag == "translation":
+                tr_cnt, tr_chain = tr if tr is not None else (0.0, 0.0)
+                pre = min(tr_chain, req.chain) * dep
+                if blocking:
+                    # Exposed pre-chain: extra delay the translation
+                    # chain added to the DRAM access start
+                    # (counterfactual start with the chain removed,
+                    # still bounded by queueing).
+                    pre_x = dram_start - max(pre_done - pre, dram_avail)
+                    if req.chain_tag == "translation":
+                        ov = req.overlap_chain * dep
+                        ov_x = min(ov, max(0.0, overlap_done - data_ready))
+                        post_x = req.post_chain * dep
+                    else:
+                        ov = ov_x = post_x = 0.0
+                    lat = pre_x + ov_x + post_x
+                    hid = (pre - pre_x) + (ov - ov_x)
+                else:
                     # Counterfactual: where the warp would resume with
                     # the translation pre-chain removed.
-                    resume0 = max(pre_done - pre, start + issue_time)
-                    pre_x = resume - resume0
-                    self._translation_ev(runner, start, resume,
-                                         tr_cnt / self._eff_ipc,
-                                         pre_x, pre - pre_x)
-            self._schedule(runner, resume)
-            return
-        self.stats.loads += 1
-        data_ready = dram_start + spec.dram_latency_cycles
-        self._trace(runner, req, start, data_ready)
-        if req.nonblocking:
-            # Memory-level parallelism: the warp keeps issuing; a
-            # LoadFence later waits for the slowest outstanding load.
-            runner.outstanding = max(runner.outstanding, data_ready)
-            resume = max(pre_done, start + issue_time)
-            if self.tracer is not None:
-                self._stall(runner, req, "exec_dependency",
-                            start + issue_time, resume)
-                if tr_attr:
-                    resume0 = max(pre_done - pre, start + issue_time)
-                    pre_x = resume - resume0
-                    self._translation_ev(runner, start, resume,
-                                         tr_cnt / self._eff_ipc,
-                                         pre_x, pre - pre_x)
-            self._schedule(runner, resume)
-            return
-        overlap_done = (pre_done
-                        + req.overlap_chain * spec.dependent_issue_cycles)
-        ready = max(data_ready, overlap_done)
-        ready += req.post_chain * spec.dependent_issue_cycles
-        final = max(ready, start + issue_time)
-        if self.profile is not None:
-            self.profile.stall("memory", final,
-                               ready - (start + issue_time))
-        if self.tracer is not None:
-            self._stall(runner, req, "memory", start + issue_time, final)
-            if tr_attr:
-                # Exposed pre-chain: extra delay the translation chain
-                # added to the DRAM access start (counterfactual start
-                # with the chain removed, still bounded by queueing).
-                pre_x = dram_start - max(pre_done - pre, dram_avail)
-                if req.chain_tag == "translation":
-                    ov = req.overlap_chain * dep
-                    ov_x = min(ov, max(0.0, overlap_done - data_ready))
-                    post_x = req.post_chain * dep
-                else:
-                    ov = ov_x = post_x = 0.0
-                self._translation_ev(runner, start, final,
-                                     tr_cnt / self._eff_ipc,
-                                     pre_x + ov_x + post_x,
-                                     (pre - pre_x) + (ov - ov_x))
-        self._schedule(runner, final)
+                    pre_x = resume - max(pre_done - pre, issued)
+                    lat, hid = pre_x, pre - pre_x
+                prof.translation(runner, start, resume,
+                                 tr_cnt / self._eff_ipc, lat, hid)
+        self._schedule(runner, resume)
 
     # ------------------------------------------------------------------
     def _maybe_preempt(self, runner: _WarpRunner, now: float,
@@ -849,10 +668,9 @@ class Engine:
         if waiting and len(waiting) == running:
             release = max(t for _, t in waiting)
             block.barrier_waiting = []
+            prof = self.profile
             for waiter, arrived in waiting:
-                if self.profile is not None:
-                    self.profile.stall("barrier", release,
-                                       release - arrived)
-                if self.tracer is not None:
-                    self._stall(waiter, None, "barrier", arrived, release)
+                if prof is not None:
+                    prof.stall(waiter, None, "barrier", arrived, release,
+                               release - arrived)
                 self._schedule(waiter, release)

@@ -27,7 +27,7 @@ import tempfile
 from dataclasses import dataclass
 
 from repro.gpu.device import Device, LaunchResult
-from repro.gpu.engine import EngineProfile, EngineStats
+from repro.gpu.engine import EngineStats
 from repro.gpu.kernel import KernelFn
 from repro.gpu.occupancy import OccupancyLimits, occupancy_limits
 from repro.gpu.sharded import (
@@ -197,7 +197,7 @@ def launch_cluster(launches: list[ClusterLaunch], jobs: int = 1,
         series=series,
     )
     if profile:
-        result.profile = EngineProfile.merged(profiles)
+        result.profile = telemetry_hooks.EngineProfile.merged(profiles)
     if profiler is not None:
         profiler.record_cluster(
             spec=spec, launches=launches, occ=occupancies[0],

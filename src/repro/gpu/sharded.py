@@ -37,9 +37,12 @@ Cross-process observability
 ---------------------------
 
 Tracers and samplers cannot cross process boundaries as live objects,
-so each shard runs its *own* :class:`~repro.gpu.trace.Tracer` and
-engine profile — a :class:`~repro.telemetry.timeseries.TimeseriesSampler`
-when sampling is on — and spills the event streams to per-shard JSONL
+so each shard builds its *own* engine observer through
+:func:`~repro.telemetry.hooks.launch_observer` — the rule device
+launches use — carrying its own :class:`~repro.gpu.trace.Tracer` when
+tracing and windowed (a
+:class:`~repro.telemetry.timeseries.TimeseriesSampler`) when sampling,
+and spills the event streams to per-shard JSONL
 files (``trace-shardNNN.jsonl`` / ``series-shardNNN.jsonl``), every
 record stamped with ``(shard, device, epoch)``.  The parent merges
 them deterministically in shard order: SM ids rebase to the global
@@ -48,8 +51,9 @@ range (shard *i* owns SMs ``[i * num_sms, (i+1) * num_sms)``, matching
 device prefix to the shard index.  ``jobs=1`` runs the *same*
 spill-and-merge pipeline, so traces and series are bit-identical
 across job counts exactly as stats already are.  Profile totals travel
-back from workers as a plain :class:`~repro.gpu.engine.EngineProfile`,
-never the windowed sampler (which holds a tracer).  Component counter
+back from workers as a plain
+:class:`~repro.telemetry.hooks.EngineProfile`, never the observer
+itself (which holds the tracer).  Component counter
 sections of an ambient profiler reflect parent-process stats objects
 only (spawn workers mutate their own copies), so they are meaningful
 under ``jobs=1`` and zero under ``jobs>1`` — engine stats, traces,
@@ -68,11 +72,10 @@ import time
 from dataclasses import dataclass
 from queue import Empty
 
-from repro.gpu.engine import Engine, EngineProfile
+from repro.gpu.engine import Engine
 from repro.gpu.kernel import BlockContext, WarpContext
-from repro.gpu.launch import EngineHooks
 from repro.gpu.memory import Scratchpad
-from repro.gpu.trace import Tracer
+from repro.telemetry.hooks import EngineProfile, launch_observer
 
 #: Seconds without any worker message before the parent gives up.
 #: Overridable through the environment (:data:`WORKER_TIMEOUT_ENV`) for
@@ -170,23 +173,17 @@ def _block_factories(launch, tracer) -> list:
 def _build_shard(launch, blocks_per_sm: int, inst: _ShardInstrument):
     """One engine for one :class:`~repro.gpu.multigpu.ClusterLaunch`,
     gated on the host server and seeded with its block factories.  The
-    shard-local instruments are ``engine.tracer`` and
-    ``engine.profile`` (windowed when sampling is on)."""
+    shard-local observer is ``engine.profile`` (windowed when sampling
+    is on, carrying the shard's tracer when tracing is on)."""
     spec = launch.device.spec
-    tracer = (Tracer(max_events=inst.max_trace_events)
-              if inst.trace else None)
-    profile = None
-    if inst.timeseries:
-        from repro.telemetry.timeseries import TimeseriesSampler
-        profile = TimeseriesSampler(num_sms=spec.num_sms,
-                                    window_cycles=inst.window_cycles,
-                                    tracer=tracer)
-    elif inst.profile:
-        profile = EngineProfile.for_sms(spec.num_sms)
-    engine = Engine(spec, blocks_per_sm,
-                    hooks=EngineHooks(tracer=tracer, profile=profile))
+    observer = launch_observer(
+        spec.num_sms, profile=inst.profile,
+        trace_events=inst.max_trace_events if inst.trace else 0,
+        timeseries=inst.timeseries, window_cycles=inst.window_cycles)
+    engine = Engine(spec, blocks_per_sm, profile=observer)
     engine.gate_host()
-    engine.begin(_block_factories(launch, tracer))
+    engine.begin(_block_factories(
+        launch, observer.tracer if observer is not None else None))
     return engine
 
 
@@ -272,8 +269,8 @@ def _finish_shard(index: int, engine: Engine,
     still land in the tracer), then one JSONL file per stream."""
     cycles = engine.finish()
     epoch = inst.epoch_cycles
-    tracer = engine.tracer
-    if tracer is not None:
+    if inst.trace:
+        tracer = engine.profile.tracer
         _write_spill(
             _trace_spill_path(inst.spill_dir, index), index, epoch,
             {"events": len(tracer.events), "dropped": tracer.dropped},
@@ -422,8 +419,8 @@ def _shard_worker(index: int, launch, blocks_per_sm: int, epoch: float,
         horizon = cmd[1]
     cycles = _finish_shard(index, engine, inst)
     memory = launch.device.memory.data.tobytes()
-    # Ship the profile's launch totals only: a windowed profile holds
-    # the shard's tracer, and its series already left in the spill.
+    # Ship the profile's launch totals only: the observer holds the
+    # shard's tracer, and its series already left in the spill.
     totals = (EngineProfile.merged([engine.profile]) if inst.profile
               else None)
     return (index, cycles, engine.stats, totals, memory)

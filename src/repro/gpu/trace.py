@@ -120,10 +120,13 @@ class Tracer:
         return [e for e in self.events if e.warp == warp]
 
     def span(self) -> tuple[float, float]:
-        if not self.events:
+        """``(first start, last end)`` over the timed events.  Counter
+        samples are skipped: a window's sample sits at its ``t1``,
+        which may lie past the launch end."""
+        timed = [e for e in self.events if e.kind != COUNTER_KIND]
+        if not timed:
             return (0.0, 0.0)
-        return (min(e.start for e in self.events),
-                max(e.end for e in self.events))
+        return (min(e.start for e in timed), max(e.end for e in timed))
 
     def summary(self) -> str:
         lines = [f"{len(self.events)} events"

@@ -80,11 +80,13 @@ class LiveOptions:
 class Instrumentation:
     """Everything a run can observe, in one bundle.
 
-    The runner-side sibling of :class:`repro.gpu.launch.EngineHooks`:
-    where ``EngineHooks`` carries live hook *objects* into one engine
-    launch, ``Instrumentation`` carries picklable *switches* for a
-    whole experiment run — the runner builds the per-launch hook
-    objects from them in whichever process executes the point.
+    The runner-side sibling of the engine's one observer
+    (:class:`repro.telemetry.hooks.EngineProfile`): where the observer
+    is a live object inside one engine launch, ``Instrumentation``
+    carries picklable *switches* for a whole experiment run — the
+    runner turns them into a profiler in whichever process executes
+    the point, and :func:`~repro.telemetry.hooks.launch_observer`
+    builds each launch's observer from that profiler.
 
     * ``profile`` — collect per-launch profiles and a merged suite
       profile (implied by either of the next two).

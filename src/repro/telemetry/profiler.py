@@ -22,14 +22,9 @@ import json
 import os
 import re
 
-from repro.gpu.engine import EngineProfile
-from repro.gpu.trace import Tracer
 from repro.telemetry import hooks
 from repro.telemetry.profile import LaunchProfile, MetricsRegistry
-from repro.telemetry.timeseries import (
-    DEFAULT_WINDOW_CYCLES,
-    TimeseriesSampler,
-)
+from repro.telemetry.timeseries import TimeseriesSampler
 
 
 class Profiler:
@@ -60,7 +55,7 @@ class Profiler:
         self.timeseries = timeseries
         self.window_cycles = window_cycles
         self.series_sink = series_sink
-        self._gauges: list = []          # (name, fn) pairs
+        self.gauges: list = []           # (name, fn) pairs
 
     # ------------------------------------------------------------------
     def register(self, kind: str, stats) -> None:
@@ -72,43 +67,21 @@ class Profiler:
         read by the time-series sampler at each window close.  Several
         registrations under one name sum (e.g. frames in use across
         two GPUfs instances)."""
-        self._gauges.append((name, fn))
-
-    def begin_launch(self):
-        """Called by the device at launch start; returns the launch's
-        tracer (or ``None`` once ``max_traces`` traces are held)."""
-        if self.trace and len(self.traces) < self.max_traces:
-            return Tracer(max_events=self.max_trace_events)
-        return None
-
-    def begin_profile(self, spec, tracer=None) -> EngineProfile:
-        """Called by the device at launch start; returns the launch's
-        engine profile — a
-        :class:`~repro.telemetry.timeseries.TimeseriesSampler` when
-        sampling is on, a plain :class:`EngineProfile` otherwise."""
-        if not self.timeseries:
-            return EngineProfile.for_sms(spec.num_sms)
-        return TimeseriesSampler(
-            num_sms=spec.num_sms,
-            window_cycles=(self.window_cycles
-                           if self.window_cycles
-                           else DEFAULT_WINDOW_CYCLES),
-            sink=self.series_sink,
-            tracer=tracer,
-            probes=self.registry,
-            gauges=self._gauges)
+        self.gauges.append((name, fn))
 
     # ------------------------------------------------------------------
-    def record_launch(self, *, device, cfg, occ, engine,
-                      tracer=None) -> LaunchProfile:
-        """Reduce one finished launch to a :class:`LaunchProfile`."""
+    def record_launch(self, *, device, cfg, occ,
+                      engine) -> LaunchProfile:
+        """Reduce one finished launch to a :class:`LaunchProfile`; the
+        engine's observer came from
+        :func:`~repro.telemetry.hooks.launch_observer`."""
         prof = engine.profile
         return self._record(
             name=getattr(cfg.kernel, "__name__", "kernel"),
             spec=device.spec, grid=cfg.grid,
             block_threads=cfg.block_threads, occ=occ,
             cycles=engine.stats.cycles, stats=engine.stats,
-            prof=prof, tracer=tracer,
+            prof=prof, tracer=prof.tracer,
             series=(prof.to_component()
                     if isinstance(prof, TimeseriesSampler) else None))
 

@@ -3,12 +3,14 @@
 Everything else in :mod:`repro.telemetry` is post-hoc: a launch must
 finish before its :class:`LaunchProfile` exists.  The
 :class:`TimeseriesSampler` closes that gap.  It *is* the launch's
-:class:`~repro.gpu.engine.EngineProfile`: the engine feeds it through
-the one profile hook, behind one ``is not None`` test per handler site,
-and it updates the profile's launch totals exactly as the plain class
-does before bucketing the same events into fixed-width *windows* of
-simulated cycles.  An unsampled launch pays one pointer test per event
-for the window roll and nothing else.  Each window holds:
+:class:`~repro.telemetry.hooks.EngineProfile`, the engine's one
+observer: the engine feeds it behind one ``is not None`` test per
+handler site, and it updates the profile's launch totals exactly as the
+plain class does (and records the same attribution overlay when a
+tracer rides along) before bucketing the counted events into
+fixed-width *windows* of simulated cycles.  An unsampled launch pays
+one pointer test per event for the window roll and nothing else.  Each
+window holds:
 
 * per-SM issue-server busy cycles (occupancy) and instructions issued;
 * warp stall cycles keyed by reason (``memory``, ``barrier``, ...);
@@ -43,7 +45,7 @@ import math
 import os
 from typing import Callable, Optional
 
-from repro.gpu.engine import EngineProfile
+from repro.telemetry.hooks import EngineProfile
 
 #: Default window width, simulated cycles.  At the K80's 0.56 GHz this
 #: is ~90 us of simulated time per sample — fine enough to see phase
@@ -80,10 +82,12 @@ class _Window:
 
 
 class TimeseriesSampler(EngineProfile):
-    """An :class:`~repro.gpu.engine.EngineProfile` that also buckets
-    engine activity into fixed cycle windows.  See module docstring for
-    the full contract; the engine-facing hooks are :meth:`advance`,
-    :meth:`issue`, :meth:`stall`, :meth:`dram`, :meth:`pcie`, and
+    """An :class:`~repro.telemetry.hooks.EngineProfile` that also
+    buckets engine activity into fixed cycle windows.  See module
+    docstring for the full contract.  The engine-facing hooks and the
+    tracer overlay are inherited; this class adds :meth:`advance` and
+    overrides the counting hooks (:meth:`_count_issue`,
+    :meth:`_count_stall`), :meth:`dram`, :meth:`pcie` and
     :meth:`finish`.  Each updates the launch totals first, in the plain
     profile's order, then the windows; the totals lines are inlined
     rather than ``super()`` calls because this is the per-event path
@@ -98,12 +102,11 @@ class TimeseriesSampler(EngineProfile):
                  gauges: Optional[list] = None):
         if window_cycles <= 0:
             raise ValueError("window_cycles must be positive")
-        super().__init__(sm_busy=[0.0] * num_sms)
+        super().__init__(sm_busy=[0.0] * num_sms, tracer=tracer)
         self.num_sms = num_sms
         self.window_cycles = float(window_cycles)
         self.max_windows = max_windows
         self.sink = sink
-        self.tracer = tracer
         #: ``(kind, stats_obj)`` pairs to probe by snapshot delta at
         #: each window close — or a :class:`MetricsRegistry`, consulted
         #: live so components registered mid-launch join the stream.
@@ -140,8 +143,8 @@ class TimeseriesSampler(EngineProfile):
         self._flushed_until = target
         self._next_roll = (target + 1) * self.window_cycles
 
-    def issue(self, sm: int, start: float, cycles: float,
-              count: float) -> None:
+    def _count_issue(self, sm: int, start: float, cycles: float,
+                     count: float) -> None:
         """One issue-server reservation: ``cycles`` busy on ``sm``
         issuing ``count`` instructions, starting at ``start``."""
         self.sm_busy[sm] += cycles
@@ -171,7 +174,8 @@ class TimeseriesSampler(EngineProfile):
                 break
             index += 1
 
-    def stall(self, reason: str, end: float, cycles: float) -> None:
+    def _count_stall(self, reason: str, end: float,
+                     cycles: float) -> None:
         """``cycles`` of warp stall time, attributed to the window in
         which the stall *ended* (stall intervals may begin before the
         current window — e.g. barrier waiters — and closed windows are

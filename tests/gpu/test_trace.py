@@ -3,7 +3,13 @@
 import pytest
 
 from repro.gpu import Device
-from repro.gpu.trace import Tracer, render_timeline
+from repro.gpu.trace import COUNTER_KIND, Tracer, render_timeline
+from repro.telemetry import capture
+from repro.workloads import run_memcpy
+
+#: Window wider than the small memcpy launch, so its only counter
+#: samples lie past the launch end.
+SPAN_WINDOW = 7000.0
 
 
 @pytest.fixture
@@ -48,6 +54,24 @@ class TestTracer:
         t0, t1 = traced.span()
         assert t0 <= min(e.start for e in traced.events)
         assert t1 >= max(e.end for e in traced.events)
+
+    def test_span_ignores_counter_samples(self):
+        # A time-series window's counter sample sits at the window end,
+        # past the launch end; the span (and so the timeline's buckets)
+        # must cover the launch, not the last window.
+        with capture(trace=True, timeseries=True,
+                     window_cycles=SPAN_WINDOW) as prof:
+            run_memcpy(Device(), use_apointers=True, width=4, nblocks=2,
+                       warps_per_block=4, iters_per_thread=4)
+        tracer, cycles = prof.traces[0], prof.profiles[0].cycles
+        assert cycles < SPAN_WINDOW
+        assert any(e.kind == COUNTER_KIND and e.start == SPAN_WINDOW
+                   for e in tracer.events)
+        t0, t1 = tracer.span()
+        assert t0 == 0.0 and t1 == cycles
+        # The last busy column lies in the final tenth of the rows.
+        rows = render_timeline(tracer, width=40).splitlines()[1:-1]
+        assert max(len(row.rstrip()) for row in rows) >= 6 + 36
 
     def test_summary_text(self, traced):
         text = traced.summary()

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.gpu import Device
-from repro.gpu.engine import EngineProfile
+from repro.telemetry.hooks import EngineProfile
 from repro.gpu.trace import COUNTER_KIND, Tracer, events_from_chrome_trace
 from repro.telemetry import capture, validate_profile
 from repro.telemetry.timeseries import (
@@ -135,7 +135,7 @@ class TestPagingCountersAndGauges:
 class TestSamplerUnit:
     def test_issue_spread_conserves_cycles_and_instructions(self):
         s = TimeseriesSampler(num_sms=1, window_cycles=100.0)
-        s.issue(0, 50.0, 175.0, 8.0)       # spans windows 0, 1, 2
+        s.issue(None, 0, 50.0, 50.0, 175.0, 8.0)  # windows 0, 1, 2
         s.finish(300.0)
         busy = [w["sm_busy"][0] for w in s.windows]
         assert busy == [50.0, 100.0, 25.0]
@@ -145,7 +145,7 @@ class TestSamplerUnit:
     def test_stall_attributed_to_end_window(self):
         s = TimeseriesSampler(num_sms=1, window_cycles=100.0)
         s.advance(250.0)                   # windows 0 and 1 closed
-        s.stall("barrier", end=250.0, cycles=240.0)  # began in window 0
+        s.stall(None, None, "barrier", 10.0, 250.0, 240.0)  # window 0 on
         s.finish(300.0)
         stalls = [w["stalls"].get("barrier", 0.0) for w in s.windows]
         assert stalls == [0.0, 0.0, 240.0]
@@ -154,12 +154,12 @@ class TestSamplerUnit:
         hits = []
         s = TimeseriesSampler(num_sms=1, window_cycles=100.0,
                               sink=hits.append)
-        s.issue(0, 10.0, 10.0, 1.0)
+        s.issue(None, 0, 10.0, 10.0, 10.0, 1.0)
         s.advance(150.0)
         assert len(hits) == 1
         flushed = json.loads(json.dumps(hits[0]))
-        s.issue(0, 150.0, 10.0, 1.0)       # lands in open window 1
-        s.stall("memory", end=160.0, cycles=500.0)
+        s.issue(None, 0, 150.0, 150.0, 10.0, 1.0)  # open window 1
+        s.stall(None, None, "memory", 40.0, 160.0, 500.0)
         s.finish(200.0)
         assert hits[0] == flushed          # window 0 never touched
 
@@ -184,24 +184,27 @@ class TestSamplerUnit:
         plain = EngineProfile.for_sms(2)
         sampler = TimeseriesSampler(num_sms=2, window_cycles=100.0)
         for prof in (plain, sampler):
-            prof.issue(0, 50.0, 175.0, 8.0)
-            prof.issue(1, 0.0, 0.0, 0.0)
-            prof.stall("issue_queue", 50.0, 50.0)
-            prof.stall("memory", 240.0, 0.1)
-            prof.stall("memory", 260.0, 0.2)
-            prof.stall("barrier", 30.0, 0.0)
+            prof.issue(None, 0, 0.0, 50.0, 175.0, 8.0)
+            prof.issue(None, 1, 0.0, 0.0, 0.0, 0.0)
+            prof.stall(None, None, "memory", 239.9, 240.0, 0.1)
+            prof.stall(None, None, "memory", 259.8, 260.0, 0.2)
+            prof.stall(None, None, "barrier", 30.0, 30.0, 0.0)
             prof.dram(120.0, 256, 2, 30.5, 12.25)
             prof.dram(199.0, 128, 1, 15.0, 0.0)
             prof.pcie(90.0, 4096, 400.0)
             if prof.advance is not None:
                 prof.advance(300.0)
-            prof.stall("lock", 310.0, 250.0)
+            prof.grant(None, "", 60.0, 310.0, 5.0)
+            prof.grant(None, "", 315.0, 315.0, 5.0)   # uncontended
             prof.finish(320.0)
         assert plain.advance is None and sampler.advance is not None
         assert sampler.sm_busy == plain.sm_busy == [175.0, 0.0]
         assert sampler.stalls == plain.stalls
         assert list(sampler.stalls) == list(plain.stalls)
+        assert list(sampler.stalls) == ["issue_queue", "memory", "lock"]
+        assert sampler.stalls["issue_queue"] == 50.0
         assert sampler.stalls["memory"] == 0.1 + 0.2
+        assert sampler.stalls["lock"] == 250.0   # queueing only
         assert "barrier" not in sampler.stalls
         assert sampler.dram_queue_cycles == plain.dram_queue_cycles
         assert sampler.dram_queued_accesses \
