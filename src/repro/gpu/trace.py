@@ -32,9 +32,13 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 
-@dataclass(frozen=True)
+@dataclass
 class TraceEvent:
-    """One completed macro-op or layer-level span."""
+    """One completed macro-op or layer-level span.
+
+    A plain (not frozen) dataclass: a frozen ``__init__`` costs about
+    four times as much per record, and nothing mutates or hashes events.
+    """
 
     warp: int              # global warp id (block * warps + warp)
     block: int
