@@ -1,12 +1,12 @@
 """Cross-shard tracing smoke: jobs=1 == jobs=2, spans end to end.
 
 Runs one apointer-reading cluster on two devices twice — all shards
-in-process, then one spawn worker per device — and asserts the merged
-observability surfaces are bit-identical: trace events (including
-causal request ids), cycle-window series, stats, and cycles.  Then
-re-runs under the ambient profiler, validates the merged schema-v8
-profile it records, and drives ``repro-obs spans`` / ``repro-obs
-attr`` over the written trace.
+in-process, then one spawn worker per device — under a tracing,
+sampling ``capture()``, and asserts the merged observability surfaces
+are bit-identical: trace events (including causal request ids),
+cycle-window series, stats, and cycles.  Then validates the merged
+schema-v8 profile and drives ``repro-obs spans`` / ``repro-obs attr``
+over the written trace.
 
 CI runs this as the sharded-tracing gate.  It is a real file (not a
 heredoc) because the ``jobs=2`` leg spawns workers, and spawn
@@ -24,6 +24,7 @@ import numpy as np
 from repro.core import APConfig, AVM
 from repro.gpu import Device, K80_SPEC
 from repro.gpu.multigpu import ClusterLaunch, launch_cluster
+from repro.telemetry import capture
 
 ITERS = 64          # reads per thread
 STRIDE = 128        # bytes between reads: crosses a page every 32
@@ -55,9 +56,13 @@ def build():
 
 
 def run(jobs):
-    return launch_cluster(build(), jobs=jobs, trace=True,
-                          timeseries=True, window_cycles=WINDOW,
-                          profile=True)
+    """One cluster observed through the ambient profiler: the merged
+    launch profile and its merged trace."""
+    with capture(trace=True, timeseries=True,
+                 window_cycles=WINDOW) as prof:
+        result = launch_cluster(build(), jobs=jobs)
+    assert result.profile is prof.last
+    return result, prof
 
 
 def event_tuples(tracer):
@@ -66,39 +71,40 @@ def event_tuples(tracer):
 
 
 def main() -> int:
-    serial = run(jobs=1)
-    parallel = run(jobs=2)
+    serial, serial_prof = run(jobs=1)
+    parallel, parallel_prof = run(jobs=2)
+    (serial_trace,), (parallel_trace,) = (serial_prof.traces,
+                                          parallel_prof.traces)
+    serial_series = serial.profile.components["timeseries"]
     assert parallel.cycles == serial.cycles
     assert parallel.stats == serial.stats
-    assert event_tuples(parallel.tracer) == event_tuples(serial.tracer)
-    assert parallel.tracer.dropped == serial.tracer.dropped == 0
-    assert json.dumps(parallel.series, sort_keys=True) \
-        == json.dumps(serial.series, sort_keys=True)
+    assert event_tuples(parallel_trace) == event_tuples(serial_trace)
+    assert parallel_trace.dropped == serial_trace.dropped == 0
+    assert json.dumps(parallel.profile.components["timeseries"],
+                      sort_keys=True) \
+        == json.dumps(serial_series, sort_keys=True)
 
-    reqs = {e.req for e in serial.tracer.events if e.req}
+    reqs = {e.req for e in serial_trace.events if e.req}
     assert reqs, "no request-stamped spans in the merged trace"
     # Request ids rebase to each shard's device prefix.
     assert {r.split(":")[0] for r in reqs} == {"0", "1"}
     print(f"bit-identical at {serial.cycles:.0f} cycles: "
-          f"{len(serial.tracer.events)} events, "
-          f"{len(serial.series['series'])} windows, "
+          f"{len(serial_trace.events)} events, "
+          f"{len(serial_series['series'])} windows, "
           f"{len(reqs)} causal requests")
 
-    # Ambient profiler leg: the merged cluster lands as one schema-v8
-    # profile whose spans component repro-obs spans / attr can read.
-    from repro.telemetry import capture, validate_profile
+    # The merged cluster is one schema-v8 profile whose spans
+    # component repro-obs spans / attr can read.
+    from repro.telemetry import validate_profile
     from repro.telemetry.cli import main as obs_main
 
-    with capture(trace=True, timeseries=True,
-                 window_cycles=WINDOW) as prof:
-        run(jobs=2)
-    doc = prof.profiles[0].to_dict()
+    doc = parallel.profile.to_dict()
     validate_profile(doc)
     assert doc["version"] == 8, doc["version"]
     assert doc["components"]["spans"]["requests"] == len(reqs), \
         doc["components"]["spans"]
     out = tempfile.mkdtemp(prefix="sharded-smoke-")
-    prof.write(out)
+    parallel_prof.write(out)
     assert obs_main(["spans", out]) == 0
     assert obs_main(["attr", out, "--validate"]) == 0
     print(f"v8 profile validated; repro-obs spans and attr ok ({out})")

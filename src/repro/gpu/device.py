@@ -38,6 +38,16 @@ class KernelLaunch:
         if self.block_threads <= 0:
             raise ValueError("block must contain at least one thread")
 
+    def occupancy(self, spec: GPUSpec) -> OccupancyLimits:
+        """Resident-block limits of this launch on ``spec``; raises
+        ``ValueError`` when not even one block fits on an SM."""
+        occ = occupancy_limits(spec, self.block_threads,
+                               self.regs_per_thread, self.scratchpad_bytes)
+        if not occ.is_schedulable:
+            raise ValueError(
+                f"kernel cannot be scheduled: {occ.limiting_factor}")
+        return occ
+
 
 @dataclass
 class LaunchResult:
@@ -47,17 +57,11 @@ class LaunchResult:
     seconds: float
     stats: EngineStats
     occupancy: OccupancyLimits
-    #: Populated when a profiler observed the launch (explicitly passed
-    #: or ambient via ``repro.telemetry.capture``).
+    #: The :class:`~repro.telemetry.profile.LaunchProfile` a profiler
+    #: (explicitly passed or ambient via ``repro.telemetry.capture``)
+    #: recorded for this device or cluster launch, else ``None``.  Its
+    #: trace is the profiler's matching ``traces`` entry.
     profile: Optional[Any] = None
-    #: Merged execution trace of a cluster launch
-    #: (:func:`repro.gpu.multigpu.launch_cluster` with tracing on);
-    #: ``None`` elsewhere — single-device launches hand the tracer
-    #: back to its owner instead.
-    tracer: Optional[Any] = None
-    #: Merged ``components.timeseries`` section of a cluster launch
-    #: with sampling on; ``None`` elsewhere.
-    series: Optional[dict] = None
 
     def dram_bandwidth(self, spec: GPUSpec) -> float:
         return self.stats.dram_bandwidth(spec)
@@ -92,24 +96,16 @@ class Device:
                            regs_per_thread, scratchpad_bytes, block_init)
         return self.launch_cfg(cfg, tracer=tracer, profiler=profiler)
 
-    def launch_cfg(self, cfg: KernelLaunch, tracer=None,
-                   profiler=None) -> LaunchResult:
+    def block_factories(self, cfg: KernelLaunch, observer=None) -> list:
+        """Start one launch of ``cfg`` on this device: one zero-argument
+        factory per threadblock, each returning ``(BlockContext, [warp
+        generators])``.  Warps record layer spans into the
+        ``observer``'s tracer, and run under :attr:`sanitizer` when one
+        is installed (its per-launch state resets here).  Device and
+        cluster-shard launches both build their grids here."""
         spec = self.spec
-        occ = occupancy_limits(spec, cfg.block_threads,
-                               cfg.regs_per_thread, cfg.scratchpad_bytes)
-        if not occ.is_schedulable:
-            raise ValueError(
-                f"kernel cannot be scheduled: {occ.limiting_factor}")
         warps_per_block = -(-cfg.block_threads // spec.warp_size)
-
-        # Ambient profiling (repro.telemetry.capture): one pointer
-        # test per launch when off, a full profile per launch on.
-        if profiler is None:
-            profiler = telemetry_hooks.current()
-        observer = telemetry_hooks.launch_observer(spec.num_sms, tracer,
-                                                   profiler)
-        if observer is not None:
-            tracer = observer.tracer
+        tracer = observer.tracer if observer is not None else None
         san = self.sanitizer
 
         def make_block(block_id: int):
@@ -138,8 +134,20 @@ class Device:
 
         if san is not None:
             san.begin_launch()
+        return [make_block(b) for b in range(cfg.grid)]
+
+    def launch_cfg(self, cfg: KernelLaunch, tracer=None,
+                   profiler=None) -> LaunchResult:
+        spec = self.spec
+        occ = cfg.occupancy(spec)
+        # Ambient profiling (repro.telemetry.capture): one pointer
+        # test per launch when off, a full profile per launch on.
+        if profiler is None:
+            profiler = telemetry_hooks.current()
+        observer = telemetry_hooks.launch_observer(spec.num_sms, tracer,
+                                                   profiler)
         engine = Engine(spec, occ.blocks_per_sm, profile=observer)
-        cycles = engine.launch([make_block(b) for b in range(cfg.grid)])
+        cycles = engine.launch(self.block_factories(cfg, observer))
         self.total_cycles += cycles
         self.launches += 1
         launch_profile = None

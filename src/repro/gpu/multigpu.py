@@ -15,8 +15,11 @@ Usage::
 
 Every cluster runs one engine per device under a deterministic epoch
 barrier (see :mod:`repro.gpu.sharded`): ``jobs=1`` (the default) runs
-the shards in-process, ``jobs>1`` spreads them over a spawn-safe
-process pool, and both produce identical merged results.
+the shards in-process, ``jobs>1`` runs one spawn process per device,
+and both produce identical merged results.  Each device builds its
+grid with :meth:`Device.block_factories`, the device launch's own
+code, and the cluster is observed the way a device launch is: through
+the ambient profiler (:func:`repro.telemetry.capture`).
 """
 
 from __future__ import annotations
@@ -26,15 +29,14 @@ import shutil
 import tempfile
 from dataclasses import dataclass
 
-from repro.gpu.device import Device, LaunchResult
+from repro.gpu.device import Device, KernelLaunch, LaunchResult
 from repro.gpu.engine import EngineStats
 from repro.gpu.kernel import KernelFn
-from repro.gpu.occupancy import OccupancyLimits, occupancy_limits
+from repro.gpu.occupancy import OccupancyLimits
 from repro.gpu.sharded import (
     _merge_spills,
     _run_inprocess,
     _run_workers,
-    _ShardInstrument,
     default_epoch_cycles,
 )
 from repro.gpu.specs import GPUSpec
@@ -58,6 +60,13 @@ class ClusterLaunch:
         if self.grid <= 0 or self.block_threads <= 0:
             raise ValueError("grid and block must be positive")
 
+    @property
+    def cfg(self) -> KernelLaunch:
+        """This device's share as the launch :class:`Device` runs."""
+        return KernelLaunch(self.kernel, self.grid, self.block_threads,
+                            self.args, self.regs_per_thread,
+                            self.scratchpad_bytes)
+
 
 def _plan_cluster(launches: list[ClusterLaunch]
                   ) -> tuple[GPUSpec, list[OccupancyLimits]]:
@@ -73,25 +82,11 @@ def _plan_cluster(launches: list[ClusterLaunch]
         if id(launch.device) in seen:
             raise ValueError("one launch per device")
         seen.add(id(launch.device))
-    occupancies = []
-    for launch in launches:
-        occ = occupancy_limits(spec, launch.block_threads,
-                               launch.regs_per_thread,
-                               launch.scratchpad_bytes)
-        if not occ.is_schedulable:
-            raise ValueError(
-                f"unschedulable kernel: {occ.limiting_factor}")
-        occupancies.append(occ)
-    return spec, occupancies
+    return spec, [launch.cfg.occupancy(spec) for launch in launches]
 
 
 def launch_cluster(launches: list[ClusterLaunch], jobs: int = 1,
                    epoch_cycles: float | None = None,
-                   profile: bool = False,
-                   trace: bool = False,
-                   tracer=None,
-                   timeseries: bool = False,
-                   window_cycles: float | None = None,
                    spill_dir: str | None = None) -> LaunchResult:
     """Run all launches concurrently, one engine per device; returns
     the combined timing.
@@ -103,87 +98,57 @@ def launch_cluster(launches: list[ClusterLaunch], jobs: int = 1,
     is sized by the cluster, not by ``jobs``).  Results are
     bit-identical across job counts.  ``epoch_cycles`` bounds how far
     a shard runs ahead between barriers (defaults to the minimum
-    cross-device interaction latency, the PCIe round-trip).
+    cross-device interaction latency, the PCIe round-trip).  A device
+    with a sanitizer needs ``jobs=1``: a worker would sanitize a copy.
 
-    ``trace=True`` (or a supplied ``tracer``) merges per-shard traces
-    into ``result.tracer``; ``timeseries=True`` merges per-shard
-    cycle-window series into ``result.series`` (the
-    ``components.timeseries`` shape).  ``spill_dir`` keeps the
-    per-shard JSONL spill files for inspection; by default they live
-    in a temporary directory removed after the merge.  Under an
-    ambient profiler (:func:`repro.telemetry.capture`) tracing,
-    sampling, and profiling follow the profiler's configuration and
-    the merged launch lands in ``profiler.profiles``.
+    A cluster is observed like any launch, through the ambient
+    profiler (:func:`repro.telemetry.capture`): its settings pick each
+    shard's observer, and the merged launch lands in
+    ``profiler.profiles`` (also ``result.profile``) with its merged
+    trace in ``profiler.traces`` and its merged series in
+    ``components.timeseries``.  ``spill_dir`` keeps the per-shard
+    JSONL spill files for inspection; by default they live in a
+    temporary directory removed after the merge.
     """
-    from repro.telemetry.timeseries import DEFAULT_WINDOW_CYCLES
-
     spec, occupancies = _plan_cluster(launches)
     blocks_per_sm = min(o.blocks_per_sm for o in occupancies)
     epoch = (default_epoch_cycles(spec) if epoch_cycles is None
              else float(epoch_cycles))
     if epoch <= 0:
         raise ValueError("epoch_cycles must be positive")
+    inprocess = jobs <= 1 or len(launches) == 1
+    for index, launch in enumerate(launches):
+        if launch.device.sanitizer is not None and not inprocess:
+            raise ValueError(
+                f"device {index} of the cluster has a sanitizer; a "
+                "spawn worker would sanitize a copy and drop its "
+                "findings, so run sanitized clusters with jobs=1")
 
-    max_trace_events = 200_000
     profiler = telemetry_hooks.current()
-    if profiler is not None:
-        profile = True
-        if tracer is None and profiler.trace \
-                and len(profiler.traces) < profiler.max_traces:
-            trace = True
-            max_trace_events = profiler.max_trace_events
-        if profiler.timeseries:
-            timeseries = True
-            if window_cycles is None:
-                window_cycles = profiler.window_cycles
-    if tracer is not None:
-        trace = True
-        max_trace_events = tracer.max_events
-
+    plan = (telemetry_hooks.ObserverPlan.of(profiler)
+            if profiler is not None else None)
+    spills = plan is not None and (plan.trace_events > 0
+                                   or plan.timeseries)
     tmp_dir = None
-    if (trace or timeseries) and spill_dir is None:
-        tmp_dir = tempfile.mkdtemp(prefix="repro-shards-")
-        spill_dir = tmp_dir
+    if spills and spill_dir is None:
+        spill_dir = tmp_dir = tempfile.mkdtemp(prefix="repro-shards-")
     elif spill_dir is not None:
         os.makedirs(spill_dir, exist_ok=True)
-    inst = _ShardInstrument(
-        profile=profile,
-        trace=trace,
-        max_trace_events=max_trace_events,
-        timeseries=timeseries,
-        window_cycles=(float(window_cycles) if window_cycles
-                       else DEFAULT_WINDOW_CYCLES),
-        epoch_cycles=epoch,
-        spill_dir=spill_dir or "")
-
     try:
-        if jobs <= 1 or len(launches) == 1:
-            cycles, stats, profiles, memories = _run_inprocess(
-                launches, blocks_per_sm, epoch, inst)
-        else:
-            cycles, stats, profiles, memories = _run_workers(
-                launches, blocks_per_sm, epoch, inst)
-
-        merged_tracer = None
-        series = None
-        if inst.spills:
-            if trace:
-                merged_tracer = tracer if tracer is not None else \
-                    Tracer(max_events=max_trace_events * len(launches))
-            series = _merge_spills(inst, len(launches), spec.num_sms,
-                                   merged_tracer)
+        run = _run_inprocess if inprocess else _run_workers
+        shards = run(launches, blocks_per_sm, epoch, plan, spill_dir)
+        tracer = series = None
+        if spills:
+            if plan.trace_events:
+                tracer = Tracer(
+                    max_events=plan.trace_events * len(launches))
+            series = _merge_spills(spill_dir, len(launches),
+                                   spec.num_sms, tracer, plan.timeseries)
     finally:
         if tmp_dir is not None:
             shutil.rmtree(tmp_dir, ignore_errors=True)
 
-    if memories is not None:
-        # Worker shards mutated their own copy of device memory; fold
-        # the bytes back into the parent's devices.
-        import numpy as np
-        for launch, memory in zip(launches, memories):
-            data = launch.device.memory.data
-            data[:] = np.frombuffer(memory, dtype=np.uint8)
-
+    cycles, stats, totals = zip(*shards)
     makespan = max(cycles)
     for launch in launches:
         launch.device.total_cycles += makespan
@@ -193,15 +158,11 @@ def launch_cluster(launches: list[ClusterLaunch], jobs: int = 1,
         seconds=spec.cycles_to_seconds(makespan),
         stats=EngineStats.merged(stats),
         occupancy=occupancies[0],
-        tracer=merged_tracer,
-        series=series,
     )
-    if profile:
-        result.profile = telemetry_hooks.EngineProfile.merged(profiles)
     if profiler is not None:
-        profiler.record_cluster(
+        result.profile = profiler.record_cluster(
             spec=spec, launches=launches, occ=occupancies[0],
             cycles=makespan, stats=result.stats,
-            engine_profile=result.profile, tracer=merged_tracer,
-            series=series)
+            engine_profile=telemetry_hooks.EngineProfile.merged(totals),
+            tracer=tracer, series=series)
     return result

@@ -4,9 +4,10 @@
 on its **own engine** — in process for ``jobs=1``, one spawn worker per
 device otherwise — and recombines the results so that the merged stats,
 profiles, traces, time series, and memory contents are identical
-regardless of the job count.  This module holds the shard side of that
-protocol and the two drivers (:func:`_run_inprocess`,
-:func:`_run_workers`).
+regardless of the job count.  This module holds the shard
+(:class:`_Shard`), the parent's one epoch coordinator
+(:func:`_coordinate`), and the two ways it reaches the shards
+(:func:`_run_inprocess`, :func:`_run_workers`).
 
 Synchronisation model
 ---------------------
@@ -30,36 +31,50 @@ is the **host CPU**, which the parent owns:
   produce an earlier host request.
 
 The decision sequence depends only on simulated time, never on wall
-clock or scheduling, which is what makes ``jobs=1`` and ``jobs=N``
-bit-identical; ``tests/gpu/golden_cluster.json`` pins the results.
+clock or scheduling, and one coordinator makes it for both job modes:
+they differ only in how a ``(horizon, grant)`` command reaches a shard
+and its status comes back — a direct call, or a pair of queues.  That
+is what makes ``jobs=1`` and ``jobs=N`` bit-identical;
+``tests/gpu/golden_cluster.json`` pins the results.
+
+Shards build their grids through :meth:`Device.block_factories`, the
+device launch's own factory, so a sanitized device is sanitized in a
+cluster too.  Under ``jobs>1`` a spawn worker would sanitize a copy
+and drop its findings, so :func:`~repro.gpu.multigpu.launch_cluster`
+refuses a sanitized device there.
 
 Cross-process observability
 ---------------------------
 
-Tracers and samplers cannot cross process boundaries as live objects,
-so each shard builds its *own* engine observer through
-:func:`~repro.telemetry.hooks.launch_observer` — the rule device
-launches use — carrying its own :class:`~repro.gpu.trace.Tracer` when
-tracing and windowed (a
-:class:`~repro.telemetry.timeseries.TimeseriesSampler`) when sampling,
-and spills the event streams to per-shard JSONL
-files (``trace-shardNNN.jsonl`` / ``series-shardNNN.jsonl``), every
-record stamped with ``(shard, device, epoch)``.  The parent merges
-them deterministically in shard order: SM ids rebase to the global
-range (shard *i* owns SMs ``[i * num_sms, (i+1) * num_sms)``, matching
+Tracers and samplers cannot cross process boundaries as live objects.
+The parent turns its ambient profiler into an
+:class:`~repro.telemetry.hooks.ObserverPlan` once; every shard builds
+its *own* observer from it — carrying its own
+:class:`~repro.gpu.trace.Tracer` when tracing, windowed (a
+:class:`~repro.telemetry.timeseries.TimeseriesSampler`) when sampling —
+and spills the event streams to per-shard JSONL files
+(``trace-shardNNN.jsonl`` / ``series-shardNNN.jsonl``), every record
+stamped with ``(shard, device, epoch)``.  The parent merges them
+deterministically in shard order: SM ids rebase to the global range
+(shard *i* owns SMs ``[i * num_sms, (i+1) * num_sms)``, matching
 :meth:`EngineProfile.merged`), and causal request ids rebase their
 device prefix to the shard index.  ``jobs=1`` runs the *same*
 spill-and-merge pipeline, so traces and series are bit-identical
 across job counts exactly as stats already are.  Profile totals travel
-back from workers as a plain
-:class:`~repro.telemetry.hooks.EngineProfile`, never the observer
-itself (which holds the tracer).  Component counter
+back as a plain :class:`~repro.telemetry.hooks.EngineProfile`, never
+the observer itself (which holds the tracer).  Component counter
 sections of an ambient profiler reflect parent-process stats objects
 only (spawn workers mutate their own copies), so they are meaningful
 under ``jobs=1`` and zero under ``jobs>1`` — engine stats, traces,
 series, and attribution merge either way.
 
-Worker RNGs are seeded with the stable per-shard
+Failures surface as errors, not hangs.  A worker that raises sends its
+exception, which the parent re-raises at once; a worker that dies
+silently is noticed within :data:`WORKER_POLL`; and
+:data:`WORKER_TIMEOUT_ENV` bounds a stall.  Every way out of the
+parent terminates and joins the shard processes.
+
+Shard RNGs are seeded with the stable per-shard
 :func:`repro.harness.runner.point_seed` before block factories run.
 """
 
@@ -69,21 +84,21 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass
+import traceback
 from queue import Empty
 
+import numpy as np
+
 from repro.gpu.engine import Engine
-from repro.gpu.kernel import BlockContext, WarpContext
-from repro.gpu.memory import Scratchpad
-from repro.telemetry.hooks import EngineProfile, launch_observer
+from repro.telemetry.hooks import EngineProfile
 
 #: Seconds without any worker message before the parent gives up.
 #: Overridable through the environment (:data:`WORKER_TIMEOUT_ENV`) for
 #: slow CI machines.
 WORKER_TIMEOUT = 120.0
 
-#: Seconds between the parent's checks for crashed workers while it
-#: waits for shard messages; a failed shard re-raises within this.
+#: Seconds between the parent's checks for dead workers while it waits
+#: for shard messages.
 WORKER_POLL = 0.1
 
 #: Environment variable overriding :data:`WORKER_TIMEOUT` (seconds,
@@ -117,99 +132,75 @@ def default_epoch_cycles(spec) -> float:
     return max(1.0, spec.pcie_latency_cycles())
 
 
-@dataclass(frozen=True)
-class _ShardInstrument:
-    """Picklable per-shard instrumentation request.
-
-    Travels to spawn workers in place of live tracer/profile objects;
-    each shard constructs its own instruments from it and spills their
-    output to ``spill_dir`` (see module docstring).
-    """
-
-    profile: bool = False
-    trace: bool = False
-    max_trace_events: int = 200_000
-    timeseries: bool = False
-    window_cycles: float = 0.0
-    epoch_cycles: float = 1.0
-    spill_dir: str = ""
-
-    @property
-    def spills(self) -> bool:
-        return self.trace or self.timeseries
-
-
 # ---------------------------------------------------------------------------
-# Shard-side execution (shared by the in-process and worker paths).
+# The shard: one device's engine, in whichever process runs it.
 
 
-def _block_factories(launch, tracer) -> list:
-    """One zero-argument factory per threadblock of ``launch``, each
-    returning ``(BlockContext, [warp generators])``.  ``tracer``
-    threads into every :class:`WarpContext`, so layer-level spans
-    (translation faults, page-ins, syscalls) land in cluster traces."""
-    spec = launch.device.spec
-    warps_per_block = -(-launch.block_threads // spec.warp_size)
+class _Shard:
+    """One device of a cluster on its own host-gated engine, advanced
+    by the parent's ``(horizon, grant)`` commands (see :meth:`step`)."""
 
-    def make_block(block_id: int):
-        def factory():
-            block = BlockContext(
-                block_id=block_id,
-                threads=launch.block_threads,
-                warps=warps_per_block,
-                scratchpad=Scratchpad(max(launch.scratchpad_bytes, 1)),
-            )
-            gens = []
-            for w in range(warps_per_block):
-                ctx = WarpContext(spec, launch.device.memory, block, w,
-                                  tracer=tracer)
-                gens.append(launch.kernel(ctx, *launch.args))
-            return block, gens
-        return factory
+    def __init__(self, index: int, launch, blocks_per_sm: int,
+                 epoch: float, plan, spill_dir: str | None):
+        from repro.harness.runner import _seed_rngs
 
-    return [make_block(b) for b in range(launch.grid)]
+        _seed_rngs(_shard_seed(index))
+        device = launch.device
+        observer = (plan.observer(device.spec.num_sms)
+                    if plan is not None else None)
+        self.engine = Engine(device.spec, blocks_per_sm, profile=observer)
+        self.engine.gate_host()
+        self.engine.begin(device.block_factories(launch.cfg, observer))
+        self.index = index
+        self.epoch = epoch
+        self.spill_dir = spill_dir
 
+    def step(self, horizon: float, grant: tuple | None) -> tuple:
+        """Serve the parked host request at ``grant``'s ``(start,
+        done)`` when given, then run to the next blocking point at or
+        before ``horizon``.  Returns ``("parked", arrival, seconds)``,
+        ``("waiting",)`` at the epoch barrier, or ``("done", result)``
+        with the :meth:`finish` result."""
+        engine = self.engine
+        if grant is not None:
+            engine.grant_host(*grant)
+        nxt = engine.advance(horizon)
+        if engine.parked:
+            arrival, seconds = engine.parked_host()
+            return ("parked", arrival, seconds)
+        if nxt != math.inf:
+            return ("waiting",)
+        return ("done", self.finish())
 
-def _build_shard(launch, blocks_per_sm: int, inst: _ShardInstrument):
-    """One engine for one :class:`~repro.gpu.multigpu.ClusterLaunch`,
-    gated on the host server and seeded with its block factories.  The
-    shard-local observer is ``engine.profile`` (windowed when sampling
-    is on, carrying the shard's tracer when tracing is on)."""
-    spec = launch.device.spec
-    observer = launch_observer(
-        spec.num_sms, profile=inst.profile,
-        trace_events=inst.max_trace_events if inst.trace else 0,
-        timeseries=inst.timeseries, window_cycles=inst.window_cycles)
-    engine = Engine(spec, blocks_per_sm, profile=observer)
-    engine.gate_host()
-    engine.begin(_block_factories(
-        launch, observer.tracer if observer is not None else None))
-    return engine
-
-
-def _shard_status(engine: Engine, horizon: float) -> tuple:
-    """Advance one shard to its next blocking point.
-
-    Returns ``("parked", arrival, seconds)``, ``("waiting",)`` (epoch
-    barrier reached), or ``("done",)``.
-    """
-    nxt = engine.advance(horizon)
-    if engine.parked:
-        arrival, seconds = engine.parked_host()
-        return ("parked", arrival, seconds)
-    if nxt == math.inf:
-        return ("done",)
-    return ("waiting",)
-
-
-def _pick_grant(status: dict) -> tuple | None:
-    """The globally earliest parked request, ordered by
-    ``(arrival cycle, shard index)``."""
-    parked = [(s[1], idx, s[2]) for idx, s in status.items()
-              if s[0] == "parked"]
-    if not parked:
-        return None
-    return min(parked)
+    def finish(self) -> tuple:
+        """Drain the shard and spill its event streams:
+        ``engine.finish()`` first (it closes the profile's windows, so
+        late counter mirrors still land in the tracer), then one JSONL
+        file per stream.  Returns ``(cycles, stats, profile totals or
+        None)``."""
+        engine = self.engine
+        cycles = engine.finish()
+        observer = engine.profile
+        if observer is None:
+            return cycles, engine.stats, None
+        index, epoch = self.index, self.epoch
+        tracer = observer.tracer
+        if tracer is not None:
+            _write_spill(
+                _trace_spill_path(self.spill_dir, index), index, epoch,
+                {"events": len(tracer.events), "dropped": tracer.dropped},
+                map(vars, tracer.events), "start")
+        if observer.advance is not None:        # a windowed sampler
+            _write_spill(
+                _series_spill_path(self.spill_dir, index), index, epoch,
+                {"window_cycles": observer.window_cycles,
+                 "windows": (len(observer.windows)
+                             + observer.dropped_windows),
+                 "dropped_windows": observer.dropped_windows},
+                observer.windows, "t0")
+        # The launch totals only: the observer holds the tracer, and
+        # its series already left in the spill.
+        return cycles, engine.stats, EngineProfile.merged([observer])
 
 
 def _shard_seed(index: int) -> int:
@@ -262,32 +253,8 @@ def _read_spill(path: str):
             yield record
 
 
-def _finish_shard(index: int, engine: Engine,
-                  inst: _ShardInstrument) -> float:
-    """Drain the shard and spill its event streams: ``engine.finish()``
-    first (it closes the profile's windows, so late counter mirrors
-    still land in the tracer), then one JSONL file per stream."""
-    cycles = engine.finish()
-    epoch = inst.epoch_cycles
-    if inst.trace:
-        tracer = engine.profile.tracer
-        _write_spill(
-            _trace_spill_path(inst.spill_dir, index), index, epoch,
-            {"events": len(tracer.events), "dropped": tracer.dropped},
-            map(vars, tracer.events), "start")
-    if inst.timeseries:
-        sampler = engine.profile
-        _write_spill(
-            _series_spill_path(inst.spill_dir, index), index, epoch,
-            {"window_cycles": sampler.window_cycles,
-             "windows": len(sampler.windows) + sampler.dropped_windows,
-             "dropped_windows": sampler.dropped_windows},
-            sampler.windows, "t0")
-    return cycles
-
-
-def _merge_spills(inst: _ShardInstrument, n: int, num_sms: int,
-                  tracer) -> dict | None:
+def _merge_spills(spill_dir: str, n: int, num_sms: int, tracer,
+                  timeseries: bool) -> dict | None:
     """Deterministically merge the per-shard spill files, shard order.
 
     Trace events replay into ``tracer`` (when tracing was on) with SM
@@ -305,8 +272,7 @@ def _merge_spills(inst: _ShardInstrument, n: int, num_sms: int,
     for index in range(n):
         base = index * num_sms
         if tracer is not None:
-            records = _read_spill(_trace_spill_path(inst.spill_dir,
-                                                    index))
+            records = _read_spill(_trace_spill_path(spill_dir, index))
             meta = next(records, None)
             if meta is not None:
                 tracer.dropped += int(meta.get("dropped", 0))
@@ -320,9 +286,8 @@ def _merge_spills(inst: _ShardInstrument, n: int, num_sms: int,
                 tracer.record(rec["warp"], rec["block"], rec["kind"],
                               rec["start"], rec["end"], rec["detail"],
                               sm=sm, req=req)
-        if inst.timeseries:
-            records = _read_spill(_series_spill_path(inst.spill_dir,
-                                                     index))
+        if timeseries:
+            records = _read_spill(_series_spill_path(spill_dir, index))
             meta = next(records, None)
             if meta is not None:
                 enabled = 1
@@ -332,7 +297,7 @@ def _merge_spills(inst: _ShardInstrument, n: int, num_sms: int,
                                     float(meta.get("window_cycles",
                                                    0.0)))
             series.extend(records)
-    if not inst.timeseries:
+    if not timeseries:
         return None
     return {
         "enabled": enabled,
@@ -344,163 +309,137 @@ def _merge_spills(inst: _ShardInstrument, n: int, num_sms: int,
 
 
 # ---------------------------------------------------------------------------
-# jobs=1: every shard engine lives in this process; the state machine
-# below is the reference implementation the worker protocol mirrors.
+# The parent: one epoch coordinator, two ways to reach the shards.
 
 
-def _run_inprocess(launches, blocks_per_sm: int, epoch: float,
-                   inst: _ShardInstrument):
-    from repro.harness.runner import _seed_rngs
+def _coordinate(n: int, clock_hz: float, epoch: float, step) -> list:
+    """Drive ``n`` shards through the epoch protocol; returns their
+    :meth:`_Shard.finish` results in shard order.
 
-    spec = launches[0].device.spec
-    engines = []
-    for index, launch in enumerate(launches):
-        _seed_rngs(_shard_seed(index))
-        engines.append(_build_shard(launch, blocks_per_sm, inst))
+    ``step(commands)`` delivers ``{shard: (horizon, grant)}`` and
+    returns ``{shard: status}`` (see :meth:`_Shard.step`) for exactly
+    those shards.  Each round grants the globally earliest parked host
+    request, by ``(arrival, shard)``, against the one host clock; when
+    none is parked, the horizon moves one epoch and every shard waiting
+    at the barrier advances to it.
+    """
     horizon = epoch
     host_avail = 0.0
-    status = {i: _shard_status(eng, horizon)
-              for i, eng in enumerate(engines)}
+    status = step({i: (horizon, None) for i in range(n)})
     while True:
-        grant = _pick_grant(status)
-        if grant is not None:
-            arrival, index, seconds = grant
+        parked = [(s[1], i, s[2]) for i, s in status.items()
+                  if s[0] == "parked"]
+        if parked:
+            arrival, index, seconds = min(parked)
             start = max(arrival, host_avail)
-            done = start + seconds * spec.clock_hz
-            host_avail = done
-            engines[index].grant_host(start, done)
-            status[index] = _shard_status(engines[index], horizon)
+            host_avail = start + seconds * clock_hz
+            status.update(step({index: (horizon, (start, host_avail))}))
             continue
         waiting = [i for i, s in status.items() if s[0] == "waiting"]
         if not waiting:
-            break
+            return [status[i][1] for i in range(n)]
         horizon += epoch
-        for index in waiting:
-            status[index] = _shard_status(engines[index], horizon)
-    cycles = [_finish_shard(i, eng, inst)
-              for i, eng in enumerate(engines)]
-    stats = [eng.stats for eng in engines]
-    profiles = ([eng.profile for eng in engines] if inst.profile
-                else None)
-    return cycles, stats, profiles, None
+        status.update(step({i: (horizon, None) for i in waiting}))
 
 
-# ---------------------------------------------------------------------------
-# jobs>1: one spawn worker per shard, coordinated over Manager queues.
+def _run_inprocess(launches, blocks_per_sm: int, epoch: float, plan,
+                   spill_dir: str | None) -> list:
+    """``jobs=1``: every shard lives in this process; a command is a
+    direct call."""
+    shards = [_Shard(i, launch, blocks_per_sm, epoch, plan, spill_dir)
+              for i, launch in enumerate(launches)]
+
+    def step(commands: dict) -> dict:
+        return {i: shards[i].step(*command)
+                for i, command in commands.items()}
+
+    return _coordinate(len(shards), launches[0].device.spec.clock_hz,
+                       epoch, step)
 
 
 def _shard_worker(index: int, launch, blocks_per_sm: int, epoch: float,
-                  seed: int, inst: _ShardInstrument,
-                  cmd_q, rep_q):
-    """Worker side of the epoch protocol.  Messages to the parent:
-    ``("parked", index, arrival, seconds)``, ``("waiting", index)``,
-    ``("done", index)``; commands from the parent: ``("grant", start,
-    done)`` and ``("advance", horizon)``.
-    Event streams never ride the queues — shards spill them to
-    ``inst.spill_dir`` (see :func:`_finish_shard`).
-    """
-    from repro.harness.runner import _seed_rngs
-
-    _seed_rngs(seed)
-    engine = _build_shard(launch, blocks_per_sm, inst)
-    horizon = epoch
-    while True:
-        state = _shard_status(engine, horizon)
-        if state[0] == "parked":
-            rep_q.put(("parked", index, state[1], state[2]))
-            cmd = cmd_q.get()
-            engine.grant_host(cmd[1], cmd[2])
-            continue
-        if state[0] == "done":
-            rep_q.put(("done", index))
-            break
-        rep_q.put(("waiting", index))
-        cmd = cmd_q.get()
-        horizon = cmd[1]
-    cycles = _finish_shard(index, engine, inst)
-    memory = launch.device.memory.data.tobytes()
-    # Ship the profile's launch totals only: the observer holds the
-    # shard's tracer, and its series already left in the spill.
-    totals = (EngineProfile.merged([engine.profile]) if inst.profile
-              else None)
-    return (index, cycles, engine.stats, totals, memory)
+                  plan, spill_dir: str | None, cmd_q, rep_q) -> None:
+    """Spawn-worker side: serve ``(horizon, grant)`` commands from
+    ``cmd_q`` and report ``(index, status)`` on ``rep_q`` until done.
+    The ``done`` status also carries the device memory, which the
+    parent copies back; an exception is reported as ``("error",
+    exception, traceback text)``.  Event streams never ride the
+    queues — the shard spills them (see :meth:`_Shard.finish`)."""
+    try:
+        shard = _Shard(index, launch, blocks_per_sm, epoch, plan,
+                       spill_dir)
+        while True:
+            state = shard.step(*cmd_q.get())
+            if state[0] == "done":
+                state += (launch.device.memory.data.tobytes(),)
+            rep_q.put((index, state))
+            if state[0] == "done":
+                return
+    except Exception as exc:
+        rep_q.put((index, ("error", exc, traceback.format_exc())))
 
 
-def _run_workers(launches, blocks_per_sm: int, epoch: float,
-                 inst: _ShardInstrument):
+def _run_workers(launches, blocks_per_sm: int, epoch: float, plan,
+                 spill_dir: str | None) -> list:
+    """``jobs>1``: one spawn process per shard (every shard must be
+    live for the barrier to close), commands and statuses over queues.
+    On any error — a shard's own exception, a dead worker, or
+    :func:`worker_timeout` seconds without a message — the processes
+    are terminated before the error propagates."""
     import multiprocessing
 
-    from repro.harness.runner import spawn_executor
-
-    spec = launches[0].device.spec
+    ctx = multiprocessing.get_context("spawn")
     timeout = worker_timeout()
-    n = len(launches)
-    # Every shard must be live for the barrier to close, so the pool
-    # holds one worker per shard regardless of the jobs value.  The
-    # manager exits first: on an error it takes the queues down, so
-    # shards blocked on a command fail instead of hanging the pool's
-    # shutdown.
-    with spawn_executor(n) as pool, \
-            multiprocessing.Manager() as manager:
-        rep_q = manager.Queue()
-        cmd_qs = [manager.Queue() for _ in range(n)]
-        futures = [
-            pool.submit(_shard_worker, i, launch, blocks_per_sm, epoch,
-                        _shard_seed(i), inst, cmd_qs[i], rep_q)
-            for i, launch in enumerate(launches)]
-        status: dict[int, tuple] = {}
-        horizon = epoch
-        host_avail = 0.0
-        pending = set(range(n))     # shards we await a message from
+    rep_q = ctx.Queue()
+    cmd_qs = [ctx.Queue() for _ in launches]
+    procs = [ctx.Process(target=_shard_worker, daemon=True,
+                         args=(i, launch, blocks_per_sm, epoch, plan,
+                               spill_dir, cmd_qs[i], rep_q))
+             for i, launch in enumerate(launches)]
 
-        def collect():
-            deadline = time.monotonic() + timeout
-            while pending:
-                try:
-                    msg = rep_q.get(timeout=WORKER_POLL)
-                except Empty:
-                    for fut in futures:
-                        if fut.done():
-                            fut.result()  # surfaces worker tracebacks
-                    if time.monotonic() > deadline:
-                        raise TimeoutError(
-                            "sharded workers made no progress for "
-                            f"{timeout}s") from None
-                    continue
-                deadline = time.monotonic() + timeout
-                index = msg[1]
-                pending.discard(index)
-                if msg[0] == "parked":
-                    status[index] = ("parked", msg[2], msg[3])
-                elif msg[0] == "waiting":
-                    status[index] = ("waiting",)
-                else:
-                    status[index] = ("done",)
-
-        while True:
-            collect()
-            grant = _pick_grant(status)
-            if grant is not None:
-                arrival, index, seconds = grant
-                start = max(arrival, host_avail)
-                done = start + seconds * spec.clock_hz
-                host_avail = done
-                cmd_qs[index].put(("grant", start, done))
-                pending.add(index)
+    def step(commands: dict) -> dict:
+        for index, command in commands.items():
+            cmd_qs[index].put(command)
+        out: dict = {}
+        deadline = time.monotonic() + timeout
+        while len(out) < len(commands):
+            try:
+                index, state = rep_q.get(timeout=WORKER_POLL)
+            except Empty:
+                for i in commands:
+                    code = procs[i].exitcode
+                    if i not in out and code is not None \
+                            and rep_q.empty():
+                        raise RuntimeError(
+                            f"shard {i} worker exited with code {code} "
+                            "without reporting") from None
+                if time.monotonic() > deadline:
+                    raise TimeoutError(
+                        "sharded workers made no progress for "
+                        f"{timeout}s") from None
                 continue
-            waiting = [i for i, s in status.items()
-                       if s[0] == "waiting"]
-            if not waiting:
-                break
-            horizon += epoch
-            for index in waiting:
-                cmd_qs[index].put(("advance", horizon))
-                pending.add(index)
+            deadline = time.monotonic() + timeout
+            if state[0] == "error":
+                raise state[1] from RuntimeError(
+                    f"in shard {index}:\n{state[2]}")
+            if state[0] == "done":
+                data = launches[index].device.memory.data
+                data[:] = np.frombuffer(state[2], dtype=np.uint8)
+                state = state[:2]
+            out[index] = state
+        return {i: out[i] for i in commands}
 
-        results = [fut.result() for fut in futures]
-    results.sort()
-    cycles = [r[1] for r in results]
-    stats = [r[2] for r in results]
-    profiles = [r[3] for r in results] if inst.profile else None
-    memories = [r[4] for r in results]
-    return cycles, stats, profiles, memories
+    started = []
+    try:
+        for proc in procs:
+            proc.start()
+            started.append(proc)
+        return _coordinate(len(launches),
+                           launches[0].device.spec.clock_hz, epoch, step)
+    finally:
+        for proc in started:
+            if proc.is_alive():
+                proc.terminate()
+            proc.join()
+        for q in (rep_q, *cmd_qs):
+            q.close()

@@ -12,9 +12,11 @@ a sub-profiled region); :func:`repro.telemetry.capture` is the public
 entry point.
 
 :class:`EngineProfile` is the one instrumentation hook of
-:class:`repro.gpu.engine.Engine`, and :func:`launch_observer` is the one
-rule choosing it per launch.  The module imports nothing from the
-simulator at load time, so the GPU layer can import it freely.
+:class:`repro.gpu.engine.Engine`; :meth:`ObserverPlan.of` is the one
+rule deciding, from a profiler, what it records, and
+:func:`launch_observer` builds it per device launch.  The module
+imports nothing from the simulator at load time, so the GPU layer can
+import it freely.
 """
 
 from __future__ import annotations
@@ -200,43 +202,61 @@ class EngineProfile:
         return out
 
 
-def launch_observer(num_sms: int, tracer=None, profiler=None, *,
-                    profile: bool = False, trace_events: int = 0,
-                    timeseries: bool = False,
-                    window_cycles: float | None = None):
-    """The engine observer of one launch, or ``None`` when nothing
-    observes it: a :class:`~repro.telemetry.timeseries.TimeseriesSampler`
-    when sampling, else a plain :class:`EngineProfile` when profiling or
-    tracing.  Either carries the launch's tracer.
+@dataclass(frozen=True)
+class ObserverPlan:
+    """What a profiler asks one launch's observer to record.
 
-    A device launch passes its ``profiler`` (explicit or ambient), whose
-    settings then apply: every launch is profiled, a new tracer is made
-    while the profiler holds fewer than ``max_traces`` traces (unless
-    ``tracer`` is given), and sampling follows ``timeseries``.  A
-    cluster shard has no live profiler and passes the same settings as
-    keywords; ``trace_events`` > 0 asks for a new tracer holding that
-    many events.
+    :meth:`of` is the one rule turning a profiler into these settings:
+    every launch is profiled, a launch gets a new tracer of
+    ``trace_events`` events while the profiler holds fewer than
+    ``max_traces`` traces, and sampling follows ``timeseries``.  The
+    plan is plain data, so a cluster decides it once and ships it to
+    every shard, spawn workers included.
     """
-    sink = probes = gauges = None
-    if profiler is not None:
-        profile, timeseries = True, profiler.timeseries
-        window_cycles = profiler.window_cycles
-        sink, probes = profiler.series_sink, profiler.registry
-        gauges = profiler.gauges
-        if profiler.trace and len(profiler.traces) < profiler.max_traces:
-            trace_events = profiler.max_trace_events
-    if tracer is None and trace_events:
-        from repro.gpu.trace import Tracer
-        tracer = Tracer(max_events=trace_events)
-    if timeseries:
+
+    trace_events: int
+    timeseries: bool
+    window_cycles: float | None
+
+    @classmethod
+    def of(cls, profiler) -> "ObserverPlan":
+        trace = profiler.trace and len(profiler.traces) < profiler.max_traces
+        return cls(trace_events=profiler.max_trace_events if trace else 0,
+                   timeseries=profiler.timeseries,
+                   window_cycles=profiler.window_cycles)
+
+    def observer(self, num_sms: int, tracer=None, profiler=None):
+        """A :class:`~repro.telemetry.timeseries.TimeseriesSampler` when
+        sampling, else a plain :class:`EngineProfile`; either carries
+        ``tracer`` or, when the plan traces, a new one.  A live
+        ``profiler`` lends the sampler its sink, probes and gauges; a
+        cluster shard has none, because they cannot cross a process."""
+        if tracer is None and self.trace_events:
+            from repro.gpu.trace import Tracer
+            tracer = Tracer(max_events=self.trace_events)
+        if not self.timeseries:
+            return EngineProfile.for_sms(num_sms, tracer=tracer)
         from repro.telemetry.timeseries import (
             DEFAULT_WINDOW_CYCLES,
             TimeseriesSampler,
         )
+        sink = probes = gauges = None
+        if profiler is not None:
+            sink, probes = profiler.series_sink, profiler.registry
+            gauges = profiler.gauges
         return TimeseriesSampler(
             num_sms=num_sms,
-            window_cycles=window_cycles or DEFAULT_WINDOW_CYCLES,
+            window_cycles=self.window_cycles or DEFAULT_WINDOW_CYCLES,
             sink=sink, tracer=tracer, probes=probes, gauges=gauges)
-    if profile or tracer is not None:
+
+
+def launch_observer(num_sms: int, tracer=None, profiler=None):
+    """The engine observer of one device launch, or ``None`` when
+    nothing observes it.  Under a ``profiler`` (explicit or ambient)
+    the observer follows :meth:`ObserverPlan.of`; a bare ``tracer``
+    gets a plain :class:`EngineProfile` carrying it."""
+    if profiler is not None:
+        return ObserverPlan.of(profiler).observer(num_sms, tracer, profiler)
+    if tracer is not None:
         return EngineProfile.for_sms(num_sms, tracer=tracer)
     return None

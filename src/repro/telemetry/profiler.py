@@ -91,11 +91,10 @@ class Profiler:
         """Reduce one merged cluster launch to a :class:`LaunchProfile`.
 
         :func:`repro.gpu.multigpu.launch_cluster` calls this with
-        already-merged engine stats/profile, the merged tracer, and the
-        merged ``components.timeseries`` section — so ambient profiling
-        (:func:`capture`) covers every cluster launch exactly as it
-        covers single-device launches.  ``sms`` spans every shard's
-        SM range in shard order.
+        already-merged engine stats/profile totals, the merged tracer,
+        and the merged ``components.timeseries`` section — ambient
+        profiling (:func:`capture`) is how a cluster is observed.
+        ``sms`` spans every shard's SM range in shard order.
         """
         name = getattr(launches[0].kernel, "__name__", "kernel")
         if len(launches) > 1:
@@ -201,38 +200,23 @@ class Profiler:
             return None
         return max(self.profiles, key=lambda p: p.cycles)
 
-    def write(self, directory, spec=None) -> list[str]:
+    def write(self, directory) -> list[str]:
         """Write one profile JSON (and trace JSON, when held) per
         launch; returns the paths written."""
-        os.makedirs(directory, exist_ok=True)
-        written = []
-        for profile, tracer in zip(self.profiles, self.traces):
-            slug = re.sub(r"[^A-Za-z0-9_.-]", "_", profile.name)
-            stem = f"{profile.index:03d}-{slug}"
-            path = os.path.join(directory, f"profile-{stem}.json")
-            with open(path, "w") as f:
-                json.dump(profile.to_dict(), f, indent=2, sort_keys=True)
-            written.append(path)
-            if tracer is not None and tracer.events:
-                # Only clock_hz is needed to convert cycles to us; the
-                # profile recorded it, so callers need not pass a spec.
-                trace_spec = spec if spec is not None else _Clock(
-                    profile.spec["clock_hz"])
-                tpath = os.path.join(directory, f"trace-{stem}.json")
-                with open(tpath, "w") as f:
-                    json.dump(tracer.to_chrome_trace(trace_spec), f)
-                written.append(tpath)
-        return written
+        return write_profile_docs(
+            directory, [profile.to_dict() for profile in self.profiles],
+            self.traces)
 
 
 def write_profile_docs(directory, docs, tracers=None) -> list[str]:
     """Write already-serialised profile documents (and, when held,
     their tracers) to ``directory``; returns the paths written.
 
-    The parallel runner ships ``LaunchProfile.to_dict()`` documents
-    back from spawn workers — this is :meth:`Profiler.write` for those
-    plain dicts.  ``tracers`` is an optional parallel list; entries are
-    ``None`` for launches whose trace stayed in the worker.
+    :meth:`Profiler.write` passes its own documents and traces; the
+    parallel runner passes the ``LaunchProfile.to_dict()`` documents
+    its spawn workers ship back.  ``tracers`` is an optional parallel
+    list; entries are ``None`` for launches whose trace stayed in the
+    worker.  A trace's clock is its profile's recorded ``clock_hz``.
     """
     os.makedirs(directory, exist_ok=True)
     tracers = tracers or []

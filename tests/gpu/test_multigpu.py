@@ -5,7 +5,7 @@ import pytest
 
 from repro.gpu import Device, K80_SPEC
 from repro.gpu.multigpu import ClusterLaunch, launch_cluster
-from repro.telemetry import capture, validate_profile
+from repro.telemetry import LaunchProfile, capture, validate_profile
 
 #: Synthetic instruction counts — named so the calibration linter can
 #: see they are deliberate test loads, not drifted hardware estimates.
@@ -126,3 +126,23 @@ class TestClusterLaunch:
         doc = profile.to_dict()
         validate_profile(doc)
         assert len(doc["sms"]) == K80_SPEC.num_sms * len(launches)
+
+    def test_result_profile_is_the_launch_profile(self):
+        """Under one profiler, ``result.profile`` is the recorded
+        ``LaunchProfile`` for a device launch and a cluster launch
+        alike."""
+        d0, d1, d2 = make_devices(3)
+        with capture(trace=False) as prof:
+            solo = d0.launch(compute_kernel, 2, 64, args=([],))
+            both = launch_cluster([
+                ClusterLaunch(d1, compute_kernel, 2, 64, args=([],)),
+                ClusterLaunch(d2, compute_kernel, 2, 64, args=([],)),
+            ])
+        assert len(prof.profiles) == 2
+        assert prof.profiles[0] is solo.profile
+        assert prof.profiles[1] is both.profile
+        for result in (solo, both):
+            assert isinstance(result.profile, LaunchProfile)
+            validate_profile(result.profile.to_dict())
+            assert result.profile.cycles == result.cycles
+        assert len(both.profile.sms) == 2 * len(solo.profile.sms)

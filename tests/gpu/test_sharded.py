@@ -1,20 +1,24 @@
 """Deterministic sharded epoch execution (repro.gpu.sharded).
 
 The contract under test: ``jobs=1`` and ``jobs=N`` are bit-identical
-(stats, profiles, memory, merged traces and series); host-free
-clusters match each device launched on its own; and worker or spill
-failures surface as errors instead of hangs.  The results themselves
-are pinned by ``golden_cluster.json`` (``test_cluster_golden.py``).
+(stats, profiles, memory, merged traces and series, all observed
+through ``capture()``); host-free clusters match each device launched
+on its own; a sanitized device is sanitized in a cluster too; and
+worker, stall or spill failures surface as errors instead of hangs.
+The results themselves are pinned by ``golden_cluster.json``
+(``test_cluster_golden.py``).
 """
 
 import json
 import multiprocessing
+import os
 import tempfile
 import time
 
 import numpy as np
 import pytest
 
+from repro.analysis.sanitizer import Sanitizer
 from repro.gpu import Device, K80_SPEC, Tracer
 from repro.gpu.engine import EngineStats
 from repro.gpu.multigpu import ClusterLaunch, launch_cluster
@@ -23,11 +27,11 @@ from repro.gpu.sharded import (
     WORKER_TIMEOUT_ENV,
     _merge_spills,
     _series_spill_path,
-    _ShardInstrument,
     _trace_spill_path,
     default_epoch_cycles,
     worker_timeout,
 )
+from repro.telemetry import capture
 
 
 def make_devices(n=2, mem=8 * 1024 * 1024):
@@ -71,6 +75,33 @@ def crash_kernel(ctx, base, fail):
     yield from rpc_kernel(ctx, base)
 
 
+#: Exit status of a shard worker that dies without reporting.
+DEATH_STATUS = 3
+
+
+def death_kernel(ctx, base, die):
+    if die:
+        os._exit(DEATH_STATUS)
+    yield from rpc_kernel(ctx, base)
+
+
+#: Host seconds a hung shard kernel sleeps — far past the test's
+#: worker timeout.
+HANG_SECONDS = 30.0
+
+
+def hang_kernel(ctx, base, hang):
+    if hang:
+        time.sleep(HANG_SECONDS)
+    yield from rpc_kernel(ctx, base)
+
+
+def torn_kernel(ctx, base):
+    # Every warp stores to the same 32 words with no barrier between.
+    yield from ctx.store(base + ctx.lane * 4,
+                         np.full(32, ctx.warp_id, np.uint32), "u4")
+
+
 def _cluster(devices, kernel):
     return [ClusterLaunch(d, kernel, 2, 64) for d in devices]
 
@@ -87,14 +118,14 @@ class TestEpochDefaults:
                            epoch_cycles=0.0)
 
     def test_tracer_with_jobs_merges(self):
-        # Tracing + jobs used to be rejected; per-shard spill files now
-        # merge back into the caller's tracer with SM ids rebased to
-        # each shard's global range.
-        tracer = Tracer()
+        # Per-shard spill files merge back into the profiler's trace
+        # with SM ids rebased to each shard's global range.
         devices = make_devices(2)
-        result = launch_cluster(_cluster(devices, compute_kernel),
-                                tracer=tracer, jobs=2)
+        with capture() as prof:
+            result = launch_cluster(_cluster(devices, compute_kernel),
+                                    jobs=2)
         assert result.cycles > 0
+        (tracer,) = prof.traces
         assert tracer.events
         sms = {e.sm for e in tracer.events if e.sm >= 0}
         assert max(sms) >= K80_SPEC.num_sms  # shard 1 rebased past 0's
@@ -136,11 +167,12 @@ class TestHostGatedEquivalence:
         bases = [d.alloc(4096) for d in devices]
         launches = [ClusterLaunch(d, rpc_kernel, 2, 64, args=(b,))
                     for d, b in zip(devices, bases)]
-        result = launch_cluster(launches, profile=True)
-        assert result.profile is not None
-        # One sm_busy slot per SM per shard, concatenated in shard order.
-        assert len(result.profile.sm_busy) \
-            == K80_SPEC.num_sms * len(launches)
+        with capture(trace=False) as prof:
+            result = launch_cluster(launches)
+        assert result.profile is prof.last
+        # One sms row per SM per shard, concatenated in shard order.
+        assert [row["sm"] for row in result.profile.sms] \
+            == list(range(K80_SPEC.num_sms * len(launches)))
 
 
 class TestCrossProcessDeterminism:
@@ -150,14 +182,15 @@ class TestCrossProcessDeterminism:
             bases = [d.alloc(4096) for d in devices]
             launches = [ClusterLaunch(d, rpc_kernel, 2, 64, args=(b,))
                         for d, b in zip(devices, bases)]
-            result = launch_cluster(launches, jobs=jobs, profile=True)
+            with capture(trace=False):
+                result = launch_cluster(launches, jobs=jobs)
             return result, [bytes(d.memory.data) for d in devices]
 
         serial, serial_mem = run(jobs=1)
         parallel, parallel_mem = run(jobs=2)
         assert parallel.cycles == serial.cycles
         assert parallel.stats == serial.stats
-        assert parallel.profile.sm_busy == serial.profile.sm_busy
+        assert parallel.profile.sms == serial.profile.sms
         assert parallel.profile.stalls == serial.profile.stalls
         assert parallel_mem == serial_mem
 
@@ -174,10 +207,14 @@ class TestShardedTracing:
 
     WINDOW = 500.0
 
-    def _run(self, jobs):
-        return launch_cluster(
-            _rpc_launches(make_devices(2)), jobs=jobs, profile=True,
-            trace=True, timeseries=True, window_cycles=self.WINDOW)
+    def _run(self, jobs, spill_dir=None):
+        """The merged ``LaunchProfile`` and trace of one cluster."""
+        with capture(trace=True, timeseries=True,
+                     window_cycles=self.WINDOW) as prof:
+            result = launch_cluster(_rpc_launches(make_devices(2)),
+                                    jobs=jobs, spill_dir=spill_dir)
+        assert result.profile is prof.last
+        return result.profile, prof.traces[-1]
 
     @staticmethod
     def _tuples(tracer):
@@ -187,31 +224,30 @@ class TestShardedTracing:
     def test_traced_jobs_1_and_jobs_2_bit_identical(self):
         from repro.telemetry.attribution import attribute_tracer
 
-        serial = self._run(jobs=1)
-        parallel = self._run(jobs=2)
-        assert serial.tracer is not None and serial.tracer.events
-        assert self._tuples(parallel.tracer) \
-            == self._tuples(serial.tracer)
-        assert parallel.tracer.dropped == serial.tracer.dropped
-        assert json.dumps(parallel.series, sort_keys=True) \
-            == json.dumps(serial.series, sort_keys=True)
+        serial, serial_trace = self._run(jobs=1)
+        parallel, parallel_trace = self._run(jobs=2)
+        assert serial_trace is not None and serial_trace.events
+        assert self._tuples(parallel_trace) == self._tuples(serial_trace)
+        assert parallel_trace.dropped == serial_trace.dropped
+        assert json.dumps(parallel.components["timeseries"],
+                          sort_keys=True) \
+            == json.dumps(serial.components["timeseries"],
+                          sort_keys=True)
         # Windowed shard profiles come back from workers as plain
         # totals; they must merge to the in-process result.
-        assert serial.profile.sm_busy
-        assert parallel.profile.sm_busy == serial.profile.sm_busy
-        assert parallel.profile.stalls == serial.profile.stalls
-        assert parallel.profile.dram_queue_cycles \
-            == serial.profile.dram_queue_cycles
-        assert parallel.profile.dram_queued_accesses \
-            == serial.profile.dram_queued_accesses
+        assert any(row["busy_cycles"] for row in serial.sms)
+        assert parallel.sms == serial.sms
+        assert parallel.stalls == serial.stalls
+        for key in ("queue_cycles", "queued_accesses"):
+            assert parallel.dram[key] == serial.dram[key]
         # Attribution over the merged traces agrees too (acceptance:
         # identical reports, not merely identical event streams).
-        assert attribute_tracer(parallel.tracer).to_dict() \
-            == attribute_tracer(serial.tracer).to_dict()
+        assert attribute_tracer(parallel_trace).to_dict() \
+            == attribute_tracer(serial_trace).to_dict()
 
     def test_series_merges_all_shards(self):
-        result = self._run(jobs=1)
-        series = result.series
+        profile, _ = self._run(jobs=1)
+        series = profile.components["timeseries"]
         assert series["enabled"] == 1
         assert series["window_cycles"] == self.WINDOW
         assert series["dropped_windows"] == 0
@@ -219,11 +255,8 @@ class TestShardedTracing:
         assert {w["shard"] for w in series["series"]} == {0, 1}
 
     def test_spill_records_stamped(self, tmp_path):
-        result = launch_cluster(
-            _rpc_launches(make_devices(2)), trace=True,
-            timeseries=True, window_cycles=self.WINDOW,
-            spill_dir=str(tmp_path))
-        assert result.tracer is not None
+        _, tracer = self._run(jobs=1, spill_dir=str(tmp_path))
+        assert tracer is not None
         for index in range(2):
             tlines = open(_trace_spill_path(str(tmp_path), index)) \
                 .read().splitlines()
@@ -249,30 +282,25 @@ class TestShardedTracing:
 class TestSeriesMergeEdgeCases:
     """The merge must hold up when shards spill little or nothing."""
 
-    def _inst(self, tmp_path):
-        return _ShardInstrument(trace=True, timeseries=True,
-                                window_cycles=100.0, epoch_cycles=50.0,
-                                spill_dir=str(tmp_path))
-
     def test_no_spill_files_yields_empty_section(self, tmp_path):
         tracer = Tracer()
-        merged = _merge_spills(self._inst(tmp_path), 2,
-                               K80_SPEC.num_sms, tracer)
+        merged = _merge_spills(str(tmp_path), 2, K80_SPEC.num_sms,
+                               tracer, timeseries=True)
         assert merged == {"enabled": 0, "window_cycles": 0.0,
                           "windows": 0, "dropped_windows": 0,
                           "series": []}
         assert tracer.events == []
 
     def test_zero_window_shard_merges(self, tmp_path):
-        inst = self._inst(tmp_path)
+        spill_dir = str(tmp_path)
         # Shard 0 sampled nothing (meta line only); shard 1 one window.
-        with open(_series_spill_path(inst.spill_dir, 0), "w") as f:
+        with open(_series_spill_path(spill_dir, 0), "w") as f:
             f.write(json.dumps({"shard": 0, "device": 0,
                                 "epoch_cycles": 50.0,
                                 "window_cycles": 100.0,
                                 "windows": 0,
                                 "dropped_windows": 0}) + "\n")
-        with open(_series_spill_path(inst.spill_dir, 1), "w") as f:
+        with open(_series_spill_path(spill_dir, 1), "w") as f:
             f.write(json.dumps({"shard": 1, "device": 1,
                                 "epoch_cycles": 50.0,
                                 "window_cycles": 100.0,
@@ -281,7 +309,8 @@ class TestSeriesMergeEdgeCases:
             f.write(json.dumps({"window": 0, "t0": 0.0, "t1": 100.0,
                                 "shard": 1, "device": 1,
                                 "epoch": 0}) + "\n")
-        merged = _merge_spills(inst, 2, K80_SPEC.num_sms, None)
+        merged = _merge_spills(spill_dir, 2, K80_SPEC.num_sms, None,
+                               timeseries=True)
         assert merged["enabled"] == 1
         assert merged["windows"] == 1
         assert merged["dropped_windows"] == 2
@@ -289,14 +318,14 @@ class TestSeriesMergeEdgeCases:
         assert merged["series"][0]["shard"] == 1
 
     def test_sm_and_req_rebase_skip_counters(self, tmp_path):
-        inst = self._inst(tmp_path)
-        with open(_trace_spill_path(inst.spill_dir, 0), "w") as f:
+        spill_dir = str(tmp_path)
+        with open(_trace_spill_path(spill_dir, 0), "w") as f:
             # An empty shard that still dropped events must surface
             # the loss in the merged tracer.
             f.write(json.dumps({"shard": 0, "device": 0,
                                 "epoch_cycles": 50.0, "events": 0,
                                 "dropped": 2}) + "\n")
-        with open(_trace_spill_path(inst.spill_dir, 1), "w") as f:
+        with open(_trace_spill_path(spill_dir, 1), "w") as f:
             f.write(json.dumps({"shard": 1, "device": 1,
                                 "epoch_cycles": 50.0, "events": 2,
                                 "dropped": 0}) + "\n")
@@ -311,7 +340,8 @@ class TestSeriesMergeEdgeCases:
                                 "sm": -1, "req": "", "shard": 1,
                                 "device": 1, "epoch": 0}) + "\n")
         tracer = Tracer()
-        _merge_spills(inst, 2, K80_SPEC.num_sms, tracer)
+        _merge_spills(spill_dir, 2, K80_SPEC.num_sms, tracer,
+                      timeseries=False)
         assert tracer.dropped == 2
         span, counter = tracer.events
         assert span.sm == K80_SPEC.num_sms     # rebased to shard 1
@@ -320,26 +350,28 @@ class TestSeriesMergeEdgeCases:
         assert counter.req == ""
 
     def test_truncated_spill_names_file_and_line(self, tmp_path):
-        inst = self._inst(tmp_path)
-        with open(_trace_spill_path(inst.spill_dir, 1), "w") as f:
+        spill_dir = str(tmp_path)
+        with open(_trace_spill_path(spill_dir, 1), "w") as f:
             f.write(json.dumps({"shard": 1, "device": 1,
                                 "epoch_cycles": 50.0, "events": 1,
                                 "dropped": 0}) + "\n")
             f.write('{"warp": 3, "block": 0, "kind": "page_in", "sta')
         with pytest.raises(ValueError,
                            match=r"trace-shard001\.jsonl, line 2"):
-            _merge_spills(inst, 2, K80_SPEC.num_sms, Tracer())
+            _merge_spills(spill_dir, 2, K80_SPEC.num_sms, Tracer(),
+                          timeseries=True)
 
     def test_merge_series_stamps_launch_under_jobs_2(self):
         from repro.telemetry.timeseries import merge_series
 
-        result = launch_cluster(
-            _rpc_launches(make_devices(2)), jobs=2, timeseries=True,
-            window_cycles=500.0)
-        doc = {"components": {"timeseries": result.series}}
+        with capture(trace=False, timeseries=True, window_cycles=500.0):
+            result = launch_cluster(_rpc_launches(make_devices(2)),
+                                    jobs=2)
+        doc = result.profile.to_dict()
         merged = merge_series([doc, doc])
         assert merged["enabled"] == 2
-        assert merged["windows"] == 2 * result.series["windows"]
+        assert merged["windows"] \
+            == 2 * doc["components"]["timeseries"]["windows"]
         assert {w["launch"] for w in merged["series"]} == {0, 1}
 
 
@@ -354,10 +386,81 @@ class TestWorkerCrash:
                                   args=(d.alloc(4096), i == 1))
                     for i, d in enumerate(make_devices(2))]
         started = time.monotonic()
-        with pytest.raises(RuntimeError, match="shard kernel failed"):
-            launch_cluster(launches, jobs=2, tracer=Tracer())
+        with pytest.raises(RuntimeError, match="shard kernel failed"), \
+                capture():
+            launch_cluster(launches, jobs=2)
         assert time.monotonic() - started < WORKER_TIMEOUT / 4
         assert not list(tmp_path.glob("repro-shards-*"))
+        assert not multiprocessing.active_children()
+
+    def test_silent_worker_death_reported_promptly(self, monkeypatch,
+                                                   tmp_path):
+        """A worker that dies without reporting (killed, or its error
+        would not pickle) fails the launch long before the timeout."""
+        monkeypatch.delenv(WORKER_TIMEOUT_ENV, raising=False)
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        launches = [ClusterLaunch(d, death_kernel, 2, 64,
+                                  args=(d.alloc(4096), i == 1))
+                    for i, d in enumerate(make_devices(2))]
+        started = time.monotonic()
+        with pytest.raises(RuntimeError,
+                           match=f"shard 1 worker exited with code "
+                                 f"{DEATH_STATUS}"), capture():
+            launch_cluster(launches, jobs=2)
+        assert time.monotonic() - started < WORKER_TIMEOUT / 4
+        assert not list(tmp_path.glob("repro-shards-*"))
+        assert not multiprocessing.active_children()
+
+
+class TestWorkerTimeout:
+    def test_hung_shard_times_out_and_is_terminated(self, monkeypatch,
+                                                    tmp_path):
+        """A shard stuck in its kernel raises ``TimeoutError`` soon
+        after the worker timeout — not after the hang — and leaves no
+        worker process or spill directory behind."""
+        monkeypatch.setenv(WORKER_TIMEOUT_ENV, "1")
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        launches = [ClusterLaunch(d, hang_kernel, 2, 64,
+                                  args=(d.alloc(4096), i == 1))
+                    for i, d in enumerate(make_devices(2))]
+        started = time.monotonic()
+        with pytest.raises(TimeoutError, match="no progress"), capture():
+            launch_cluster(launches, jobs=2)
+        assert time.monotonic() - started < 10.0
+        assert not multiprocessing.active_children()
+        assert not list(tmp_path.glob("repro-shards-*"))
+
+
+class TestSanitizedCluster:
+    @staticmethod
+    def _sanitized(device):
+        device.sanitizer = Sanitizer()
+        return device
+
+    def test_jobs_1_matches_device_launch(self):
+        """A sanitized device reports the same findings in a cluster
+        as under ``Device.launch``: the two warps of the block store
+        to the same words unsynchronised, one torn write."""
+        ref = self._sanitized(make_devices(1)[0])
+        ref.launch(torn_kernel, 1, 64, args=(ref.alloc(4096),))
+        assert ref.sanitizer.stats.torn_writes == 1
+        d0, d1 = make_devices(2)
+        self._sanitized(d0)
+        launch_cluster([ClusterLaunch(d0, torn_kernel, 1, 64,
+                                      args=(d0.alloc(4096),)),
+                        ClusterLaunch(d1, compute_kernel, 2, 64)])
+        assert d0.sanitizer.stats == ref.sanitizer.stats
+        assert d0.sanitizer.stats.warps_watched == 2
+        assert [v.invariant for v in d0.sanitizer.violations] \
+            == [v.invariant for v in ref.sanitizer.violations]
+
+    def test_jobs_2_rejects_sanitized_device(self):
+        d0, d1 = make_devices(2)
+        self._sanitized(d1)
+        with pytest.raises(ValueError, match="device 1 .*sanitizer"):
+            launch_cluster([ClusterLaunch(d0, compute_kernel, 2, 64),
+                            ClusterLaunch(d1, compute_kernel, 2, 64)],
+                           jobs=2)
         assert not multiprocessing.active_children()
 
 

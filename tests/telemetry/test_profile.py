@@ -1,11 +1,12 @@
 """Telemetry layer: LaunchProfile schema, invariants, and hooks."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.core import APConfig, AVM
-from repro.gpu import Device
+from repro.gpu import Device, K80_SPEC
 from repro.telemetry import (
     LaunchProfile,
     MetricsRegistry,
@@ -294,3 +295,19 @@ class TestWrite:
         for path in profiles:
             with open(path) as f:
                 validate_profile(json.load(f))
+
+    def test_write_bytes_are_the_documents(self, memcpy_profile,
+                                           tmp_path):
+        """Each file is exactly its profile's ``to_dict()`` (indented,
+        sorted keys) or its trace in Chrome form on the device clock,
+        in launch order."""
+        expected = []
+        for profile, tracer in zip(memcpy_profile.profiles,
+                                   memcpy_profile.traces):
+            expected.append(json.dumps(profile.to_dict(), indent=2,
+                                       sort_keys=True))
+            if tracer is not None and tracer.events:
+                expected.append(json.dumps(
+                    tracer.to_chrome_trace(K80_SPEC)))
+        written = memcpy_profile.write(tmp_path)
+        assert [Path(path).read_text() for path in written] == expected
