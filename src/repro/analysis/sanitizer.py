@@ -299,17 +299,19 @@ class SanitizedWarpContext(WarpContext):
         self._san_pins: dict = {}
         self._san_aptrs: list = []
 
+    # Both stores record the materialised lanes, affine ones included,
+    # and hand the accessor's own address form on unchanged.
     def store(self, addrs, values, dtype="f4", mask=None):
         vec = self._addr_vec(addrs)
         self.sanitizer.note_store(
-            self, vec, int(np.dtype(dtype).itemsize), mask)
+            self, np.asarray(vec), int(np.dtype(dtype).itemsize), mask)
         return (yield from super().store(vec, values, dtype, mask=mask))
 
     def store_wide(self, addrs, values, dtype="f4", mask=None):
         vec = self._addr_vec(addrs)
         width = int(np.dtype(dtype).itemsize) \
             * int(np.asarray(values).shape[1])
-        self.sanitizer.note_store(self, vec, width, mask)
+        self.sanitizer.note_store(self, np.asarray(vec), width, mask)
         return (yield from super().store_wide(vec, values, dtype,
                                               mask=mask))
 

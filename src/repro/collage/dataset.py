@@ -109,7 +109,3 @@ class CollageDataset:
     # ------------------------------------------------------------------
     def candidates_for(self, query: np.ndarray) -> np.ndarray:
         return self.lsh.candidates_for(query)
-
-    def mean_candidates(self, queries: np.ndarray) -> float:
-        return float(np.mean([self.candidates_for(q).size
-                              for q in queries]))

@@ -75,11 +75,6 @@ class LSHIndex:
                  for t, key in enumerate(keys)]
         return np.unique(np.concatenate(found))
 
-    def bucket_sizes(self) -> np.ndarray:
-        """Sizes of every non-empty bucket across all tables."""
-        return np.array([len(v) for table in self.buckets
-                         for v in table.values()])
-
     # Cost accounting (used by the timing models): flops to hash one
     # vector across all tables.
     def hash_flops(self) -> float:

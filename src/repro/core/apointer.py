@@ -23,12 +23,15 @@ unlinks everything.
 
 Alongside the lane arrays each pointer keeps a small *warp summary*
 (whether any / every lane is linked, the page and frame every lane
-shares, the lane position range and a power-of-two alignment bound).
-The fault-free, warp-uniform dereference tests only those scalars — the
-simulator's analogue of the single ``__all`` vote — and anything they
-cannot prove (divergent lanes, masked lanes out of range, a page
-crossing) takes the per-lane vector path.  The summary is recomputed
-after every per-lane mutation and updated in O(1) on a scalar ``add``.
+shares, the lane position range and stride, and a power-of-two
+alignment bound).  The fault-free, warp-uniform dereference tests only
+those scalars — the simulator's analogue of the single ``__all`` vote —
+and anything they cannot prove (divergent lanes, masked lanes out of
+range, a page crossing) takes the per-lane vector path.  An unmasked
+dereference of lanes one element apart on one shared page reaches
+memory as :class:`~repro.gpu.memory.AffineLanes`, one coalesced span,
+rather than 32 addresses.  The summary is recomputed after every
+per-lane mutation and updated in O(1) on a scalar ``add``.
 
 Page faults use the warp-level *translation aggregation* of Listing 1:
 subgroups of lanes that fault on the same page elect a leader with
@@ -50,6 +53,7 @@ from repro.core.calibration import CostModel, cost_model_for
 from repro.core.config import APConfig, ImplVariant, PtrFormat
 from repro.gpu import warp_primitives as wp
 from repro.gpu.kernel import WarpContext
+from repro.gpu.memory import AffineLanes
 
 
 class APtrState(enum.Enum):
@@ -158,9 +162,9 @@ class APtr:
             self.pos = self.pos + np.asarray(delta, dtype=np.int64)
         else:
             # Every lane moves together: the position range and the
-            # alignment bound shift in O(1), and a pointer with no link,
-            # or whose range stays inside the page every lane is linked
-            # to, has nothing to unlink.
+            # alignment bound shift in O(1), the lane stride is kept, and
+            # a pointer with no link, or whose range stays inside the
+            # page every lane is linked to, has nothing to unlink.
             delta = int(delta)
             self.pos = self.pos + delta
             self._lo += delta
@@ -310,8 +314,13 @@ class APtr:
             self._mark_dirty(active)
         if self._page is not None:
             # One shared page: frame + in-page offset is pos + constant.
-            return self.pos + (self._frame + self.base_offset
-                               - self._page * self.page_size)
+            # Lanes ``width`` apart make one contiguous span, handed to
+            # memory as its base (the lowest lane) and stride.
+            offset = self._frame + self.base_offset \
+                - self._page * self.page_size
+            if mask is None and self._stride == width:
+                return AffineLanes(self._lo + offset, width, self.pos.size)
+            return self.pos + offset
         return self.frame_addr + self.in_page_vec()
 
     def _page_fault(self, ctx: WarpContext, active: np.ndarray,
@@ -439,8 +448,9 @@ class APtr:
         ``_all_write``: every lane is linked for writing; ``_page`` and
         ``_frame``: the page and frame every lane is linked to (``None``
         unless all lanes share one); ``_lo``/``_hi``: the lane position
-        range; ``_align``: a power of two dividing every
-        ``base_offset + pos`` (0 when all of them are 0).
+        range; ``_stride``: the common difference between consecutive
+        lanes' positions, else ``None``; ``_align``: a power of two
+        dividing every ``base_offset + pos`` (0 when all of them are 0).
         """
         valid = self.valid
         linked = int(np.count_nonzero(valid))
@@ -457,6 +467,9 @@ class APtr:
         pos = self.pos
         self._lo = int(pos.min())
         self._hi = int(pos.max())
+        steps = pos[1:] - pos[:-1]
+        self._stride = int(steps[0]) if (
+            steps.size and (steps == steps[0]).all()) else None
         bits = int(np.bitwise_or.reduce(self.base_offset + pos))
         self._align = bits & -bits
 

@@ -74,11 +74,6 @@ class SoftwareTLB:
         h = file_id * 0x9E3779B1 + xpage * 0x85EBCA77
         return (h ^ (h >> 13)) % self.entries
 
-    def resident_pins(self) -> list[tuple[tuple[int, int], int]]:
-        """``(key, global_held)`` of all cached entries."""
-        return [(e.key, e.global_held) for e in self._table
-                if e is not None]
-
     # ------------------------------------------------------------------
     # Timed operations
     # ------------------------------------------------------------------

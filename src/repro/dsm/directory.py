@@ -128,7 +128,3 @@ class Directory:
     def _check(self, device: int) -> None:
         if not 0 <= device < self.num_devices:
             raise ValueError(f"unknown device {device}")
-
-    def pages_in_state(self, state: PageState) -> list[int]:
-        return sorted(f for f, i in self._pages.items()
-                      if i.state is state)

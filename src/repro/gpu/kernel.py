@@ -38,7 +38,7 @@ from repro.gpu.instructions import (
     Sleep,
     TimedLock,
 )
-from repro.gpu.memory import GlobalMemory, Scratchpad
+from repro.gpu.memory import AffineLanes, GlobalMemory, Scratchpad
 from repro.gpu.specs import GPUSpec
 
 
@@ -259,6 +259,10 @@ class WarpContext:
              chain_tag: str = "") -> Iterator[Request]:
         """Warp-wide gather from global memory.
 
+        ``addrs``, here and in the accessors below, is a per-lane
+        address vector, one scalar address for every lane, or
+        :class:`~repro.gpu.memory.AffineLanes`.
+
         ``overlap_chain`` and ``post_chain`` support the speculative
         prefetch optimisation (§IV-B): the overlap chain runs while the
         data is in flight; the post chain runs after it arrives.
@@ -447,7 +451,12 @@ class WarpContext:
         return self.now
 
     # ------------------------------------------------------------------
-    def _addr_vec(self, addrs) -> np.ndarray:
+    def _addr_vec(self, addrs) -> np.ndarray | AffineLanes:
+        """Lane addresses as memory takes them: an int64 vector (a scalar
+        broadcast to every lane), or :class:`AffineLanes` passed through
+        for the memory layer's closed form."""
+        if type(addrs) is AffineLanes:
+            return addrs
         addrs = np.asarray(addrs, dtype=np.int64)
         if addrs.ndim == 0:
             addrs = np.full(self.warp_size, int(addrs), dtype=np.int64)

@@ -6,6 +6,11 @@ DRAM transactions is computed from the addresses exactly the way the
 hardware coalescer does — distinct 128-byte segments touched by the
 active lanes — so fully coalesced 4-byte accesses cost one transaction
 and scattered accesses cost up to 32.
+
+A warp access the translation layer has proven contiguous arrives as
+:class:`AffineLanes` (a base and a stride) instead of 32 addresses.  It
+is counted, bounds-checked and moved in closed form: one segment range,
+two integer compares and one slice.
 """
 
 from __future__ import annotations
@@ -22,6 +27,29 @@ DTYPE_WIDTHS = {
 
 class MemoryError_(Exception):
     """Raised on out-of-bounds simulated memory access."""
+
+
+class AffineLanes:
+    """The lane addresses ``base + i * stride`` for ``i`` in
+    ``range(lanes)`` (``lanes >= 1``), carried as three integers.
+
+    ``np.asarray`` of it is that int64 vector, so a consumer that needs
+    the lanes gets exactly them; :class:`GlobalMemory` serves it without
+    building the vector when the lanes tile one contiguous span.
+    """
+
+    __slots__ = ("base", "stride", "lanes", "shape")
+
+    def __init__(self, base: int, stride: int, lanes: int):
+        self.base = base
+        self.stride = stride
+        self.lanes = lanes
+        self.shape = (lanes,)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        vec = self.base + self.stride * np.arange(self.lanes,
+                                                  dtype=np.int64)
+        return vec if dtype is None else vec.astype(dtype, copy=False)
 
 
 class GlobalMemory:
@@ -80,6 +108,15 @@ class GlobalMemory:
     # lane-minor.  When lanes overlap, the scatter keeps the value written
     # last in that order, so byte ``i`` of a higher lane beats byte ``i``
     # of a lower one and any lane's byte ``i + 1`` beats every byte ``i``.
+    #
+    # An access is *contiguous* when ``addrs`` is :class:`AffineLanes`,
+    # ``mask`` is None and the stride equals the bytes per lane, at most
+    # ``transaction_bytes``.  Its lanes tile one span with no overlap, so
+    # it skips the index vectors: the coalescer counts the span's
+    # segments, the bounds check compares its two ends and the data moves
+    # as one slice.  The test is inlined in ``transactions_for``,
+    # ``_load`` and ``_store``, which run once per warp access.  Every
+    # other access, masked or divergent, takes the gather or scatter.
     # ------------------------------------------------------------------
     def load_vector(self, addrs: np.ndarray, dtype: str,
                     mask: np.ndarray | None = None) -> np.ndarray:
@@ -108,6 +145,10 @@ class GlobalMemory:
     def transactions_for(self, addrs: np.ndarray, width: int,
                          mask: np.ndarray | None = None) -> int:
         """DRAM transactions for a warp access (coalescer model)."""
+        if (type(addrs) is AffineLanes and mask is None
+                and addrs.stride == width <= self.transaction_bytes):
+            tb, base = self.transaction_bytes, addrs.base
+            return (base + addrs.lanes * width - 1) // tb - base // tb + 1
         addrs = np.asarray(addrs, dtype=np.int64)
         if mask is not None:
             addrs = addrs[mask]
@@ -119,8 +160,15 @@ class GlobalMemory:
     def _load(self, addrs, dt: np.dtype, elems: int, mask) -> np.ndarray:
         """``(lanes, elems)`` elements of ``dt`` from each lane's address;
         inactive lanes read as zero."""
-        addrs = np.asarray(addrs, dtype=np.int64).ravel()
         nbytes = dt.itemsize * elems
+        if (type(addrs) is AffineLanes and mask is None
+                and addrs.stride == nbytes <= self.transaction_bytes):
+            base, lanes = addrs.base, addrs.lanes
+            end = base + lanes * nbytes
+            if base < 0 or end > self.size:
+                raise self._span_error(base, end)
+            return self.data[base:end].copy().view(dt).reshape(lanes, elems)
+        addrs = np.asarray(addrs, dtype=np.int64).ravel()
         if mask is None:
             return self._gather(addrs, nbytes).view(dt)
         out = np.zeros((addrs.size, elems), dtype=dt)
@@ -141,8 +189,17 @@ class GlobalMemory:
     def _store(self, addrs, values, dt: np.dtype, mask) -> None:
         """Scatter each lane's row of ``values`` (one or more elements of
         ``dt``) to its address."""
-        addrs = np.asarray(addrs, dtype=np.int64).ravel()
         raw = np.ascontiguousarray(values, dtype=dt).view(np.uint8)
+        if (type(addrs) is AffineLanes and mask is None
+                and raw.size == addrs.stride * addrs.lanes
+                and addrs.stride <= self.transaction_bytes):
+            base = addrs.base
+            end = base + raw.size
+            if base < 0 or end > self.size:
+                raise self._span_error(base, end)
+            self.data[base:end] = raw.ravel()
+            return
+        addrs = np.asarray(addrs, dtype=np.int64).ravel()
         raw = raw.reshape(addrs.size, -1)
         if mask is not None:
             active = mask.ravel()
@@ -169,6 +226,14 @@ class GlobalMemory:
                 f"device access [{addr}, {addr + nbytes}) out of bounds "
                 f"(size {self.size})"
             )
+
+    def _span_error(self, start: int, end: int) -> MemoryError_:
+        """The error :meth:`_check_vec` raises for contiguous lanes
+        covering ``[start, end)``."""
+        return MemoryError_(
+            f"device vector access out of bounds: "
+            f"[{start}, {end}) size {self.size}"
+        )
 
     def _check_vec(self, addrs: np.ndarray, width: int) -> None:
         # Viewed as unsigned, a negative address exceeds any size, so one

@@ -246,9 +246,6 @@ class GPUfs:
     def handle_for(self, file_id: int) -> FileHandle:
         return self._handles[file_id]
 
-    def file_size(self, file_id: int) -> int:
-        return self.handle_for(file_id).size()
-
     @property
     def page_size(self) -> int:
         return self.config.page_size

@@ -188,10 +188,6 @@ class PageTable:
         self.removes += 1
         return True
 
-    @property
-    def load_factor(self) -> float:
-        return len(self._index) / self.nslots
-
     def collision_rate(self) -> float:
         """Fraction of lookups that needed more than one probe."""
         if self.lookups == 0:

@@ -88,9 +88,6 @@ class MetricsRegistry:
         self._ids.add(id(stats))
         self._components.append((kind, stats, _numeric_fields(stats)))
 
-    def kinds(self) -> list[str]:
-        return sorted({kind for kind, _, _ in self._components})
-
     def components(self) -> list:
         """Live ``(kind, stats_obj)`` pairs — what the time-series
         sampler probes by snapshot at window boundaries (with its own

@@ -122,7 +122,6 @@ class TimeseriesSampler(EngineProfile):
         self._flushed_until = 0      # all indices < this are closed
         self._next_roll = self.window_cycles
         self._baselines: dict[int, dict] = {}
-        self._totals: dict[str, float] = {}
         # Baseline every already-registered component now (launch
         # start), so the first window reports deltas, not nothing.
         self._probe_deltas()
@@ -331,7 +330,6 @@ class TimeseriesSampler(EngineProfile):
             "counters": self._probe_deltas(),
             "gauges": self._read_gauges(),
         }
-        self._accumulate(record)
         if len(self.windows) < self.max_windows:
             self.windows.append(record)
         else:
@@ -344,25 +342,6 @@ class TimeseriesSampler(EngineProfile):
             self.sink(record)
         if self.tracer is not None:
             self._counter_events(record)
-
-    def _accumulate(self, record: dict) -> None:
-        t = self._totals
-        t["windows"] = t.get("windows", 0) + 1
-        t["cycles"] = record["t1"]
-        t["sm_busy_cycles"] = (t.get("sm_busy_cycles", 0.0)
-                               + sum(record["sm_busy"]))
-        for key in ("instructions", "dram_bytes", "dram_transactions",
-                    "dram_busy", "dram_queue_cycles", "pcie_bytes",
-                    "pcie_busy"):
-            t[key] = t.get(key, 0) + record[key]
-        for reason, cycles in record["stalls"].items():
-            key = f"stall_cycles.{reason}"
-            t[key] = t.get(key, 0.0) + cycles
-        for name, value in record["counters"].items():
-            key = f"counter.{name}"
-            t[key] = t.get(key, 0) + value
-        for name, value in record["gauges"].items():
-            t[f"gauge.{name}"] = value
 
     def _counter_events(self, record: dict) -> None:
         """Mirror the window onto the tracer as Chrome counter tracks."""
@@ -378,11 +357,6 @@ class TimeseriesSampler(EngineProfile):
             self.tracer.record_counter(f"gauge.{name}", t1, value)
 
     # -- consumers -----------------------------------------------------
-    def snapshot(self) -> dict:
-        """Cumulative totals over every closed window (for Prometheus
-        exposition and dashboard summaries)."""
-        return dict(self._totals)
-
     def to_component(self) -> dict:
         """The ``components.timeseries`` section of the profile."""
         return {

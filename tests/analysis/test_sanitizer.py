@@ -180,6 +180,45 @@ class TestTornWrite:
         slots = device.memory.read(buf, 32 * 32).view(np.float32)
         assert np.array_equal(slots.reshape(32, 8)[:, :3], wide[:, :3])
 
+    @pytest.mark.parametrize("op, lane_bytes", [("write", 4),
+                                                 ("write_wide", 8)])
+    @pytest.mark.parametrize("shift, torn", [(0.5, 1), (1, 0)])
+    def test_apointer_stores_are_checked(self, env, op, lane_bytes, shift,
+                                         torn):
+        # Each warp writes one contiguous warp line through its own
+        # apointer; warp 1's line starts half a line (overlapping) or a
+        # whole line (disjoint) after warp 0's.
+        # A local import keeps the line numbers that lint-baseline.json
+        # records for the kernels above.
+        from repro.core import AVM, APConfig
+
+        device, gpufs, _ = env
+        buf = device.alloc(PAGE)
+        avm = AVM(APConfig())
+        line = 32 * lane_bytes
+        start = int(shift * line)
+
+        def kernel(ctx):
+            ptr = avm.gvmmap_device(ctx, buf, PAGE, write=True)
+            yield from ptr.seek(ctx, ctx.warp_in_block * start
+                                + ctx.lane * lane_bytes)
+            if op == "write":
+                yield from ptr.write(ctx, np.ones(32, np.float32), "f4")
+            else:
+                yield from ptr.write_wide(
+                    ctx, np.ones((32, 2), np.float32), "f4")
+            yield from ptr.destroy(ctx)
+
+        device.launch(kernel, grid=1, block_threads=64)
+        violations = gpufs.sanitizer.violations
+        assert len(violations) == torn
+        assert gpufs.sanitizer.stats.stores_checked == 2
+        if torn:
+            [v] = violations
+            assert v.invariant == "torn-write"
+            assert (v.details["addr_lo"], v.details["addr_hi"]) == (
+                buf + start, buf + line)
+
     def test_barrier_orders_the_writes(self, env):
         device, gpufs, _ = env
         buf = device.alloc(PAGE)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from repro.core import AArray, APConfig, APtrState, PtrFormat
 from repro.core.apointer import APtr, BoundsError, ProtectionError
 from repro.gpu import Device
+from repro.gpu.memory import AffineLanes
 from repro.host import HostFileSystem
 from repro.host.filesys import O_RDWR
 from repro.host.ramfs import RamFS
@@ -444,7 +445,9 @@ def lane_summary(ptr):
     all_linked = bool(valid.all())
     shared = (all_linked and np.unique(ptr.linked_xpage).size == 1
               and np.unique(ptr.frame_addr).size == 1)
+    steps = np.diff(ptr.pos)
     return {
+        "stride": int(steps[0]) if (steps == steps[0]).all() else None,
         "any_linked": bool(valid.any()),
         "all_linked": all_linked,
         "all_write": all_linked and bool(ptr.linked_write.all()),
@@ -484,15 +487,23 @@ real_deref = APtr._deref
 
 def checked_deref(self, ctx, width, write, mask):
     addrs = yield from real_deref(self, ctx, width, write, mask)
-    assert np.array_equal(addrs, self.frame_addr + self.in_page_vec())
+    lanes = np.asarray(addrs)
+    assert lanes.dtype == np.int64
+    assert np.array_equal(lanes, self.frame_addr + self.in_page_vec())
+    # Exactly the unmasked, one-page, element-apart dereferences are
+    # handed to memory as affine lanes.
+    affine = (mask is None and self._page is not None
+              and self._stride == width)
+    assert isinstance(addrs, AffineLanes) == affine
     return addrs
 
 
 class TestSummaryAgainstLaneArrays:
     """After every operation the warp summary equals the predicates
     recomputed from the lane arrays, every dereference returns
-    ``frame_addr + in_page_vec()``, bounds errors match the per-lane
-    rule, and reads return the bytes last written there."""
+    ``frame_addr + in_page_vec()`` (as a vector or as affine lanes),
+    bounds errors match the per-lane rule, and reads return the bytes
+    last written there."""
 
     @settings(max_examples=40, deadline=None)
     @given(backend=st.sampled_from(["device", "device-odd", "gpufs",
@@ -505,6 +516,15 @@ class TestSummaryAgainstLaneArrays:
     # Every lane 16-aligned, yet the access straddles a 1000-byte page.
     @example(backend="device-odd", program=[
         ("seek", 992, 0), ("read_wide", 4, None)])
+    # Affine lanes: written, read back, then read wide after a per-lane
+    # seek to a 16-byte stride and a scalar add that keeps it.
+    @example(backend="gpufs", program=[
+        ("seek", 0, 4), ("write", "u4", None, 9), ("read", "u4", None),
+        ("seek", 16, 16), ("add", 128), ("read_wide", 4, None)])
+    # The same shape under a mask stays an address vector.
+    @example(backend="device", program=[
+        ("seek", 0, 4), ("read", "u4", 0xFFFF0000),
+        ("write", "u4", 0x0000FFFF, 3)])
     def test_summary_matches_lanes(self, backend, program):
         rng = np.random.RandomState(5)
         image = rng.randint(0, 256, (MAP_PAGES + 1) * PAGE, dtype=np.uint8)

@@ -2,10 +2,16 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.gpu.memory import DTYPE_WIDTHS, GlobalMemory, MemoryError_, Scratchpad
+from repro.gpu.memory import (
+    DTYPE_WIDTHS,
+    AffineLanes,
+    GlobalMemory,
+    MemoryError_,
+    Scratchpad,
+)
 
 
 @pytest.fixture
@@ -274,6 +280,59 @@ def raises(fn) -> bool:
     return False
 
 
+@st.composite
+def affine_accesses(draw, max_elems: int = 1):
+    """(dtype, elems, AffineLanes, mask, values, initial memory).
+
+    The base may lie below 0 or past ``SIZE``.  The stride is usually
+    the access's bytes per lane (one element, or ``elems`` of them) and
+    the mask usually ``None``, the shape the closed form serves;
+    otherwise the lanes overlap, leave gaps or run backwards."""
+    dtype = draw(st.sampled_from(sorted(DTYPE_WIDTHS)))
+    elems = draw(st.integers(1, max_elems))
+    width = DTYPE_WIDTHS[dtype]
+    nbytes = width * elems
+    lanes = draw(st.integers(1, 32))
+    stride = draw(st.sampled_from([nbytes, nbytes, width, width, 0, 1,
+                                   nbytes + 1, 2 * nbytes, -width]))
+    last = SIZE - lanes * nbytes       # the base whose span ends at SIZE
+    base = draw(st.one_of(
+        st.integers(0, max(0, last)),
+        st.sampled_from([-1, last, last + 1]),
+        st.integers(-2 * SIZE, 2 * SIZE)))
+    mask = draw(st.one_of(st.none(), masks(lanes)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.integers(0, 256, lanes * nbytes, dtype=np.uint8).view(
+        np.dtype(dtype)).reshape(lanes, elems)
+    init = rng.integers(0, 256, SIZE, dtype=np.uint8)
+    return dtype, elems, AffineLanes(base, stride, lanes), mask, values, init
+
+
+def span_access(dtype: str, elems: int, end: int):
+    """An unmasked 32-lane contiguous access whose span ends at ``end``."""
+    nbytes = DTYPE_WIDTHS[dtype] * elems
+    rng = np.random.default_rng(end)
+    values = rng.integers(0, 256, 32 * nbytes, dtype=np.uint8).view(
+        np.dtype(dtype)).reshape(32, elems)
+    init = rng.integers(0, 256, SIZE, dtype=np.uint8)
+    return (dtype, elems, AffineLanes(end - 32 * nbytes, nbytes, 32), None,
+            values, init)
+
+
+#: Spans ending exactly at the end of memory, and one byte past it.
+SPAN_EDGES = [span_access("f4", 1, SIZE), span_access("u2", 4, SIZE),
+              span_access("f8", 2, SIZE + 1), span_access("i1", 3, SIZE + 1)]
+
+
+def outcome(fn):
+    """``(result, None)``, or ``(None, (type, message))`` of the
+    ``MemoryError_`` that ``fn()`` raised."""
+    try:
+        return fn(), None
+    except MemoryError_ as err:
+        return None, (type(err), str(err))
+
+
 class TestAgainstPerByteReference:
     @settings(max_examples=300, deadline=None)
     @given(accesses())
@@ -345,6 +404,81 @@ class TestAgainstPerByteReference:
         assert raises(lambda: mem.store_vector_wide(
             addrs, values, dtype, mask=mask)) == raises(
             lambda: ref.store_vector_wide(addrs, values, dtype, mask=mask))
+
+    # AffineLanes is one more input: against the same accessor given its
+    # materialised lanes (the gather/scatter path), results, memory,
+    # transaction counts and error messages are equal; against the
+    # per-byte reference, results, memory and the verdict are.
+    @settings(max_examples=400, deadline=None)
+    @given(affine_accesses(max_elems=4))
+    @example(SPAN_EDGES[0])
+    @example(SPAN_EDGES[1])
+    @example(SPAN_EDGES[2])
+    @example(SPAN_EDGES[3])
+    def test_affine_load_matches_gather(self, access):
+        dtype, elems, lanes, mask, _, init = access
+        vec = np.asarray(lanes)
+        mem, ref = pair(init)
+        for load in (lambda m, a: m.load_vector(a, dtype, mask=mask),
+                     lambda m, a: m.load_vector_wide(a, dtype, elems,
+                                                     mask)):
+            got, err = outcome(lambda: load(mem, lanes))
+            want, want_err = outcome(lambda: load(mem, vec))
+            assert err == want_err
+            assert raises(lambda: load(ref, vec)) == (err is not None)
+            if err is not None:
+                continue
+            assert same_bits(got, want)
+            assert same_bits(got, load(ref, vec))
+            # The values are a copy, not a view of device memory.
+            kept = got.copy()
+            mem.data ^= 0xFF
+            assert same_bits(got, kept)
+            mem.data[:] = init
+
+    @settings(max_examples=400, deadline=None)
+    @given(affine_accesses(max_elems=4), st.booleans())
+    @example(SPAN_EDGES[0], False)
+    @example(SPAN_EDGES[1], False)
+    @example(SPAN_EDGES[2], False)
+    @example(SPAN_EDGES[3], True)
+    def test_affine_store_matches_scatter(self, access, as_list):
+        dtype, elems, lanes, mask, values, init = access
+        vec = np.asarray(lanes)
+        # A list of Python scalars is cast to ``dtype`` on the way in.
+        one = values[:, 0].tolist() if as_list else values[:, 0]
+        for store in (lambda m, a: m.store_vector(a, one, dtype, mask=mask),
+                      lambda m, a: m.store_vector_wide(a, values, dtype,
+                                                       mask=mask)):
+            mem, ref = pair(init)
+            scatter = GlobalMemory(SIZE)
+            scatter.data[:] = init
+            _, err = outcome(lambda: store(mem, lanes))
+            _, want_err = outcome(lambda: store(scatter, vec))
+            assert err == want_err
+            assert np.array_equal(mem.data, scatter.data)
+            assert raises(lambda: store(ref, vec)) == (err is not None)
+            if err is None:
+                assert np.array_equal(mem.data, ref.data)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(1, 32), st.integers(-(1 << 12), 1 << 20),
+           st.sampled_from([1, 2, 4, 8, 16, 32, 128, 200]),
+           st.sampled_from([0, 1, -1]), st.sampled_from([32, 64, 128]),
+           st.data())
+    def test_affine_transactions_match_lanes(self, lanes, base, width,
+                                             skew, tb, data):
+        # Segment-aligned bases put the span's end on a boundary often.
+        if data.draw(st.booleans()):
+            base -= base % tb
+        stride = width + skew if data.draw(st.booleans()) else width
+        addrs = AffineLanes(base, stride, lanes)
+        mask = data.draw(st.one_of(st.none(), masks(lanes)))
+        mem = GlobalMemory(SIZE, transaction_bytes=tb)
+        vec = np.asarray(addrs)
+        assert mem.transactions_for(addrs, width, mask=mask) \
+            == mem.transactions_for(vec, width, mask=mask) \
+            == PerByteMemory(mem.data, tb).transactions_for(vec, width, mask)
 
 
 class TestScratchpad:
