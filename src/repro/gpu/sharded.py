@@ -80,17 +80,18 @@ Shard RNGs are seeded with the stable per-shard
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import time
 import traceback
+from contextlib import closing
 from queue import Empty
 
 import numpy as np
 
 from repro.gpu.engine import Engine
 from repro.telemetry.hooks import EngineProfile
+from repro.telemetry.timeseries import SpillWriter, read_jsonl
 
 #: Seconds without any worker message before the parent gives up.
 #: Overridable through the environment (:data:`WORKER_TIMEOUT_ENV`) for
@@ -185,19 +186,31 @@ class _Shard:
             return cycles, engine.stats, None
         index, epoch = self.index, self.epoch
         tracer = observer.tracer
+        spills = []
         if tracer is not None:
-            _write_spill(
-                _trace_spill_path(self.spill_dir, index), index, epoch,
+            spills.append((
+                _trace_spill_path(self.spill_dir, index),
                 {"events": len(tracer.events), "dropped": tracer.dropped},
-                map(vars, tracer.events), "start")
+                map(vars, tracer.events), "start"))
         if observer.advance is not None:        # a windowed sampler
-            _write_spill(
-                _series_spill_path(self.spill_dir, index), index, epoch,
+            spills.append((
+                _series_spill_path(self.spill_dir, index),
                 {"window_cycles": observer.window_cycles,
                  "windows": (len(observer.windows)
                              + observer.dropped_windows),
                  "dropped_windows": observer.dropped_windows},
-                observer.windows, "t0")
+                observer.windows, "t0"))
+        # Header: the (shard, device, epoch_cycles) stamp, then the
+        # stream's meta; each record is stamped (shard, device, epoch)
+        # with the epoch its ``record[start_key]`` cycle falls in.
+        stamp = {"shard": index, "device": index}
+        for path, meta, records, start_key in spills:
+            with closing(SpillWriter(
+                    path, {**stamp, "epoch_cycles": epoch, **meta},
+                    stamp)) as out:
+                for record in records:
+                    out.write(record,
+                              epoch=int(record[start_key] // epoch))
         # The launch totals only: the observer holds the tracer, and
         # its series already left in the spill.
         return cycles, engine.stats, EngineProfile.merged([observer])
@@ -221,38 +234,6 @@ def _series_spill_path(spill_dir: str, index: int) -> str:
     return os.path.join(spill_dir, f"series-shard{index:03d}.jsonl")
 
 
-def _write_spill(path: str, index: int, epoch: float, meta: dict,
-                 records, start_key: str) -> None:
-    """Write one spill file: a header line (``meta`` after the ``(shard,
-    device, epoch_cycles)`` stamp), then one line per record, copied
-    and stamped ``(shard, device, epoch)`` with the epoch its
-    ``record[start_key]`` cycle falls in."""
-    with open(path, "w") as f:
-        f.write(json.dumps({"shard": index, "device": index,
-                            "epoch_cycles": epoch, **meta}) + "\n")
-        for record in records:
-            epoch_index = int(record[start_key] // epoch)
-            f.write(json.dumps(dict(record, shard=index, device=index,
-                                    epoch=epoch_index)) + "\n")
-
-
-def _read_spill(path: str):
-    """Yield the header, then every record, of one spill file; nothing
-    when the shard wrote none.  A truncated or corrupt line raises
-    ``ValueError`` naming the file and line."""
-    if not os.path.exists(path):
-        return
-    with open(path) as f:
-        for lineno, line in enumerate(f, 1):
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(
-                    f"corrupt spill file {path}, line {lineno}: "
-                    f"{exc.msg}") from None
-            yield record
-
-
 def _merge_spills(spill_dir: str, n: int, num_sms: int, tracer,
                   timeseries: bool) -> dict | None:
     """Deterministically merge the per-shard spill files, shard order.
@@ -269,14 +250,23 @@ def _merge_spills(spill_dir: str, n: int, num_sms: int, tracer,
     windows = 0
     dropped_windows = 0
     window_cycles = 0.0
+
+    def whole(path: str) -> list:
+        # Shards write whole files: an unterminated last line is a
+        # truncated spill, not a writer mid-line.
+        records, end = read_jsonl(path)
+        if os.path.exists(path) and end < os.path.getsize(path):
+            raise ValueError(f"corrupt JSONL file {path}, line "
+                             f"{len(records) + 1}: no newline at end")
+        return records
+
     for index in range(n):
         base = index * num_sms
         if tracer is not None:
-            records = _read_spill(_trace_spill_path(spill_dir, index))
-            meta = next(records, None)
-            if meta is not None:
-                tracer.dropped += int(meta.get("dropped", 0))
-            for rec in records:
+            records = whole(_trace_spill_path(spill_dir, index))
+            if records:
+                tracer.dropped += int(records[0].get("dropped", 0))
+            for rec in records[1:]:
                 sm = rec["sm"]
                 if sm >= 0:
                     sm += base
@@ -287,16 +277,16 @@ def _merge_spills(spill_dir: str, n: int, num_sms: int, tracer,
                               rec["start"], rec["end"], rec["detail"],
                               sm=sm, req=req)
         if timeseries:
-            records = _read_spill(_series_spill_path(spill_dir, index))
-            meta = next(records, None)
-            if meta is not None:
+            records = whole(_series_spill_path(spill_dir, index))
+            if records:
+                meta = records[0]
                 enabled = 1
                 windows += int(meta.get("windows", 0))
                 dropped_windows += int(meta.get("dropped_windows", 0))
                 window_cycles = max(window_cycles,
                                     float(meta.get("window_cycles",
                                                    0.0)))
-            series.extend(records)
+            series.extend(records[1:])
     if not timeseries:
         return None
     return {

@@ -33,9 +33,10 @@ fails on tier-1 regressions.
 (:mod:`repro.telemetry.timeseries`) for every launch: profiles gain a
 ``components.timeseries`` section holding the sampled
 series.  ``--live-dir PATH`` additionally streams the samples as they
-happen — ``PATH/<experiment>/series-*.jsonl`` plus ``heartbeats.jsonl``
-and a Prometheus ``metrics.prom`` snapshot — the layout ``repro-obs top
-PATH/<experiment>`` renders live.  ``--window-cycles N`` sets the
+happen — ``PATH/<experiment>/series-*.jsonl`` (a header line, then one
+stamped window per line: the format sharded-cluster spills use) plus
+``heartbeats.jsonl`` — the layout ``repro-obs top PATH/<experiment>``
+renders live.  ``--window-cycles N`` sets the
 sampling window width; ``--no-progress`` suppresses the stderr
 progress line (heartbeat files are still written).
 """

@@ -20,8 +20,8 @@ Heartbeat kinds:
 
 The renderer also appends every heartbeat to ``<live_dir>/
 heartbeats.jsonl`` when a live directory is given — the stream
-``repro-obs top`` tails — and periodically rewrites a Prometheus
-text-exposition snapshot next to it.
+``repro-obs top`` tails next to the per-point series files.  Heartbeats
+have their own append writer: they are lifecycle events, not a series.
 """
 
 from __future__ import annotations
@@ -38,11 +38,7 @@ from typing import Callable, Optional
 #: carry every window).
 DEFAULT_MIN_INTERVAL = 0.2
 
-#: Rewrite the Prometheus snapshot at most this often (seconds).
-PROM_SNAPSHOT_INTERVAL = 1.0
-
 HEARTBEATS_NAME = "heartbeats.jsonl"
-PROM_NAME = "metrics.prom"
 
 
 def make_heartbeat(kind: str, experiment: str, **fields) -> dict:
@@ -102,10 +98,11 @@ class HeartbeatSender:
 
 
 class HeartbeatRenderer:
-    """The single writer of the progress line (and of the live files).
+    """The single writer of the progress line (and of the heartbeat
+    stream).
 
-    ``show=False`` still processes heartbeats — files are written, the
-    line is not (the ``--no-progress``-safe fallback).  ``stream``
+    ``show=False`` still processes heartbeats — the stream is written,
+    the line is not (the ``--no-progress``-safe fallback).  ``stream``
     defaults to stderr; tests pass a ``StringIO``.
     """
 
@@ -113,7 +110,6 @@ class HeartbeatRenderer:
                  live_dir: Optional[str] = None):
         self.show = show
         self.stream = stream if stream is not None else sys.stderr
-        self.live_dir = live_dir
         self.total = 0
         self.done = 0
         self.errors = 0
@@ -123,8 +119,9 @@ class HeartbeatRenderer:
         self.last_window: Optional[dict] = None
         self._hb_fh = None
         self._line_open = False
-        self._prom_at = 0.0
-        self._totals: dict[str, float] = {}
+        #: Component counter totals over every window beat, for the
+        #: cache hit rate.
+        self.counters: dict[str, float] = {}
         if live_dir:
             os.makedirs(live_dir, exist_ok=True)
             self._hb_fh = open(os.path.join(live_dir, HEARTBEATS_NAME),
@@ -132,7 +129,7 @@ class HeartbeatRenderer:
 
     # ------------------------------------------------------------------
     def handle(self, beat: dict) -> None:
-        """Consume one heartbeat: update state, files, and the line."""
+        """Consume one heartbeat: update state, the stream, the line."""
         kind = beat.get("kind")
         if kind == "start":
             self.experiment = beat.get("experiment", "")
@@ -143,7 +140,8 @@ class HeartbeatRenderer:
             self.started = time.monotonic()
         elif kind == "window":
             self.last_window = beat
-            self._accumulate(beat)
+            for name, value in beat.get("counters", {}).items():
+                self.counters[name] = self.counters.get(name, 0) + value
         elif kind == "point_done":
             self.done += 1
             if not beat.get("ok", True):
@@ -151,37 +149,9 @@ class HeartbeatRenderer:
         if self._hb_fh is not None:
             self._hb_fh.write(json.dumps(beat) + "\n")
             self._hb_fh.flush()
-            self._maybe_prom()
         self._render()
         if kind == "run_done":
             self.close()
-
-    def _accumulate(self, beat: dict) -> None:
-        t = self._totals
-        t["dram_bytes"] = (t.get("dram_bytes", 0)
-                           + beat.get("dram_bytes", 0))
-        t["pcie_bytes"] = (t.get("pcie_bytes", 0)
-                           + beat.get("pcie_bytes", 0))
-        for name, value in beat.get("counters", {}).items():
-            key = f"counter.{name}"
-            t[key] = t.get(key, 0) + value
-        for name, value in beat.get("gauges", {}).items():
-            t[f"gauge.{name}"] = value
-
-    def _maybe_prom(self) -> None:
-        if self.live_dir is None:
-            return
-        now = time.monotonic()
-        if now - self._prom_at < PROM_SNAPSHOT_INTERVAL:
-            return
-        self._prom_at = now
-        from repro.telemetry.timeseries import write_prometheus
-        metrics = dict(self._totals)
-        metrics["points_done"] = self.done
-        metrics["points_total"] = self.total
-        metrics["point_errors"] = self.errors
-        write_prometheus(os.path.join(self.live_dir, PROM_NAME),
-                         metrics)
 
     # ------------------------------------------------------------------
     def _render(self) -> None:
@@ -197,7 +167,7 @@ class HeartbeatRenderer:
             if busy:
                 parts.append(
                     f"busy {sum(busy) / len(busy):.0%}")
-            hit = cache_hit_rate(self._totals)
+            hit = cache_hit_rate(self.counters)
             if hit is not None:
                 parts.append(f"cache {hit:.0%}")
         eta = self.eta()
@@ -219,18 +189,16 @@ class HeartbeatRenderer:
             self.stream.flush()
             self._line_open = False
         if self._hb_fh is not None:
-            # Final snapshot regardless of the rewrite interval.
-            self._prom_at = 0.0
-            self._maybe_prom()
             self._hb_fh.close()
             self._hb_fh = None
 
 
-def cache_hit_rate(totals: dict) -> Optional[float]:
-    """Page-cache hit rate from accumulated counter totals: minor
-    faults are hits (page already resident), major faults are misses."""
-    minor = totals.get("counter.paging.minor_faults", 0)
-    major = totals.get("counter.paging.major_faults", 0)
+def cache_hit_rate(counters: dict) -> Optional[float]:
+    """Page-cache hit rate from accumulated component counter totals
+    (``paging.minor_faults`` ...): minor faults are hits (page already
+    resident), major faults are misses."""
+    minor = counters.get("paging.minor_faults", 0)
+    major = counters.get("paging.major_faults", 0)
     faults = minor + major
     if not faults:
         return None

@@ -245,5 +245,7 @@ def _cell(value) -> str:
             return "NaN"
         if math.isinf(value):
             return "+inf" if value > 0 else "-inf"
+        if value == 0:
+            return "0"      # not "-0" for a negative zero
         return f"{value:g}"
     return str(value)

@@ -21,7 +21,8 @@ with:
   under the cycle-window sampler
   (:mod:`repro.telemetry.timeseries`): each process streams its
   point's windows to a ``series-*.jsonl`` file in the live directory
-  and ships compact heartbeats to the parent over a manager queue;
+  (through the series writer shard spills use) and ships compact
+  heartbeats to the parent over a manager queue;
 * a **progress line** on stderr when attached to a terminal — drawn
   by exactly one :class:`~repro.harness.heartbeat.HeartbeatRenderer`
   in the parent, so ``--jobs N`` output never interleaves.
@@ -63,15 +64,15 @@ class LiveOptions:
 
     ``live_dir`` receives the streaming layout ``repro-obs top`` tails:
     one ``series-<experiment>-p<NNN>.jsonl`` per grid point, written
-    by whichever process ran the point, plus parent-written
-    ``heartbeats.jsonl`` and ``metrics.prom`` snapshots.  With
+    by whichever process ran the point with the series writer shared
+    with shard spills (:class:`~repro.telemetry.timeseries.SpillWriter`),
+    plus the parent-written ``heartbeats.jsonl``.  With
     ``live_dir=None`` heartbeats still drive the progress line but
     nothing is written to disk.  The dataclass is frozen and
     field-picklable, so it ships to spawn workers as-is.
     """
 
     live_dir: Optional[str] = None
-    timeseries: bool = True
     window_cycles: Optional[float] = None     # None = sampler default
     heartbeat_interval: float = DEFAULT_MIN_INTERVAL
 
@@ -171,20 +172,21 @@ def _sampling_config(live: Optional["LiveOptions"], exp_name: str,
                      index: int, sender: Optional[HeartbeatSender]):
     """Per-point sampling wiring for :func:`_execute_point`, or
     ``None`` when live telemetry is off.  Built in the process that
-    runs the point (the ``on_window`` closure is not picklable)."""
-    if live is None or not live.timeseries:
+    runs the point (the heartbeat closure is not picklable)."""
+    if live is None:
         return None
+    from repro.telemetry.timeseries import DEFAULT_WINDOW_CYCLES
     cfg: dict = {
-        "window_cycles": live.window_cycles,
-        "meta": {"experiment": exp_name, "point": index,
-                 "pid": os.getpid()},
+        "window_cycles": float(live.window_cycles
+                               or DEFAULT_WINDOW_CYCLES),
+        "stamp": {"experiment": exp_name, "point": index,
+                  "pid": os.getpid()},
+        "beat": (lambda record:
+                 sender.window_beat(exp_name, index, record)),
     }
     if live.live_dir:
         cfg["series_path"] = os.path.join(
             live.live_dir, f"series-{exp_name}-p{index:03d}.jsonl")
-    if sender is not None:
-        cfg["on_window"] = (
-            lambda record: sender.window_beat(exp_name, index, record))
     return cfg
 
 
@@ -197,32 +199,37 @@ def _execute_point(point_fn, params: dict, seed: int, scale: str,
     launch (the analyzer needs the event log) and stores the
     cycle-attribution summary in each profile's components.
     ``sampling`` (a :func:`_sampling_config` dict) turns on the
-    cycle-window sampler and streams each point's windows to its own
-    series file."""
+    cycle-window sampler; its one sink writes each closed window to
+    the point's series file (a header line, then windows stamped with
+    ``{experiment, point, pid}``) and sends the window heartbeat."""
     _seed_rngs(seed)
     if not profile:
         return point_fn(scale=scale, **params), [], []
-    from repro.telemetry import capture
+    from repro.telemetry import SpillWriter, capture
     kwargs: dict = {}
-    sink = None
+    writer = None
     if sampling is not None:
-        kwargs["timeseries"] = True
-        kwargs["window_cycles"] = sampling.get("window_cycles")
+        beat = sampling["beat"]
+        kwargs.update(timeseries=True, series_sink=beat,
+                      window_cycles=sampling["window_cycles"])
         if sampling.get("series_path"):
-            from repro.telemetry.timeseries import JsonlSink
-            sink = JsonlSink(sampling["series_path"],
-                             meta=sampling.get("meta"),
-                             on_window=sampling.get("on_window"))
-            kwargs["series_sink"] = sink
-        elif sampling.get("on_window") is not None:
-            kwargs["series_sink"] = sampling["on_window"]
+            stamp = sampling["stamp"]
+            writer = SpillWriter(
+                sampling["series_path"],
+                dict(stamp, window_cycles=sampling["window_cycles"]),
+                stamp)
+
+            def series_sink(record: dict) -> None:
+                writer(record)
+                beat(record)
+            kwargs["series_sink"] = series_sink
     try:
         with capture(trace=trace or attribution, max_traces=1,
                      attribution=attribution, **kwargs) as prof:
             rows = point_fn(scale=scale, **params)
     finally:
-        if sink is not None:
-            sink.close()
+        if writer is not None:
+            writer.close()
     return rows, [p.to_dict() for p in prof.profiles], prof.traces
 
 
@@ -237,7 +244,7 @@ def _pool_task(point_fn, index: int, params: dict, seed: int,
     """
     try:
         sender = None
-        if beat_queue is not None and live is not None:
+        if live is not None:        # run_experiment passes a queue
             sender = HeartbeatSender(beat_queue.put,
                                      min_interval=live.heartbeat_interval)
         sampling = _sampling_config(live, exp_name, index, sender)
@@ -331,7 +338,7 @@ def run_experiment(exp: Experiment, *, scale: str = "quick",
         pool = executor if executor is not None else spawn_executor(jobs)
         manager = None
         beat_queue = None
-        if live is not None and live.timeseries:
+        if live is not None:
             # Spawn-safe heartbeat channel: a manager-proxy queue is
             # picklable, so workers can push window beats mid-point
             # (an executor's own result pipe only speaks at task end).

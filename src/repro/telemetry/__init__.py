@@ -18,6 +18,9 @@ turns them into one structured, exportable view of a launch:
   attribution analyzer (:mod:`repro.telemetry.attribution`): per-warp
   stall accounting, the launch critical path, and the hidden-vs-exposed
   decomposition of translation cycles (``repro-obs attr``).
+* :class:`SpillWriter` / :func:`read_jsonl` — the one on-disk series
+  format (a header line, then stamped records), shared by live series
+  files and sharded-cluster spills.
 * :mod:`repro.telemetry.trend` — the append-only ``BENCH_trend.json``
   performance record and the ``repro-obs trend`` regression gate.
 
@@ -45,24 +48,23 @@ from repro.telemetry.profile import (
 from repro.telemetry.profiler import Profiler, capture, write_profile_docs
 from repro.telemetry.timeseries import (
     DEFAULT_WINDOW_CYCLES,
-    JsonlSink,
+    SpillWriter,
     TimeseriesSampler,
     merge_series,
-    prometheus_lines,
-    write_prometheus,
+    read_jsonl,
 )
 from repro.telemetry.trend import append_run, compare, load_trend
 
 __all__ = [
     "AttributionReport",
     "DEFAULT_WINDOW_CYCLES",
-    "JsonlSink",
     "LaunchProfile",
     "MetricsRegistry",
     "Profiler",
     "PROFILE_SCHEMA",
     "SCHEMA_NAME",
     "SCHEMA_VERSION",
+    "SpillWriter",
     "TimeseriesSampler",
     "TruncatedTraceError",
     "append_run",
@@ -75,8 +77,7 @@ __all__ = [
     "load_trend",
     "merge_profiles",
     "merge_series",
-    "prometheus_lines",
+    "read_jsonl",
     "validate_profile",
     "write_profile_docs",
-    "write_prometheus",
 ]

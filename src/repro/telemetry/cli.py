@@ -22,7 +22,8 @@ and a file named ``profile-*.json`` is a profile, anything else a
 trace.
 
 Exit codes: 0 ok, 1 regression found, 2 usage / analysis error
-(truncated trace, bad schema, missing files, bad threshold).
+(truncated trace, bad schema, missing files, a corrupt line in a live
+file, bad threshold).
 """
 
 from __future__ import annotations
@@ -182,6 +183,9 @@ def _cmd_top(args) -> int:
             time.sleep(args.interval)
     except KeyboardInterrupt:
         return 0
+    except ValueError as exc:       # a corrupt line in a live file
+        print(f"repro-obs top: {exc}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # `repro-obs top --once | head` closing early is not an error.
         devnull = os.open(os.devnull, os.O_WRONLY)

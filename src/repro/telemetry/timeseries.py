@@ -30,19 +30,19 @@ cycles to an unsampled one (regression-tested, like the attribution
 layer's traced==untraced invariant).
 
 Windows stream out through an optional ``sink`` callable as they close
-(:class:`JsonlSink` appends them to a JSONL file — what ``repro-obs top``
-tails), are mirrored as Chrome-trace ``"C"`` counter events when a
-tracer is attached, and land in the launch profile under
-``components.timeseries``.  :func:`prometheus_lines` /
-:func:`write_prometheus` render a cumulative snapshot in Prometheus
-text exposition format for scrape-style consumers.
+(a :class:`SpillWriter` appends them to a JSONL file — what ``repro-obs
+top`` tails), are mirrored as Chrome-trace ``"C"`` counter events when
+a tracer is attached, and land in the launch profile under
+``components.timeseries``.  :class:`SpillWriter` and
+:func:`read_jsonl` are the one writer and the one reader of the
+series format — a header line, then one stamped record per line —
+shared by live series files and sharded-cluster spills.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 from typing import Callable, Optional
 
 from repro.telemetry.hooks import EngineProfile
@@ -369,70 +369,66 @@ class TimeseriesSampler(EngineProfile):
 
 
 # ----------------------------------------------------------------------
-# Streaming sinks and exposition formats
+# The one on-disk series format: live series and shard spills
 # ----------------------------------------------------------------------
-class JsonlSink:
-    """Appends one JSON object per window to a file — the append-only
-    series stream ``repro-obs top`` tails.  ``meta`` keys (experiment name,
-    point index, worker pid) are stamped onto every record."""
+class SpillWriter:
+    """The writer of every series and spill file: a header line, then
+    one record per line, each the caller's window or event copied with
+    the ``stamp`` keys added after its own.
 
-    def __init__(self, path: str, meta: Optional[dict] = None,
-                 on_window: Optional[Callable[[dict], None]] = None):
-        self.path = path
-        self.meta = dict(meta or {})
-        self.on_window = on_window
-        parent = os.path.dirname(path)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        # Truncate on open: one writer per file, one file per point.
+    Live series (``series-<exp>-pNNN.jsonl``) call the writer as the
+    sampler's sink, one flushed line per closed window, so
+    ``repro-obs top`` can tail them; shard spills
+    (:mod:`repro.gpu.sharded`) :meth:`write` every record at once, with
+    a per-record ``epoch`` stamp, and close."""
+
+    def __init__(self, path: str, header: dict, stamp: dict):
+        self.stamp = stamp
+        # Truncate on open: one writer per file.
         self._fh = open(path, "w")
+        self._fh.write(json.dumps(header) + "\n")
+        self._fh.flush()
+
+    def write(self, record: dict, **stamp) -> None:
+        """Append one stamped record (buffered)."""
+        self._fh.write(json.dumps(dict(record, **self.stamp, **stamp))
+                       + "\n")
 
     def __call__(self, record: dict) -> None:
-        out = dict(self.meta)
-        out.update(record)
-        self._fh.write(json.dumps(out) + "\n")
+        """The sampler-sink protocol: append one record and flush it."""
+        self.write(record)
         self._fh.flush()
-        if self.on_window is not None:
-            self.on_window(out)
 
     def close(self) -> None:
         self._fh.close()
 
 
-def _prom_name(name: str) -> str:
-    out = []
-    for ch in name:
-        out.append(ch if ch.isalnum() or ch == "_" else "_")
-    return "".join(out)
+def read_jsonl(path: str, offset: int = 0,
+               line: int = 0) -> tuple[list, int]:
+    """Read the records of every newline-terminated line of ``path``
+    from byte ``offset``; return them and the offset after the last.
 
-
-def prometheus_lines(metrics: dict, prefix: str = "repro") -> list[str]:
-    """Render a flat metrics dict in Prometheus text exposition format
-    (one ``# TYPE`` line plus one sample per metric; gauges for
-    ``gauge.*`` keys, counters for the rest)."""
-    lines = []
-    for name in sorted(metrics):
-        value = metrics[name]
-        if not isinstance(value, (int, float)) \
-                or isinstance(value, bool):
-            continue
-        kind = "gauge" if name.startswith("gauge.") else "counter"
-        metric = f"{prefix}_{_prom_name(name)}"
-        lines.append(f"# TYPE {metric} {kind}")
-        lines.append(f"{metric} {value:g}")
-    return lines
-
-
-def write_prometheus(path: str, metrics: dict,
-                     prefix: str = "repro") -> None:
-    """Atomically write a Prometheus text-exposition snapshot file."""
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    tmp = path + ".tmp"
-    with open(tmp, "w") as f:
-        f.write("\n".join(prometheus_lines(metrics, prefix)) + "\n")
-    os.replace(tmp, path)
+    An unterminated tail (a writer mid-line) is left for the next call.
+    ``line`` counts the lines before ``offset``, so a complete line
+    that does not parse raises ``ValueError`` naming the file and its
+    line number.  A missing file reads as empty."""
+    try:
+        with open(path, "rb") as f:
+            f.seek(offset)
+            chunk = f.read()
+    except FileNotFoundError:
+        return [], offset
+    end = chunk.rfind(b"\n") + 1
+    records = []
+    for lineno, text in enumerate(chunk[:end].split(b"\n")[:-1],
+                                  line + 1):
+        try:
+            records.append(json.loads(text))
+        except ValueError as exc:      # JSONDecodeError, UnicodeError
+            reason = getattr(exc, "msg", exc)
+            raise ValueError(f"corrupt JSONL file {path}, line "
+                             f"{lineno}: {reason}") from None
+    return records, offset + end
 
 
 def merge_series(docs: list) -> dict:

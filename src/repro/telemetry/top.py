@@ -7,7 +7,8 @@ number of jobs) and it tails the two streams the runner writes there:
   every worker (progress, ETA, freshest per-SM busy fractions);
 * ``series-*.jsonl`` — the full-resolution cycle-window series, one
   file per grid point (exact DRAM/PCIe byte totals, fault counters,
-  component gauges).
+  component gauges), in the series format shared with shard spills: a
+  header line, then one stamped window per line.
 
 Rendering is plain text: per-SM utilisation bars, page-cache /
 TLB / readahead hit rates, DRAM and PCIe throughput in bytes per
@@ -17,19 +18,22 @@ frame (CI-friendly); the default follow mode redraws every
 (or Ctrl-C).
 
 Everything is read-only and incremental — the dashboard keeps a byte
-offset per file and only parses appended lines, so tailing a big run
-stays cheap.
+offset and a line count per file and parses only the lines appended
+since the last poll (:func:`~repro.telemetry.timeseries.read_jsonl`, an
+unfinished last line waits for the next poll), so tailing a big run
+stays cheap.  A complete line that does not parse raises
+``ValueError`` naming the file and line.
 """
 
 from __future__ import annotations
 
 import glob
-import json
 import os
 import time
 from typing import Optional
 
 from repro.harness.heartbeat import HEARTBEATS_NAME, cache_hit_rate
+from repro.telemetry.timeseries import read_jsonl
 
 BAR_WIDTH = 24
 
@@ -39,7 +43,8 @@ class Dashboard:
 
     def __init__(self, live_dir: str):
         self.live_dir = live_dir
-        self._offsets: dict[str, int] = {}   # path -> bytes consumed
+        # path -> (bytes consumed, lines consumed)
+        self._read: dict[str, tuple[int, int]] = {}
         # Progress (from heartbeats)
         self.experiment = ""
         self.points_total = 0
@@ -67,33 +72,22 @@ class Dashboard:
     # Ingest
     # ------------------------------------------------------------------
     def poll(self) -> None:
-        """Consume everything appended since the last poll."""
+        """Consume every line completed since the last poll."""
         hb = os.path.join(self.live_dir, HEARTBEATS_NAME)
-        for record in self._new_lines(hb):
-            self._on_heartbeat(record)
-        pattern = os.path.join(self.live_dir, "series-*.jsonl")
-        for path in sorted(glob.glob(pattern)):
-            for record in self._new_lines(path):
-                self._on_window(record)
-
-    def _new_lines(self, path: str):
-        try:
-            with open(path) as f:
-                f.seek(self._offsets.get(path, 0))
-                chunk = f.read()
-                self._offsets[path] = f.tell()
-        except OSError:
-            return
-        for line in chunk.splitlines():
-            line = line.strip()
-            if not line:
+        series = sorted(glob.glob(os.path.join(self.live_dir,
+                                               "series-*.jsonl")))
+        for path in [hb] + series:
+            offset, lines = self._read.get(path, (0, 0))
+            records, end = read_jsonl(path, offset, lines)
+            self._read[path] = (end, lines + len(records))
+            if path == hb:
+                for beat in records:
+                    self._on_heartbeat(beat)
                 continue
-            try:
-                yield json.loads(line)
-            except ValueError:
-                # A line still being written; re-read it next poll.
-                self._offsets[path] -= len(line) + 1
-                return
+            if lines == 0:
+                records = records[1:]       # a series file's header
+            for record in records:
+                self._on_window(record)
 
     def _on_heartbeat(self, beat: dict) -> None:
         kind = beat.get("kind")
@@ -185,8 +179,7 @@ class Dashboard:
             lines.append("(no window heartbeats yet)")
 
         lines.append("")
-        hit = cache_hit_rate({f"counter.{k}": v
-                              for k, v in self.counters.items()})
+        hit = cache_hit_rate(self.counters)
         tlb = self._ratio("translation.tlb_hits",
                           "translation.tlb_misses")
         for label, value in (("page-cache hit", hit),

@@ -5,6 +5,8 @@ import io
 import json
 import os
 
+import pytest
+
 from repro.harness.heartbeat import (
     HeartbeatRenderer,
     HeartbeatSender,
@@ -104,7 +106,7 @@ class TestRenderer:
                  (tmp_path / "heartbeats.jsonl").read_text()
                  .splitlines()]
         assert [b["kind"] for b in beats] == ["start", "run_done"]
-        assert (tmp_path / "metrics.prom").exists()
+        assert os.listdir(tmp_path) == ["heartbeats.jsonl"]
 
     def test_window_beats_surface_busy_and_cache(self):
         out = io.StringIO()
@@ -121,9 +123,8 @@ class TestRenderer:
 
     def test_cache_hit_rate_none_without_faults(self):
         assert cache_hit_rate({}) is None
-        assert cache_hit_rate({"counter.paging.minor_faults": 3,
-                               "counter.paging.major_faults": 1}) \
-            == 0.75
+        assert cache_hit_rate({"paging.minor_faults": 3,
+                               "paging.major_faults": 1}) == 0.75
 
 
 class TestLiveRuns:
@@ -139,24 +140,27 @@ class TestLiveRuns:
         series = report.merged["components"]["timeseries"]
         assert series["enabled"] == len(report.profiles)
         assert series["windows"] == len(series["series"]) > 0
-        # one series file per point, meta-stamped records
+        # one series file per point: a header, then stamped records
         points = len(REGISTRY["table2"].grid("quick"))
         files = sorted(f for f in os.listdir(tmp_path)
                        if f.startswith("series-"))
         assert len(files) == points
-        rec = json.loads(
-            (tmp_path / files[0]).read_text().splitlines()[0])
+        header, rec = (json.loads(line) for line in
+                       (tmp_path / files[0]).read_text()
+                       .splitlines()[:2])
+        assert header == {"experiment": "table2", "point": 0,
+                          "pid": os.getpid(), "window_cycles": 2000.0}
         assert rec["experiment"] == "table2"
         assert rec["point"] == 0 and rec["window"] == 0
-        # parent wrote the heartbeat stream and a Prometheus snapshot
+        # parent wrote the heartbeat stream, and nothing else
         kinds = [json.loads(line)["kind"] for line in
                  (tmp_path / "heartbeats.jsonl").read_text()
                  .splitlines()]
         assert kinds[0] == "start" and kinds[-1] == "run_done"
         assert kinds.count("point_done") == points
         assert "window" in kinds
-        prom = (tmp_path / "metrics.prom").read_text()
-        assert "repro_points_done" in prom
+        assert sorted(os.listdir(tmp_path)) \
+            == sorted(files + ["heartbeats.jsonl"])
 
     def test_live_does_not_perturb_rows(self, tmp_path):
         plain = run_experiment(SYNTH, jobs=1, progress=False)
@@ -227,3 +231,21 @@ class TestDashboardIncrementalTail:
                     '"ok": true}\n')
         dash.poll()
         assert dash.points_done == 2
+
+    def test_corrupt_complete_line_raises(self, tmp_path, capsys):
+        hb = tmp_path / "heartbeats.jsonl"
+        lines = [json.dumps(make_heartbeat("start", "exp", points=1,
+                                           jobs=1)),
+                 '{"kind": "point_done", "experiment": ',
+                 json.dumps(make_heartbeat("point_done", "exp",
+                                           point=0, ok=True)),
+                 json.dumps(make_heartbeat("run_done", "exp"))]
+        hb.write_text("\n".join(lines) + "\n")
+        dash = Dashboard(str(tmp_path))
+        # A complete line that does not parse is corruption, not a
+        # torn write: it must not stall the tail on that line forever.
+        with pytest.raises(ValueError,
+                           match=r"heartbeats\.jsonl, line 2"):
+            dash.poll()
+        assert obs_main(["top", str(tmp_path), "--once"]) == 2
+        assert "heartbeats.jsonl, line 2" in capsys.readouterr().err

@@ -28,6 +28,10 @@ class TestCell:
         assert _cell(1.5) == "1.5"
         assert _cell(3.0) == "3"
 
+    def test_negative_zero_is_zero(self):
+        assert _cell(-0.0) == "0"
+        assert _cell(round(-0.04, 1)) == "0"
+
     def test_strings_pass_through(self):
         assert _cell("clock") == "clock"
 

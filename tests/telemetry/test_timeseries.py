@@ -1,5 +1,5 @@
 """Cycle-window sampling: the zero-perturbation invariant, exact
-integration of sampled series, streaming sinks, and exposition."""
+integration of sampled series, and the shared series writer/reader."""
 
 import json
 
@@ -10,11 +10,10 @@ from repro.telemetry.hooks import EngineProfile
 from repro.gpu.trace import COUNTER_KIND, Tracer, events_from_chrome_trace
 from repro.telemetry import capture, validate_profile
 from repro.telemetry.timeseries import (
-    JsonlSink,
+    SpillWriter,
     TimeseriesSampler,
     merge_series,
-    prometheus_lines,
-    write_prometheus,
+    read_jsonl,
 )
 from repro.workloads import run_memcpy
 from repro.workloads.filebench import make_file_env
@@ -218,41 +217,46 @@ class TestSamplerUnit:
             == sampler.dram_queued_accesses
 
 
-class TestJsonlSink:
+class TestSpillWriterReader:
+    """The one series format: a header line, then records stamped
+    after their own keys, read back incrementally by byte offset."""
+
     def test_records_stamped_and_appended(self, tmp_path):
+        path = str(tmp_path / "series.jsonl")
+        stamp = {"experiment": "x", "point": 3}
+        writer = SpillWriter(path, dict(stamp, window_cycles=10.0), stamp)
+        assert read_jsonl(path)[0] == [
+            {"experiment": "x", "point": 3, "window_cycles": 10.0}]
+        writer({"window": 0, "dram_bytes": 5})     # flushed per call
+        records, offset = read_jsonl(path)
+        assert list(records[1]) == ["window", "dram_bytes",
+                                    "experiment", "point"]
+        writer.write({"window": 1, "dram_bytes": 7}, epoch=2)
+        writer.close()
+        tail, end = read_jsonl(path, offset, line=len(records))
+        assert tail == [{"window": 1, "dram_bytes": 7, "experiment": "x",
+                         "point": 3, "epoch": 2}]
+        assert end == len(open(path, "rb").read())
+
+    def test_unterminated_tail_waits(self, tmp_path):
         path = tmp_path / "series.jsonl"
-        seen = []
-        sink = JsonlSink(str(path), meta={"experiment": "x", "point": 3},
-                         on_window=seen.append)
-        sink({"window": 0, "dram_bytes": 5})
-        sink({"window": 1, "dram_bytes": 7})
-        sink.close()
-        lines = [json.loads(line)
-                 for line in path.read_text().splitlines()]
-        assert [r["window"] for r in lines] == [0, 1]
-        assert all(r["experiment"] == "x" and r["point"] == 3
-                   for r in lines)
-        assert seen == lines
+        path.write_bytes(b'{"a": 1}\n{"a": ')
+        records, offset = read_jsonl(str(path))
+        assert records == [{"a": 1}] and offset == 9
+        with open(path, "ab") as f:
+            f.write(b'2}\n')
+        assert read_jsonl(str(path), offset, line=1) == ([{"a": 2}], 18)
 
+    def test_corrupt_line_names_file_and_line(self, tmp_path):
+        path = tmp_path / "series.jsonl"
+        path.write_bytes(b'{"a": 1}\n{"a": \n{"a": 3}\n')
+        with pytest.raises(ValueError, match=r"series\.jsonl, line 2"):
+            read_jsonl(str(path))
+        with pytest.raises(ValueError, match=r"series\.jsonl, line 6"):
+            read_jsonl(str(path), 9, line=5)
 
-class TestPrometheus:
-    def test_exposition_format(self):
-        lines = prometheus_lines(
-            {"dram_bytes": 1024, "gauge.page_cache.occupancy": 0.5,
-             "skip_me": "not a number"})
-        assert "# TYPE repro_dram_bytes counter" in lines
-        assert "repro_dram_bytes 1024" in lines
-        assert "# TYPE repro_gauge_page_cache_occupancy gauge" in lines
-        assert "repro_gauge_page_cache_occupancy 0.5" in lines
-        assert not any("skip_me" in line for line in lines)
-
-    def test_write_is_atomic_and_parseable(self, tmp_path):
-        path = tmp_path / "live" / "metrics.prom"
-        write_prometheus(str(path), {"windows": 4})
-        text = path.read_text()
-        assert text.endswith("\n")
-        assert "repro_windows 4" in text
-        assert not (tmp_path / "live" / "metrics.prom.tmp").exists()
+    def test_missing_file_reads_empty(self, tmp_path):
+        assert read_jsonl(str(tmp_path / "absent.jsonl"), 7) == ([], 7)
 
 
 class TestMergeSeries:
