@@ -152,9 +152,9 @@ class Sanitizer:
     # ------------------------------------------------------------------
     def note_store(self, ctx: "SanitizedWarpContext", addrs: np.ndarray,
                    width: int, mask) -> None:
-        # Scalar ops (store_scalar) issue a length-1 address vector
-        # that does not line up with the 32-lane masks; only apply a
-        # mask whose shape matches.
+        # Scalar ops (store_scalar, copy_bytes) issue a length-1
+        # address vector that does not line up with the 32-lane masks;
+        # only apply a mask whose shape matches.
         vec = np.asarray(addrs, dtype=np.int64).ravel()
         keep = np.ones(vec.shape, dtype=bool)
         if ctx.active.shape == vec.shape:
@@ -314,6 +314,11 @@ class SanitizedWarpContext(WarpContext):
         self.sanitizer.note_store(self, np.asarray(vec), width, mask)
         return (yield from super().store_wide(vec, values, dtype,
                                               mask=mask))
+
+    def copy_bytes(self, src, dst, nbytes):
+        self.sanitizer.note_store(self, np.full(1, dst, np.int64), nbytes,
+                                  None)
+        super().copy_bytes(src, dst, nbytes)
 
     def syncthreads(self):
         result = yield from super().syncthreads()

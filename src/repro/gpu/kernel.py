@@ -339,16 +339,27 @@ class WarpContext:
                       chain=pch), tags)
 
     def load_scalar(self, addr: int, dtype: str = "u8") -> Iterator[Request]:
-        """Single-address load performed by the warp leader."""
-        vals = yield from self.load(np.full(1, int(addr), np.int64), dtype)
+        """Single-address load performed by the warp leader.
+
+        The one lane reaches memory as ``AffineLanes(addr, itemsize, 1)``,
+        so it takes the closed-form count, bounds check and slice."""
+        lane = AffineLanes(int(addr), np.dtype(dtype).itemsize, 1)
+        vals = yield from self.load(lane, dtype)
         return vals[0]
 
     def store_scalar(self, addr: int, value, dtype: str = "u8"
                      ) -> Iterator[Request]:
-        """Single-address store performed by the warp leader."""
-        yield from self.store(np.full(1, int(addr), np.int64),
-                              np.array([value], dtype=np.dtype(dtype)),
-                              dtype)
+        """Single-address store performed by the warp leader, carried
+        to memory as one affine lane like :meth:`load_scalar`."""
+        dt = np.dtype(dtype)
+        yield from self.store(AffineLanes(int(addr), dt.itemsize, 1),
+                              np.array([value], dtype=dt), dtype)
+
+    def copy_bytes(self, src: int, dst: int, nbytes: int) -> None:
+        """Untimed copy of ``nbytes`` from ``src`` to ``dst`` by this warp:
+        the sub-step tail of a warp copy, whose cost the caller charges.
+        A sanitized context records it as one store of the whole span."""
+        self.memory.write(dst, self.memory.read(src, nbytes).copy())
 
     def atomic_add(self, addr: int, value: int = 1,
                    dtype: str = "i8") -> Iterator[Request]:

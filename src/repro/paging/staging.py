@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.gpu.kernel import WarpContext
+from repro.gpu.memory import AffineLanes
 
 
 @dataclass
@@ -213,19 +214,30 @@ class TransferBatcher:
 
     def _device_copy(self, ctx: WarpContext, src_addr: int,
                      dst_addr: int, nbytes: int):
-        """Warp-wide timed copy: staging slot -> page frame."""
+        """Warp-wide timed copy: staging slot -> page frame.
+
+        Each full 256-byte step is one 8-byte load and store per lane
+        over one contiguous span, carried to memory as
+        :class:`AffineLanes`.  A partial last step masks off the lanes
+        past ``nbytes`` and takes the vector path; the last
+        ``nbytes % 8`` bytes move as one untimed
+        :meth:`~repro.gpu.kernel.WarpContext.copy_bytes`."""
         width = 8
-        step = width * ctx.warp_size
+        lanes = ctx.warp_size
+        step = width * lanes
         for off in range(0, nbytes, step):
-            lane_off = off + ctx.lane * width
-            # Only a partial last step needs a mask.
-            mask = None if off + step <= nbytes \
-                else lane_off + width <= nbytes
+            if off + step <= nbytes:
+                src = AffineLanes(src_addr + off, width, lanes)
+                dst = AffineLanes(dst_addr + off, width, lanes)
+                mask = None
+            else:
+                lane_off = off + ctx.lane * width
+                src, dst = src_addr + lane_off, dst_addr + lane_off
+                mask = lane_off + width <= nbytes
             ctx.charge(4)
-            vals = yield from ctx.load(src_addr + lane_off, "u8", mask=mask)
-            yield from ctx.store(dst_addr + lane_off, vals, "u8", mask=mask)
+            vals = yield from ctx.load(src, "u8", mask=mask)
+            yield from ctx.store(dst, vals, "u8", mask=mask)
         tail = nbytes % width
         if tail:
             base = nbytes - tail
-            ctx.memory.write(
-                dst_addr + base, ctx.memory.read(src_addr + base, tail))
+            ctx.copy_bytes(src_addr + base, dst_addr + base, tail)

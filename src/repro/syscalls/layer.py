@@ -51,6 +51,7 @@ from typing import Optional
 import numpy as np
 
 from repro.gpu.kernel import WarpContext
+from repro.gpu.memory import AffineLanes
 from repro.host.ramfs import FileSystemError
 from repro.paging.page_table import PageTableEntry
 
@@ -543,19 +544,26 @@ class SyscallLayer:
 
     def _warp_copy(self, ctx: WarpContext, src: int, dst: int,
                    nbytes: int):
-        """Warp-cooperative copy between a frame and a warp buffer."""
-        step = 16 * ctx.warp_size
+        """Warp-cooperative copy between a frame and a warp buffer.
+
+        Each 512-byte step is one 16-byte load and store per lane over
+        one contiguous span, carried to memory as :class:`AffineLanes`
+        (either end may sit at any in-page offset).  The last
+        ``nbytes % 512`` bytes move as one untimed
+        :meth:`~repro.gpu.kernel.WarpContext.copy_bytes`, charged as
+        ``4 + tail / 8`` instructions."""
+        lanes = ctx.warp_size
+        step = 16 * lanes
         for off in range(0, nbytes - nbytes % step, step):
-            lane = off + ctx.lane * 16
             ctx.charge(4)
-            vals = yield from ctx.load_wide(src + lane, "f4", 4,
-                                            nonblocking=True)
-            yield from ctx.store_wide(dst + lane, vals, "f4")
+            vals = yield from ctx.load_wide(AffineLanes(src + off, 16, lanes),
+                                            "f4", 4, nonblocking=True)
+            yield from ctx.store_wide(AffineLanes(dst + off, 16, lanes),
+                                      vals, "f4")
         yield from ctx.fence()
         tail = nbytes % step
         if tail:
             base = nbytes - tail
             ctx.charge(4)
-            ctx.memory.write(dst + base, ctx.memory.read(src + base,
-                                                         tail).copy())
+            ctx.copy_bytes(src + base, dst + base, tail)
             yield from ctx.compute(tail / 8)

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.analysis.sanitizer import Sanitizer
 from repro.gpu import Device
+from repro.gpu.memory import AffineLanes, MemoryError_
 
 
 @pytest.fixture
@@ -94,6 +96,64 @@ class TestScalarAccess:
 
         dev.launch(kern, grid=1, block_threads=32)
         assert got[0] == 0xDEADBEEF
+
+    @pytest.mark.parametrize("op", ["load", "store"])
+    def test_scalar_straddling_a_segment_is_two_transactions(self, dev,
+                                                            op):
+        addr = dev.alloc(256, align=128) + 124
+        seen = []
+        count = dev.memory.transactions_for
+
+        def spy(addrs, width, mask=None):
+            seen.append((type(addrs), mask))
+            return count(addrs, width, mask)
+
+        dev.memory.transactions_for = spy
+
+        def kern(ctx):
+            if op == "load":
+                yield from ctx.load_scalar(addr, "u8")
+            else:
+                yield from ctx.store_scalar(addr, 1, "u8")
+
+        res = dev.launch(kern, grid=1, block_threads=32)
+        assert res.stats.dram_transactions == 2
+        assert seen == [(AffineLanes, None)]
+
+    # The per-lane vector check's exact message: a one-lane affine
+    # access must raise it unchanged.
+    @pytest.mark.parametrize("op", ["load", "store"])
+    @pytest.mark.parametrize("where, message", [
+        pytest.param("end", "device vector access out of bounds: "
+                            "[8388604, 8388612) size 8388608", id="end"),
+        pytest.param("negative", "device vector access out of bounds: "
+                                 "[-8, 0) size 8388608", id="negative"),
+    ])
+    def test_scalar_out_of_bounds_raises(self, dev, op, where, message):
+        addr = dev.memory.size - 4 if where == "end" else -8
+
+        def kern(ctx):
+            if op == "load":
+                yield from ctx.load_scalar(addr, "u8")
+            else:
+                yield from ctx.store_scalar(addr, 7, "u8")
+
+        with pytest.raises(MemoryError_) as err:
+            dev.launch(kern, grid=1, block_threads=32)
+        assert str(err.value) == message
+
+    def test_sanitized_store_scalar_is_a_one_lane_store(self, dev):
+        dev.sanitizer = sanitizer = Sanitizer()
+        addr = dev.alloc(64) + 8
+
+        def kern(ctx):
+            yield from ctx.store_scalar(addr, 5, "u4")
+
+        dev.launch(kern, grid=1, block_threads=32)
+        assert sanitizer.stats.stores_checked == 1
+        (write,) = sanitizer._writes
+        assert write.addrs.tolist() == [addr]
+        assert (write.width, write.lo, write.hi) == (4, addr, addr + 4)
 
     def test_clock_monotonic_and_flushes(self, dev):
         times = []
