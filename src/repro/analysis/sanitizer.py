@@ -23,9 +23,11 @@ Checked invariants, one :class:`Violation` record per break:
 * **torn-write** - two warps wrote overlapping global-memory bytes
   with no happens-before edge between the accesses.  Ordering edges
   the sanitizer recognises: both warps in the same block with a
-  barrier between the writes (different barrier epochs), or a common
-  lock held at both write sites.  ``atomic_add`` is exempt by
-  construction (it is not a plain store).
+  barrier between the writes (different barrier epochs), a common
+  lock held at both write sites, or a page fill: the stores a warp
+  made to fill a faulted frame precede every later store to it,
+  since other warps reach the frame only once it is ready.
+  ``atomic_add`` is exempt by construction (it is not a plain store).
 * **pin-leak** - page references still held when the warp exits:
   ``gmmap`` without a matching ``gmunmap`` (or an over-release), or an
   :class:`~repro.core.apointer.APtr` with linked lanes that was never
@@ -210,6 +212,15 @@ class Sanitizer:
 
     def note_unlock(self, ctx: "SanitizedWarpContext", lock) -> None:
         ctx._san_held.discard(id(lock))
+
+    def note_page_ready(self, ctx, frame_addr: int, nbytes: int) -> None:
+        """``ctx`` filled the frame at ``frame_addr`` and marked its
+        page ready: its stores inside the frame happen before every
+        later store there, so they leave the history."""
+        lo, hi = frame_addr, frame_addr + nbytes
+        self._writes = deque(
+            w for w in self._writes
+            if w.warp_id != ctx.warp_id or w.lo < lo or w.hi > hi)
 
     def note_pin(self, ctx, file_id: int, fpn: int) -> None:
         key = (file_id, fpn)

@@ -38,7 +38,9 @@ subgroups of lanes that fault on the same page elect a leader with
 ``__ballot``/``__ffs``, broadcast the backing address with ``__shfl``,
 aggregate the reference count with ``__popc``, and the leader alone
 touches shared data structures — which is what makes the handler
-deadlock-free.
+deadlock-free.  The subgroups are fixed before the loop's first round,
+so the simulator finds them in one pass and charges each as the round
+that handles it; unlinking groups lanes the same way.
 """
 
 from __future__ import annotations
@@ -325,9 +327,14 @@ class APtr:
 
     def _page_fault(self, ctx: WarpContext, active: np.ndarray,
                     write: bool):
-        """Listing 1: aggregated, leader-driven fault handling."""
+        """Listing 1: aggregated, leader-driven fault handling.
+
+        The ballot/ffs loop elects one leader per distinct faulting
+        page, lowest lane first, and nothing but this loop links this
+        warp's lanes, so its groups are known before the first round:
+        they are found in one pass, and each is charged as its round.
+        """
         cm = self.cost
-        xpages = self.xpage_vec()
         faulting = (~self.valid) & active
         self.avm.stats.translation_faults += int(faulting.sum())
         t0 = ctx.now
@@ -335,30 +342,21 @@ class APtr:
         try:
             ctx.push_activity("translation")
             try:
-                while True:
-                    ballot = wp.ballot(~self.valid, active)
+                for xpage, same, refs in _lane_groups(faulting,
+                                                      self.xpage_vec()):
                     ctx.charge(2)              # __ballot + __ffs
-                    leader = wp.ffs(ballot) - 1
-                    if leader < 0:
-                        break
                     self.avm.stats.fault_groups += 1
-                    # Broadcast the leader's backing-store address;
-                    # lanes bound for the same page are handled
-                    # together.
-                    leader_xpage = int(wp.shfl(xpages, leader)[0])
-                    same = ((~self.valid) & active
-                            & (xpages == leader_xpage))
-                    refs = wp.popc(wp.ballot(same))
                     ctx.charge(cm.fault_setup_count)
                     frame_addr, via_tlb = yield from self._resolve(
-                        ctx, leader_xpage, refs, write)
+                        ctx, xpage, refs, write)
                     self.frame_addr[same] = frame_addr
-                    self.linked_xpage[same] = leader_xpage
+                    self.linked_xpage[same] = xpage
                     self.tlb_backed[same] = via_tlb
                     self.linked_write[same] = write
-                    self.valid |= same
+                    self.valid[same] = True
                     ctx.charge(cm.fault_link_count)
                     self.avm.stats.links += refs
+                ctx.charge(2)                  # the final, empty ballot
             finally:
                 self._summarize()
                 ctx.pop_activity()
@@ -402,18 +400,14 @@ class APtr:
 
     def _unlink(self, ctx: WarpContext, mask: np.ndarray):
         """Drop references for ``mask`` lanes, grouped per page and per
-        backing path (TLB-tracked vs. direct)."""
+        backing path (TLB-tracked vs. direct), lowest lane first."""
         cm = self.cost
-        remaining = mask.copy()
         tlb = self.avm.tlb_for(ctx)
         try:
-            while remaining.any():
-                leader = int(np.argmax(remaining))
-                xpage = int(self.linked_xpage[leader])
-                via_tlb = bool(self.tlb_backed[leader])
-                group = (remaining & (self.linked_xpage == xpage)
-                         & (self.tlb_backed == via_tlb))
-                refs = int(group.sum())
+            # One group per page and backing path: key 2 * page + via_tlb.
+            for key, group, refs in _lane_groups(
+                    mask, 2 * self.linked_xpage + self.tlb_backed):
+                xpage, via_tlb = divmod(key, 2)
                 ctx.charge(cm.fault_setup_count, tag="translation")
                 if via_tlb and tlb is not None:
                     found = yield from tlb.unref(
@@ -423,11 +417,10 @@ class APtr:
                             "TLB-backed lane lost its TLB entry")
                 else:
                     yield from self.backend.release(ctx, xpage, refs)
-                self.valid &= ~group
-                self.tlb_backed &= ~group
-                self.linked_write &= ~group
+                self.tlb_backed[group] = False
+                self.linked_write[group] = False
+                self.valid[group] = False
                 self.avm.stats.unlinks += refs
-                remaining &= ~group
         finally:
             self._summarize()
 
@@ -498,3 +491,29 @@ class APtr:
                 f"{width}-byte access at in-page offset "
                 f"{int(in_page.max())} straddles a "
                 f"{self.page_size}-byte page boundary")
+
+
+def _lane_groups(mask: np.ndarray, key: np.ndarray) -> list:
+    """Listing 1's lane groups: one ``(key, lanes, count)`` per distinct
+    ``key`` among the ``mask`` lanes, ordered by each key's lowest lane
+    (the order ``__ffs`` elects leaders in).
+
+    ``lanes`` indexes the group's lanes in the lane arrays: ``mask``
+    itself when every lane shares one key, else a lone lane number or
+    a list of lane numbers.
+    """
+    keys = key[mask]
+    if keys.size == 0:
+        return []
+    first = keys[0]
+    if (keys == first).all():
+        return [(int(first), mask, int(keys.size))]
+    groups: dict[int, list] = {}
+    for lane, k in zip(np.flatnonzero(mask).tolist(), keys.tolist()):
+        lanes = groups.get(k)
+        if lanes is None:
+            groups[k] = [lane]
+        else:
+            lanes.append(lane)
+    return [(k, lanes[0] if len(lanes) == 1 else lanes, len(lanes))
+            for k, lanes in groups.items()]

@@ -362,6 +362,8 @@ class GPUfs:
         self._span(ctx, "page_in", t_fetch, fpn)
         yield from self._apply_filter_in(ctx, frame_addr, fpn)
         fresh.ready = True
+        if ctx.sanitizer is not None:
+            ctx.sanitizer.note_page_ready(ctx, frame_addr, self.page_size)
         yield from self.cache.table.add_refs(ctx, fresh, refs)
         if write:
             fresh.dirty = True

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from repro.core import AArray, APConfig, APtrState, PtrFormat
 from repro.core.apointer import APtr, BoundsError, ProtectionError
-from repro.gpu import Device
+from repro.gpu import Device, K80_SPEC
+from repro.gpu import warp_primitives as wp
+from repro.gpu.kernel import BlockContext, WarpContext
 from repro.gpu.memory import AffineLanes
 from repro.host import HostFileSystem
 from repro.host.filesys import O_RDWR
@@ -673,3 +675,312 @@ class TestDirectBackend:
                 yield from ctx.flush()
 
             launch(device, kern)
+
+
+# ----------------------------------------------------------------------
+# Listing 1: the one-pass groups against the ballot loop
+# ----------------------------------------------------------------------
+def ballot_page_fault(self, ctx, active, write):
+    """``APtr._page_fault`` as a ballot/ffs/shfl/popc loop, one round
+    per faulting page (the reference the one-pass groups must equal)."""
+    cm = self.cost
+    xpages = self.xpage_vec()
+    faulting = (~self.valid) & active
+    self.avm.stats.translation_faults += int(faulting.sum())
+    t0 = ctx.now
+    ctx.begin_request()
+    try:
+        ctx.push_activity("translation")
+        try:
+            while True:
+                ballot = wp.ballot(~self.valid, active)
+                ctx.charge(2)              # __ballot + __ffs
+                leader = wp.ffs(ballot) - 1
+                if leader < 0:
+                    break
+                self.avm.stats.fault_groups += 1
+                leader_xpage = int(wp.shfl(xpages, leader)[0])
+                same = ((~self.valid) & active
+                        & (xpages == leader_xpage))
+                refs = wp.popc(wp.ballot(same))
+                ctx.charge(cm.fault_setup_count)
+                frame_addr, via_tlb = yield from self._resolve(
+                    ctx, leader_xpage, refs, write)
+                self.frame_addr[same] = frame_addr
+                self.linked_xpage[same] = leader_xpage
+                self.tlb_backed[same] = via_tlb
+                self.linked_write[same] = write
+                self.valid |= same
+                ctx.charge(cm.fault_link_count)
+                self.avm.stats.links += refs
+        finally:
+            self._summarize()
+            ctx.pop_activity()
+        if ctx.tracer is not None:
+            ctx.trace_span("translation_fault", t0, ctx.now,
+                           f"lanes={int(faulting.sum())}")
+    finally:
+        ctx.end_request()
+    if write:
+        self._mark_dirty(active)
+
+
+def argmax_unlink(self, ctx, mask):
+    """``APtr._unlink`` as a loop electing the lowest remaining lane."""
+    cm = self.cost
+    remaining = mask.copy()
+    tlb = self.avm.tlb_for(ctx)
+    try:
+        while remaining.any():
+            leader = int(np.argmax(remaining))
+            xpage = int(self.linked_xpage[leader])
+            via_tlb = bool(self.tlb_backed[leader])
+            group = (remaining & (self.linked_xpage == xpage)
+                     & (self.tlb_backed == via_tlb))
+            refs = int(group.sum())
+            ctx.charge(cm.fault_setup_count, tag="translation")
+            if via_tlb and tlb is not None:
+                # Only ever driven on one warp context against a stub
+                # TLB, so no two warps run this line.
+                found = yield from tlb.unref(  # aplint: disable=shared-race
+                    ctx, self.backend.file_id, xpage, refs)
+                if not found:
+                    raise RuntimeError(
+                        "TLB-backed lane lost its TLB entry")
+            else:
+                yield from self.backend.release(ctx, xpage, refs)
+            self.valid &= ~group
+            self.tlb_backed &= ~group
+            self.linked_write &= ~group
+            self.avm.stats.unlinks += refs
+            remaining &= ~group
+    finally:
+        self._summarize()
+
+
+class BallotAPtr(APtr):
+    _page_fault = ballot_page_fault
+    _unlink = argmax_unlink
+
+
+STUB_PAGES = 4
+STUB_FRAME0 = 1 << 20
+
+
+def stub_frame(xpage):
+    return STUB_FRAME0 + xpage * PAGE
+
+
+class StubBackend:
+    """A paging backend that logs every call and issues no request.
+    ``fail_fault``/``fail_release``: raise on that (0-based) call."""
+
+    file_id = 7
+    page_size = PAGE
+
+    def __init__(self, log, paged=True, fail_fault=None,
+                 fail_release=None):
+        self.log = log
+        self.paged = paged
+        self.fail = {"fault": fail_fault, "release": fail_release}
+        self.calls = {"fault": 0, "release": 0}
+
+    def _call(self, kind, *args):
+        self.log.append((kind, *args))
+        n = self.calls[kind]
+        self.calls[kind] += 1
+        if n == self.fail[kind]:
+            raise OSError(f"{kind} #{n} failed")
+
+    def fault(self, ctx, xpage, refs, write):
+        self._call("fault", xpage, refs, write)
+        return stub_frame(xpage)
+        yield  # pragma: no cover - generator marker
+
+    def release(self, ctx, xpage, refs):
+        self._call("release", xpage, refs)
+        return
+        yield  # pragma: no cover - generator marker
+
+
+class StubTLB:
+    """A block TLB that logs every call: ``cached`` pages hit, even
+    pages are installed, and installing a multiple of 3 evicts an entry
+    holding one reference."""
+
+    def __init__(self, log, cached):
+        self.log = log
+        self.cached = cached
+
+    def lookup_and_ref(self, ctx, fid, xpage, refs):
+        self.log.append(("lookup", xpage, refs))
+        return stub_frame(xpage) if xpage in self.cached else None
+        yield  # pragma: no cover - generator marker
+
+    def install(self, ctx, fid, xpage, frame, refs):
+        self.log.append(("install", xpage, frame, refs))
+        evicted = ((fid, xpage + 100), 1) if xpage % 3 == 0 else None
+        return xpage % 2 == 0, evicted
+        yield  # pragma: no cover - generator marker
+
+    def unref(self, ctx, fid, xpage, refs):
+        self.log.append(("unref", xpage, refs))
+        return True
+        yield  # pragma: no cover - generator marker
+
+
+def drive(gen):
+    """Run a timed operation whose stubs issue no request."""
+    for request in gen:
+        raise AssertionError(f"unexpected request {request!r}")
+
+
+def stub_pointer(cls, lanes, backend, tlb=None):
+    """A warp context and a ``cls`` pointer whose lane arrays are set
+    from ``lanes``, a list of 32 ``(page, valid, linked page,
+    tlb_backed, linked_write)`` tuples."""
+    ctx = WarpContext(K80_SPEC, None, BlockContext(0, 32, 1, None), 0)
+    avm = make_avm()
+    avm.tlb_for = lambda ctx: tlb
+    ptr = cls(ctx, avm, backend, 0, STUB_PAGES * PAGE, True)
+    page, valid, linked, via_tlb, linked_write = map(np.array,
+                                                     zip(*lanes))
+    ptr.pos = page * PAGE + 4 * ctx.lane
+    ptr.valid = valid.astype(bool)
+    ptr.linked_xpage = np.where(valid, linked, -1).astype(np.int64)
+    ptr.frame_addr = np.where(valid, stub_frame(linked), 0)
+    ptr.tlb_backed = via_tlb & valid
+    ptr.linked_write = linked_write & valid
+    ptr._summarize()
+    return ctx, ptr
+
+
+LANE_ARRAYS = ("valid", "frame_addr", "linked_xpage", "tlb_backed",
+               "linked_write")
+
+
+def snapshot(ctx, ptr, log):
+    stats = ptr.avm.stats
+    return {
+        "calls": list(log),
+        "counts": (stats.translation_faults, stats.fault_groups,
+                   stats.links, stats.unlinks),
+        "pending": (ctx._pending_count, ctx._pending_chain),
+        **{name: getattr(ptr, name).tolist() for name in LANE_ARRAYS},
+    }
+
+
+def per_lane(values):
+    """32 lane values: one shared value (the one-group fast path) or
+    one drawn per lane."""
+    return st.one_of(values.map(lambda v: [v] * 32),
+                     st.lists(values, min_size=32, max_size=32))
+
+
+pages = st.integers(0, STUB_PAGES - 1)
+
+
+class TestListing1AgainstBallotLoop:
+    """The fault and unlink groups found in one pass make the same
+    backend and TLB calls, in the same order, with the same counters,
+    pending charge and lane arrays as the one-round-per-page loops."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(page=per_lane(pages), valid=per_lane(st.booleans()),
+           linked=per_lane(pages), via_tlb=per_lane(st.booleans()),
+           linked_write=per_lane(st.booleans()),
+           active=per_lane(st.booleans()), unlink=per_lane(st.booleans()),
+           write=st.booleans(), paged=st.booleans(),
+           tlb_cached=st.one_of(st.none(), st.sets(pages)))
+    # Every lane faults on one page: the fast path, TLB miss + install.
+    @example(page=[0] * 32, valid=[False] * 32, linked=[0] * 32,
+             via_tlb=[False] * 32, linked_write=[False] * 32,
+             active=[True] * 32, unlink=[True] * 32, write=False,
+             paged=True, tlb_cached=set())
+    # Lowest lanes on the highest pages: leader order is not page order.
+    @example(page=[(3 - lane) % 4 for lane in range(32)],
+             valid=[lane % 3 == 0 for lane in range(32)],
+             linked=[lane % 2 for lane in range(32)],
+             via_tlb=[lane % 5 == 0 for lane in range(32)],
+             linked_write=[True] * 32, active=[True] * 32,
+             unlink=[True] * 32, write=True, paged=True,
+             tlb_cached={1})
+    def test_same_calls_counts_charges_and_lanes(
+            self, page, valid, linked, via_tlb, linked_write, active,
+            unlink, write, paged, tlb_cached):
+        lanes = list(zip(page, valid, linked, via_tlb, linked_write))
+        active = np.array(active)
+        unlink = np.array(unlink)
+        runs = []
+        for cls in (BallotAPtr, APtr):
+            log = []
+            tlb = None if tlb_cached is None else StubTLB(log, tlb_cached)
+            ctx, ptr = stub_pointer(cls, lanes, StubBackend(log, paged),
+                                    tlb)
+            steps = []
+            drive(ptr._page_fault(ctx, active, write))
+            steps.append(snapshot(ctx, ptr, log))
+            drive(ptr._unlink(ctx, unlink & ptr.valid))
+            steps.append(snapshot(ctx, ptr, log))
+            drive(ptr.destroy(ctx))
+            steps.append(snapshot(ctx, ptr, log))
+            check_summary(ptr)
+            runs.append(steps)
+        reference, one_pass = runs
+        assert one_pass == reference
+
+
+#: Lane ``i`` on page ``(7 i) % 5``: its groups, lowest lane first, are
+#: pages 0, 2, 4, 1, 3.
+SPREAD = [((7 * lane) % 5, False, 0, False, False) for lane in range(32)]
+SPREAD_ORDER = [0, 2, 4, 1, 3]
+
+
+class TestFailureMidLoop:
+    """A backend that raises part-way through the groups leaves exactly
+    the groups handled before it linked (or unlinked), with the warp
+    summary matching the lane arrays."""
+
+    @staticmethod
+    def _pointer(log, **fail):
+        return stub_pointer(APtr, SPREAD, StubBackend(log, **fail))
+
+    @staticmethod
+    def _lanes_on(ptr, pages):
+        return np.isin(ptr.xpage_vec(), pages)
+
+    @pytest.mark.parametrize("k", [0, 1, 4])
+    def test_fault_raising_on_kth_page(self, k):
+        log = []
+        ctx, ptr = self._pointer(log, fail_fault=k)
+        with pytest.raises(OSError):
+            drive(ptr._page_fault(ctx, ctx.active, False))
+        done = SPREAD_ORDER[:k]
+        assert np.array_equal(ptr.valid, self._lanes_on(ptr, done))
+        assert ptr.avm.stats.fault_groups == k + 1
+        assert ptr.avm.stats.links == int(ptr.valid.sum())
+        check_summary(ptr)
+        del log[:]
+        drive(ptr.destroy(ctx))
+        refs = [int(self._lanes_on(ptr, [p]).sum()) for p in done]
+        assert log == [("release", p, r) for p, r in zip(done, refs)]
+        assert not ptr.valid.any()
+
+    @pytest.mark.parametrize("k", [0, 2, 4])
+    def test_release_raising_on_kth_group(self, k):
+        log = []
+        ctx, ptr = self._pointer(log, fail_release=k)
+        drive(ptr._page_fault(ctx, ctx.active, False))
+        assert ptr.valid.all()
+        del log[:]
+        with pytest.raises(OSError):
+            drive(ptr.destroy(ctx))
+        kept = SPREAD_ORDER[k:]
+        assert np.array_equal(ptr.valid, self._lanes_on(ptr, kept))
+        assert ptr.avm.stats.unlinks == 32 - int(ptr.valid.sum())
+        check_summary(ptr)
+        del log[:]
+        drive(ptr.destroy(ctx))
+        refs = [int(self._lanes_on(ptr, [p]).sum()) for p in kept]
+        assert log == [("release", p, r) for p, r in zip(kept, refs)]
+        assert not ptr.valid.any()
