@@ -99,9 +99,10 @@ _CACHE_READ_CALLS = frozenset({"frame_addr"})
 _STAGING_TIMED_CALLS = frozenset({"fetch", "writeback", "flush_page"})
 _STAGING_ANY_CALLS = frozenset({"fetch_async"})
 
+# ``copy`` is in both; classify_call tests the writes first.
 _GMEM_WRITE = frozenset({"store", "store_wide", "store_scalar",
-                         "atomic_add"})
-_GMEM_READ = frozenset({"load", "load_wide", "load_scalar"})
+                         "atomic_add", "copy"})
+_GMEM_READ = frozenset({"load", "load_wide", "load_scalar", "copy"})
 
 #: Structures the ``shared-race`` rule pairs up.  ``global_memory`` is
 #: deliberately excluded there (data races on raw memory are the

@@ -34,7 +34,7 @@ CTX_GENERATOR_METHODS = frozenset({
     "load", "store", "load_wide", "store_wide", "load_scalar",
     "store_scalar", "atomic_add", "scratch", "syncthreads", "lock",
     "unlock", "pcie", "host_compute", "sleep", "clock", "fence",
-    "compute", "flush",
+    "compute", "flush", "copy",
 })
 
 #: WarpContext methods that are plain calls (cost recorded lazily via

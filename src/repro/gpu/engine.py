@@ -27,9 +27,13 @@ in scheduling order and runs are deterministic; the golden fixture
 memory effects across engine changes.
 
 The dispatch handlers are looked up by request type in a handler table
-(:attr:`Engine._handlers`) instead of an ``isinstance`` chain.  The
-engine has one instrumentation hook, ``Engine(..., profile=...)``: an
-observer following the :class:`repro.telemetry.hooks.EngineProfile`
+(:attr:`Engine._handlers`) instead of an ``isinstance`` chain.  A warp
+may yield a tuple of requests, a *run*, dispatched one per event
+before the coroutine is resumed, and a ``Sleep`` with ``until``, a
+spin the engine re-polls itself (``docs/engine.md``, "Request runs").
+
+The engine has one instrumentation hook, ``Engine(..., profile=...)``:
+an observer following the :class:`repro.telemetry.hooks.EngineProfile`
 protocol, which sees every macro-op, issue reservation, stall, lock
 grant, translation decomposition, DRAM access and PCIe transfer, with
 the warp and the whole interval.  What it keeps — launch totals, cycle
@@ -128,7 +132,9 @@ class _WarpRunner:
         self.outstanding = 0.0   # completion time of in-flight async loads
         self.warp_id = block.warp_id(warp_index)
         self.io_stalled = False  # currently waiting on a host transfer
-        self.pending_req = None  # sliced request awaiting re-dispatch
+        # Dispatched before the coroutine is resumed: a sliced request,
+        # the rest of a request run, or a spin awaiting its next poll.
+        self.pending_req = None
 
 
 class Engine:
@@ -172,6 +178,7 @@ class Engine:
             PcieTransfer: self._h_pcie,
             HostCompute: self._h_host,
             Sleep: self._h_sleep,
+            tuple: self._h_run,
         }
 
     # -- entry points --------------------------------------------------
@@ -304,11 +311,14 @@ class Engine:
         if runner.io_stalled:
             runner.io_stalled = False
             runner.block.io_stalled -= 1
-        if runner.pending_req is not None:
-            req = runner.pending_req
+        req = runner.pending_req
+        if req is not None:
             runner.pending_req = None
-            self._dispatch(req, runner, now)
-            return
+            # A pending Sleep is a spin (``until``): poll it, and resume
+            # the coroutine only on the poll that ends the wait.
+            if type(req) is not Sleep or not req.until():
+                self._dispatch(req, runner, now)
+                return
         try:
             if runner.started:
                 req = runner.gen.send(now)
@@ -526,8 +536,22 @@ class Engine:
         self._maybe_preempt(runner, now, done)
         self._schedule(runner, done)
 
+    def _h_run(self, run: tuple, runner: _WarpRunner, now: float) -> None:
+        """A run of requests yielded at once: dispatch the head now and
+        keep the rest pending, one request per event, so times, ``seq``
+        order and observer calls are those of yielding them one by one.
+        A sliced head stays at the front.  A run holds no spin
+        (``Sleep(until=...)``): a spin is yielded on its own."""
+        self._dispatch(run[0], runner, now)
+        if runner.pending_req is None:
+            run = run[1:]
+        if run:
+            runner.pending_req = run
+
     def _h_sleep(self, req: Sleep, runner: _WarpRunner,
                  now: float) -> None:
+        if req.until is not None:
+            runner.pending_req = req
         self.stats.sleep_cycles += req.cycles
         prof = self.profile
         if prof is not None:

@@ -20,7 +20,7 @@ Two costs are distinguished throughout:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 
 @dataclass
@@ -137,10 +137,15 @@ class Sleep(Request):
     ``io_wait`` marks the sleep as waiting on off-chip I/O (page-ready
     spins, riding a DMA batch) so the §VII preemption heuristic can see
     the warp as stalled.
+
+    ``until`` makes the sleep a spin: after each ``cycles`` the engine
+    calls it, sleeps again while it returns false and resumes the warp
+    on the first true.  Each poll is one event, priced as one sleep.
     """
 
     cycles: float
     io_wait: bool = False
+    until: Optional[Callable[[], bool]] = None
 
 
 class TimedLock:

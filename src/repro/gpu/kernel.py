@@ -77,8 +77,9 @@ class WarpContext:
 
     #: Runtime sanitizer (``repro.analysis.sanitizer``) observing this
     #: warp, or ``None``.  A class attribute so instrumentation sites
-    #: (``APtr.__init__``, ``GPUfs.gmmap``) pay one attribute test when
-    #: sanitization is off, mirroring the ``tracer is None`` guard.
+    #: (``APtr.__init__``, ``GPUfs.gmmap``, :meth:`copy`) pay one
+    #: attribute test when sanitization is off, mirroring the ``tracer
+    #: is None`` guard.
     sanitizer = None
 
     def __init__(self, spec: GPUSpec, memory: GlobalMemory,
@@ -355,6 +356,52 @@ class WarpContext:
         yield from self.store(AffineLanes(int(addr), dt.itemsize, 1),
                               np.array([value], dtype=dt), dtype)
 
+    def copy(self, src: int, dst: int, nbytes: int) -> Iterator[Request]:
+        """Warp-wide timed copy of ``nbytes`` from ``src`` to ``dst``,
+        yielded to the engine as one run of requests.
+
+        Each step is a load and a store of 8 bytes per lane, charged 4
+        instructions.  Full steps reach memory as
+        :class:`AffineLanes`; a partial last step masks off the lanes
+        past ``nbytes``; the last ``nbytes % 8`` bytes are an untimed
+        tail.  The bytes move as one slice before the run is yielded,
+        so a span out of bounds raises before any request.  That is
+        exact only while no other warp can observe either span between
+        the steps (see ``docs/engine.md``, "Request runs"); the spans
+        must not overlap."""
+        mem = self.memory
+        mem.write(dst, mem.read(src, nbytes).copy())
+        width = 8
+        lanes = self.warp_size
+        step = width * lanes
+        san = self.sanitizer
+        run = []
+        for off in range(0, nbytes, step):
+            if off + step <= nbytes:
+                src_lanes = AffineLanes(src + off, width, lanes)
+                dst_lanes = AffineLanes(dst + off, width, lanes)
+                mask = None
+            else:
+                lane_off = off + self.lane * width
+                src_lanes, dst_lanes = src + lane_off, dst + lane_off
+                mask = lane_off + width <= nbytes
+            self.charge(4)
+            pc, pch, tags = self._take_pending()
+            run.append(self._tagged(MemAccess(
+                transactions=mem.transactions_for(src_lanes, width, mask),
+                count=pc, chain=pch), tags))
+            if san is not None:
+                san.note_store(self, np.asarray(dst_lanes), width, mask)
+            run.append(self._tagged(MemAccess(
+                transactions=mem.transactions_for(dst_lanes, width, mask),
+                is_store=True), None))
+        tail = nbytes % width
+        if tail and san is not None:
+            san.note_store(self, np.full(1, dst + nbytes - tail, np.int64),
+                           tail, None)
+        if run:
+            self.now = yield tuple(run)
+
     def copy_bytes(self, src: int, dst: int, nbytes: int) -> None:
         """Untimed copy of ``nbytes`` from ``src`` to ``dst`` by this warp:
         the sub-step tail of a warp copy, whose cost the caller charges.
@@ -446,10 +493,15 @@ class WarpContext:
         self.now = yield self._tagged(
             HostCompute(seconds=float(seconds)), None)
 
-    def sleep(self, cycles: float,
-              io_wait: bool = False) -> Iterator[Request]:
+    def sleep(self, cycles: float, io_wait: bool = False,
+              until: Optional[Callable[[], bool]] = None
+              ) -> Iterator[Request]:
+        """Stall for ``cycles``.  With ``until``, keep stalling in steps
+        of ``cycles`` until a poll after one returns true; the engine
+        makes the polls, so the warp resumes once."""
         self.now = yield self._tagged(
-            Sleep(cycles=float(cycles), io_wait=io_wait), None)
+            Sleep(cycles=float(cycles), io_wait=io_wait, until=until),
+            None)
 
     def clock(self) -> Iterator[Request]:
         """Return the current simulated cycle count (GPU ``clock()``).

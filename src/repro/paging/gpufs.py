@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -446,9 +447,18 @@ class GPUfs:
             entry.ready_at = None
             self._span(ctx, "readahead_wait", t0, entry.fpn)
             return
-        while not getattr(entry, "ready", True):
-            self.stats.busy_waits += 1
-            yield from ctx.sleep(SPIN_WAIT_CYCLES, io_wait=True)
+        if not self._poll_ready(entry):
+            # Spin on the page-in another warp is running; the engine
+            # makes the polls after this first one.
+            yield from ctx.sleep(SPIN_WAIT_CYCLES, io_wait=True,
+                                 until=partial(self._poll_ready, entry))
+
+    def _poll_ready(self, entry: PageTableEntry) -> bool:
+        """One page-ready spin poll; a miss counts one busy wait."""
+        if entry.ready:
+            return True
+        self.stats.busy_waits += 1
+        return False
 
     def _writeback(self, ctx: WarpContext, entry: PageTableEntry,
                    frame_addr: int):

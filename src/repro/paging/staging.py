@@ -11,8 +11,9 @@ The batcher models that aggregation window: a fetch that arrives while a
 batch window is open joins it and pays only its share of PCIe bandwidth;
 the first fetch of a window pays the fixed transaction cost too.  The
 copy from staging to the frame is a real device-to-device move — the
-fetched bytes land in a staging slot and a warp-wide timed copy carries
-them into the page frame.
+fetched bytes land in a staging slot and a warp-wide timed copy
+(:meth:`~repro.gpu.kernel.WarpContext.copy`) carries them into the page
+frame.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.gpu.kernel import WarpContext
-from repro.gpu.memory import AffineLanes
 
 
 @dataclass
@@ -117,8 +117,9 @@ class TransferBatcher:
             yield from ctx.pcie(nbytes, to_device=True)
         slot = yield from self._claim_slot(ctx, data, nbytes)
         try:
-            yield from self._device_copy(ctx, self._slot_addr(slot),
-                                         dst_addr, nbytes)
+            # Exact as one run: nothing reads the busy slot or the
+            # not-ready frame between the copy's steps.
+            yield from ctx.copy(self._slot_addr(slot), dst_addr, nbytes)
         finally:
             self._slot_busy[slot] = False
         if ctx.tracer is not None:
@@ -211,33 +212,3 @@ class TransferBatcher:
                 return slot
             self.stats.slot_waits += 1
             yield from ctx.sleep(self.SLOT_RETRY_CYCLES, io_wait=True)
-
-    def _device_copy(self, ctx: WarpContext, src_addr: int,
-                     dst_addr: int, nbytes: int):
-        """Warp-wide timed copy: staging slot -> page frame.
-
-        Each full 256-byte step is one 8-byte load and store per lane
-        over one contiguous span, carried to memory as
-        :class:`AffineLanes`.  A partial last step masks off the lanes
-        past ``nbytes`` and takes the vector path; the last
-        ``nbytes % 8`` bytes move as one untimed
-        :meth:`~repro.gpu.kernel.WarpContext.copy_bytes`."""
-        width = 8
-        lanes = ctx.warp_size
-        step = width * lanes
-        for off in range(0, nbytes, step):
-            if off + step <= nbytes:
-                src = AffineLanes(src_addr + off, width, lanes)
-                dst = AffineLanes(dst_addr + off, width, lanes)
-                mask = None
-            else:
-                lane_off = off + ctx.lane * width
-                src, dst = src_addr + lane_off, dst_addr + lane_off
-                mask = lane_off + width <= nbytes
-            ctx.charge(4)
-            vals = yield from ctx.load(src, "u8", mask=mask)
-            yield from ctx.store(dst, vals, "u8", mask=mask)
-        tail = nbytes % width
-        if tail:
-            base = nbytes - tail
-            ctx.copy_bytes(src_addr + base, dst_addr + base, tail)

@@ -38,6 +38,20 @@ class TestMissingYieldFrom:
         """)
         assert not findings
 
+    def test_bare_ctx_copy_fires(self):
+        findings = _lint("""
+            def kernel(ctx, src, dst):
+                ctx.copy(src, dst, 4096)
+        """)
+        assert rules_of(findings) == {"missing-yield-from"}
+
+    def test_yield_from_ctx_copy_is_clean(self):
+        findings = _lint("""
+            def kernel(ctx, src, dst):
+                yield from ctx.copy(src, dst, 4096)
+        """)
+        assert not findings
+
     def test_plain_yield_of_generator_fires(self):
         findings = _lint("""
             def kernel(ctx, addr):

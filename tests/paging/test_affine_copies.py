@@ -17,7 +17,6 @@ import pytest
 from repro.analysis.sanitizer import Sanitizer
 from repro.gpu import Device
 from repro.gpu.memory import AffineLanes, GlobalMemory
-from repro.paging.staging import TransferBatcher
 from repro.workloads import run_graphwalk, run_grepscan, run_kvstore
 from repro.workloads.filebench import run_sequential_file_read
 
@@ -25,21 +24,26 @@ PAGE = 4096
 
 #: The accessors a producer reaches ``transactions_for`` through.
 ACCESSORS = {"load", "store", "load_wide", "store_wide"}
-PRODUCERS = {"_device_copy", "_warp_copy", "load_scalar", "store_scalar"}
+#: ``WarpContext.copy`` (the staging copy) counts its steps itself.
+PRODUCERS = {"copy", "_warp_copy", "load_scalar", "store_scalar"}
 
 
 @pytest.fixture
 def spy(monkeypatch):
     """Record ``(producer, addrs, mask, transactions)`` for every warp
-    access: the producer is the function that called the accessor."""
+    access: the producer is the function that called the accessor, or
+    ``copy``, which counts its own steps."""
     calls = []
     count = GlobalMemory.transactions_for
 
     def transactions_for(self, addrs, width, mask=None):
         tx = count(self, addrs, width, mask)
-        accessor = sys._getframe(1)
-        assert accessor.f_code.co_name in ACCESSORS
-        calls.append((accessor.f_back.f_code.co_name, addrs, mask, tx))
+        caller = sys._getframe(1)
+        name = caller.f_code.co_name
+        if name != "copy":
+            assert name in ACCESSORS
+            name = caller.f_back.f_code.co_name
+        calls.append((name, addrs, mask, tx))
         return tx
 
     monkeypatch.setattr(GlobalMemory, "transactions_for", transactions_for)
@@ -87,7 +91,6 @@ def test_partial_staging_step_keeps_the_masked_vector_form(spy):
     results = []
     for copy in ("affine", "vector"):
         device = Device(memory_bytes=8 * 1024 * 1024)
-        batcher = TransferBatcher(device, PAGE)
         src, dst = device.alloc(PAGE), device.alloc(PAGE)
         data = np.random.RandomState(1).randint(0, 256, PAGE,
                                                 dtype=np.uint8)
@@ -95,7 +98,7 @@ def test_partial_staging_step_keeps_the_masked_vector_form(spy):
 
         def kern(ctx):
             if copy == "affine":
-                yield from batcher._device_copy(ctx, src, dst, nbytes)
+                yield from ctx.copy(src, dst, nbytes)
             else:
                 yield from _vector_copy(ctx, src, dst, nbytes)
 
@@ -121,13 +124,10 @@ def test_staging_copy_tail_is_the_warps_store(nbytes, gap, torn):
     # copy is the untimed tail.
     device = Device(memory_bytes=8 * 1024 * 1024)
     device.sanitizer = sanitizer = Sanitizer()
-    batcher = TransferBatcher(device, PAGE)
     src, dst = device.alloc(PAGE), device.alloc(2 * PAGE)
 
     def kern(ctx):
-        yield from batcher._device_copy(ctx, src,
-                                        dst + ctx.warp_in_block * gap,
-                                        nbytes)
+        yield from ctx.copy(src, dst + ctx.warp_in_block * gap, nbytes)
 
     device.launch(kern, grid=1, block_threads=64)
     violations = sanitizer.violations
@@ -135,3 +135,31 @@ def test_staging_copy_tail_is_the_warps_store(nbytes, gap, torn):
     if torn:
         assert (violations[0].details["addr_lo"],
                 violations[0].details["addr_hi"]) == (dst, dst + nbytes)
+
+
+def test_sanitized_two_warp_copy_matches_the_step_loop():
+    """Two warps copy 1000 bytes (three full steps and a masked one)
+    into one destination: the run records the same per-step stores as
+    the one-request-per-step loop, so the sanitizer reports the same
+    torn writes and counts the same stores."""
+    reports = []
+    for copy in ("run", "vector"):
+        device = Device(memory_bytes=8 * 1024 * 1024)
+        device.sanitizer = sanitizer = Sanitizer()
+        src, dst = device.alloc(PAGE), device.alloc(PAGE)
+
+        def kern(ctx):
+            if copy == "run":
+                yield from ctx.copy(src, dst, 1000)
+            else:
+                yield from _vector_copy(ctx, src, dst, 1000)
+
+        res = device.launch(kern, grid=1, block_threads=64)
+        reports.append((sanitizer.violations,
+                        sanitizer.stats.stores_checked, res.cycles))
+    (run, run_checked, run_cycles), (vector, vector_checked,
+                                     vector_cycles) = reports
+    assert run and [v.invariant for v in run] == ["torn-write"] * len(run)
+    assert run == vector
+    assert run_checked == vector_checked == 2 * 4
+    assert run_cycles == vector_cycles

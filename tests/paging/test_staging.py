@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.gpu import Device
+from repro.gpu.instructions import TimedLock
+from repro.gpu.memory import MemoryError_
 from repro.host import HostFileSystem, O_RDWR
 from repro.host.ramfs import RamFS
 from repro.paging.staging import TransferBatcher
@@ -59,6 +61,31 @@ class TestFetch:
                 yield from batcher.fetch(ctx, handle, 0, 2 * PAGE, 0)
 
             device.launch(kern, grid=1, block_threads=32)
+
+    def test_out_of_bounds_copy_raises_before_its_run(self, env):
+        """A frame past the end of device memory fails the staging copy
+        before any of its loads or stores is dispatched, and the slot
+        comes back free."""
+        device, handle, _ = env
+        batcher = TransferBatcher(device, PAGE)
+        dst = device.memory.size - PAGE // 2
+        lock = TimedLock("fetch")
+        caught = []
+
+        def kern(ctx):
+            yield from ctx.lock(lock)
+            try:
+                yield from batcher.fetch(ctx, handle, 0, PAGE, dst)
+            except MemoryError_ as err:
+                caught.append(err)
+            yield from ctx.unlock(lock)
+
+        res = device.launch(kern, grid=1, block_threads=32)
+        assert len(caught) == 1
+        assert res.stats.loads == res.stats.stores == 0
+        assert res.stats.pcie_transactions == 1
+        assert batcher._slot_busy == [False] * batcher.num_slots
+        assert batcher.ring_utilization() == 0.0
 
 
 class TestBatching:
