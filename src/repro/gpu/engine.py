@@ -43,11 +43,12 @@ cycle-bit-identical to unobserved ones.  :meth:`Engine.launch` takes
 the grid's block factories and is the single entry point.
 
 One engine simulates one device.  A multi-GPU cluster runs one engine
-per device (:mod:`repro.gpu.sharded`), so the loop is also exposed
+per device (:mod:`repro.gpu.multigpu`), so the loop is also exposed
 incrementally: :meth:`Engine.begin` seeds the launch wave,
 :meth:`Engine.advance` drains events up to an epoch horizon, and
-host-compute requests can be *parked* (:meth:`Engine.gate_host`) so a
-parent process can serialise the shared host server deterministically.
+host-compute requests can be *parked* (:meth:`Engine.gate_host`) so the
+cluster coordinator can serialise the shared host server
+deterministically.
 """
 
 from __future__ import annotations
@@ -193,7 +194,7 @@ class Engine:
         self.advance()
         return self.finish()
 
-    # -- incremental interface (used by launch() and repro.gpu.sharded)
+    # -- incremental interface (used by launch() and repro.gpu.multigpu)
     def begin(self, factories: list) -> None:
         """Seed the launch with the grid's block factories.
 
@@ -265,11 +266,11 @@ class Engine:
             self._resident[sm] -= 1
             self._start_next_block(sm, time)
 
-    # -- sharded host serialisation ------------------------------------
+    # -- cluster host serialisation ------------------------------------
     def gate_host(self) -> None:
         """Park host-compute requests instead of serving them locally.
 
-        In sharded execution the host server is owned by the parent:
+        In a cluster the host server is owned by the coordinator:
         a gated engine stops draining the moment a warp yields
         :class:`HostCompute` (strict stop), exposes the request via
         :meth:`parked_host`, and resumes on :meth:`grant_host`.

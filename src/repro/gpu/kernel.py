@@ -147,11 +147,11 @@ class WarpContext:
 
         At the outermost entry a request id ``"<device>:<warp>:<seq>"``
         is minted from simulated state only — deterministic across
-        reruns and across ``jobs=1``/``jobs=N`` sharding.  Nested
-        begins (a syscall whose page loop faults, a fault whose
-        handler issues readahead) reuse the outer id, so every span a
-        warp records until the matching end shares one request.  No-op
-        without a tracer — zero-cost when tracing is off.
+        reruns.  Nested begins (a syscall whose page loop faults, a
+        fault whose handler issues readahead) reuse the outer id, so
+        every span a warp records until the matching end shares one
+        request.  No-op without a tracer — zero-cost when tracing is
+        off.
         """
         if self.tracer is None:
             return

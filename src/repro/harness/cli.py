@@ -34,11 +34,10 @@ fails on tier-1 regressions.
 ``components.timeseries`` section holding the sampled
 series.  ``--live-dir PATH`` additionally streams the samples as they
 happen — ``PATH/<experiment>/series-*.jsonl`` (a header line, then one
-stamped window per line: the format sharded-cluster spills use) plus
-``heartbeats.jsonl`` — the layout ``repro-obs top PATH/<experiment>``
-renders live.  ``--window-cycles N`` sets the
-sampling window width; ``--no-progress`` suppresses the stderr
-progress line (heartbeat files are still written).
+stamped window per line) plus ``heartbeats.jsonl`` — the layout
+``repro-obs top PATH/<experiment>`` renders live.  ``--window-cycles
+N`` sets the sampling window width; ``--no-progress`` suppresses the
+stderr progress line (heartbeat files are still written).
 """
 
 from __future__ import annotations

@@ -21,8 +21,8 @@ with:
   under the cycle-window sampler
   (:mod:`repro.telemetry.timeseries`): each process streams its
   point's windows to a ``series-*.jsonl`` file in the live directory
-  (through the series writer shard spills use) and ships compact
-  heartbeats to the parent over a manager queue;
+  (through the one series writer) and ships compact heartbeats to the
+  parent over a manager queue;
 * a **progress line** on stderr when attached to a terminal — drawn
   by exactly one :class:`~repro.harness.heartbeat.HeartbeatRenderer`
   in the parent, so ``--jobs N`` output never interleaves.
@@ -64,12 +64,12 @@ class LiveOptions:
 
     ``live_dir`` receives the streaming layout ``repro-obs top`` tails:
     one ``series-<experiment>-p<NNN>.jsonl`` per grid point, written
-    by whichever process ran the point with the series writer shared
-    with shard spills (:class:`~repro.telemetry.timeseries.SpillWriter`),
-    plus the parent-written ``heartbeats.jsonl``.  With
-    ``live_dir=None`` heartbeats still drive the progress line but
-    nothing is written to disk.  The dataclass is frozen and
-    field-picklable, so it ships to spawn workers as-is.
+    by whichever process ran the point with the one series writer
+    (:class:`~repro.telemetry.timeseries.SpillWriter`), plus the
+    parent-written ``heartbeats.jsonl``.  With ``live_dir=None``
+    heartbeats still drive the progress line but nothing is written to
+    disk.  The dataclass is frozen and field-picklable, so it ships to
+    spawn workers as-is.
     """
 
     live_dir: Optional[str] = None

@@ -19,8 +19,7 @@ turns them into one structured, exportable view of a launch:
   stall accounting, the launch critical path, and the hidden-vs-exposed
   decomposition of translation cycles (``repro-obs attr``).
 * :class:`SpillWriter` / :func:`read_jsonl` — the one on-disk series
-  format (a header line, then stamped records), shared by live series
-  files and sharded-cluster spills.
+  format (a header line, then stamped records) of live series files.
 * :mod:`repro.telemetry.trend` — the append-only ``BENCH_trend.json``
   performance record and the ``repro-obs trend`` regression gate.
 

@@ -209,9 +209,8 @@ class ObserverPlan:
     :meth:`of` is the one rule turning a profiler into these settings:
     every launch is profiled, a launch gets a new tracer of
     ``trace_events`` events while the profiler holds fewer than
-    ``max_traces`` traces, and sampling follows ``timeseries``.  The
-    plan is plain data, so a cluster decides it once and ships it to
-    every shard, spawn workers included.
+    ``max_traces`` traces, and sampling follows ``timeseries``.  A
+    cluster decides it once and hands it to every shard.
     """
 
     trace_events: int
@@ -230,7 +229,7 @@ class ObserverPlan:
         sampling, else a plain :class:`EngineProfile`; either carries
         ``tracer`` or, when the plan traces, a new one.  A live
         ``profiler`` lends the sampler its sink, probes and gauges; a
-        cluster shard has none, because they cannot cross a process."""
+        cluster shard gets none."""
         if tracer is None and self.trace_events:
             from repro.gpu.trace import Tracer
             tracer = Tracer(max_events=self.trace_events)

@@ -35,8 +35,7 @@ top`` tails), are mirrored as Chrome-trace ``"C"`` counter events when
 a tracer is attached, and land in the launch profile under
 ``components.timeseries``.  :class:`SpillWriter` and
 :func:`read_jsonl` are the one writer and the one reader of the
-series format — a header line, then one stamped record per line —
-shared by live series files and sharded-cluster spills.
+series format: a header line, then one stamped record per line.
 """
 
 from __future__ import annotations
@@ -369,18 +368,14 @@ class TimeseriesSampler(EngineProfile):
 
 
 # ----------------------------------------------------------------------
-# The one on-disk series format: live series and shard spills
+# The one on-disk series format
 # ----------------------------------------------------------------------
 class SpillWriter:
-    """The writer of every series and spill file: a header line, then
-    one record per line, each the caller's window or event copied with
-    the ``stamp`` keys added after its own.
-
-    Live series (``series-<exp>-pNNN.jsonl``) call the writer as the
-    sampler's sink, one flushed line per closed window, so
-    ``repro-obs top`` can tail them; shard spills
-    (:mod:`repro.gpu.sharded`) :meth:`write` every record at once, with
-    a per-record ``epoch`` stamp, and close."""
+    """The writer of every live series file
+    (``series-<exp>-pNNN.jsonl``): a header line, then one window per
+    line, copied with the ``stamp`` keys added after its own.  It is
+    the sampler's sink: each call appends one closed window and flushes
+    it, so ``repro-obs top`` can tail the file."""
 
     def __init__(self, path: str, header: dict, stamp: dict):
         self.stamp = stamp
@@ -389,14 +384,9 @@ class SpillWriter:
         self._fh.write(json.dumps(header) + "\n")
         self._fh.flush()
 
-    def write(self, record: dict, **stamp) -> None:
-        """Append one stamped record (buffered)."""
-        self._fh.write(json.dumps(dict(record, **self.stamp, **stamp))
-                       + "\n")
-
     def __call__(self, record: dict) -> None:
         """The sampler-sink protocol: append one record and flush it."""
-        self.write(record)
+        self._fh.write(json.dumps(dict(record, **self.stamp)) + "\n")
         self._fh.flush()
 
     def close(self) -> None:

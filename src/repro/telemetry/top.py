@@ -7,8 +7,8 @@ number of jobs) and it tails the two streams the runner writes there:
   every worker (progress, ETA, freshest per-SM busy fractions);
 * ``series-*.jsonl`` — the full-resolution cycle-window series, one
   file per grid point (exact DRAM/PCIe byte totals, fault counters,
-  component gauges), in the series format shared with shard spills: a
-  header line, then one stamped window per line.
+  component gauges), in the one series format: a header line, then
+  one stamped window per line.
 
 Rendering is plain text: per-SM utilisation bars, page-cache /
 TLB / readahead hit rates, DRAM and PCIe throughput in bytes per

@@ -13,9 +13,9 @@ Cases:
 * four workloads at small sizes (memcpy, graphwalk, filescan, kvstore),
   each under a plain ``capture()`` and under ``capture(trace=True,
   timeseries=True, attribution=True, window_cycles=2000)``;
-* a two-device sharded ``jobs=1`` cluster with host work, observed
-  only through a tracing, sampling ``capture()`` (the merged cluster
-  profile).
+* a two-device cluster with host work (fixture key
+  ``sharded/jobs1``), observed only through a tracing, sampling
+  ``capture()`` (the merged cluster profile).
 
 Regenerate with ``PYTHONPATH=src python
 tests/telemetry/test_profile_golden.py`` — only in a change that says
@@ -82,7 +82,7 @@ def _sharded():
                for _ in range(2)]
     launches = [ClusterLaunch(d, _rpc_kernel, 2, 64,
                               args=(d.alloc(4096),)) for d in devices]
-    launch_cluster(launches, jobs=1)
+    launch_cluster(launches)
 
 
 def _launch_records(run, **capture_kwargs):

@@ -231,11 +231,11 @@ class TestSpillWriterReader:
         records, offset = read_jsonl(path)
         assert list(records[1]) == ["window", "dram_bytes",
                                     "experiment", "point"]
-        writer.write({"window": 1, "dram_bytes": 7}, epoch=2)
+        writer({"window": 1, "dram_bytes": 7})
         writer.close()
         tail, end = read_jsonl(path, offset, line=len(records))
         assert tail == [{"window": 1, "dram_bytes": 7, "experiment": "x",
-                         "point": 3, "epoch": 2}]
+                         "point": 3}]
         assert end == len(open(path, "rb").read())
 
     def test_unterminated_tail_waits(self, tmp_path):

@@ -13,7 +13,7 @@ Cases:
 
 * the four ``OBSERVED`` workloads of ``test_profile_golden.py`` (trace
   + timeseries + attribution capture);
-* its sharded ``jobs=1`` cluster (the merged cluster trace);
+* its two-device cluster (the merged cluster trace);
 * the engine handler-coverage kernel of ``tests/gpu/test_engine.py``
   under the same ``OBSERVED`` capture.
 
