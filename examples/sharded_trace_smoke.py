@@ -2,8 +2,9 @@
 
 Runs one apointer-reading cluster on two devices under a tracing,
 sampling ``capture()`` and checks the merged observability surfaces:
-causal request ids rebased to both device prefixes, no dropped trace
-events, and cycle-window series from both shards.  Then validates the
+causal request ids rebased to both device prefixes, warp ids unique
+across devices, no dropped trace events, and cycle-window series from
+both shards.  Then validates the
 merged schema-v8 profile and drives ``repro-obs spans`` /
 ``repro-obs attr`` over the written trace.
 
@@ -64,6 +65,15 @@ def main() -> int:
     series = result.profile.components["timeseries"]
     assert trace.dropped == 0
     assert {w["shard"] for w in series["series"]} == {0, 1}
+
+    # Each device numbers its warps from 0; the merge keeps the
+    # cluster's 8 warps (2 devices x 2 blocks x 2 warps) apart.
+    from repro.telemetry.attribution import attribute_tracer
+
+    tracks = {(e.sm, e.warp) for e in trace.events if e.sm >= 0}
+    report = attribute_tracer(trace).to_dict()
+    assert (len(tracks), report["warps"], report["sms"]) == (8, 8, 4), \
+        (len(tracks), report["warps"], report["sms"])
 
     reqs = {e.req for e in trace.events if e.req}
     assert reqs, "no request-stamped spans in the merged trace"

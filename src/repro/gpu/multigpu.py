@@ -55,8 +55,9 @@ its *own* observer from it — carrying its own
 After the last shard finishes, the observers merge in shard order
 (:func:`_merge_trace`, :func:`_merge_series`,
 :meth:`EngineProfile.merged`): SM ids rebase to the global range
-(shard *i* owns SMs ``[i * num_sms, (i+1) * num_sms)``), causal request
-ids rebase their device prefix to the shard index, and series windows
+(shard *i* owns SMs ``[i * num_sms, (i+1) * num_sms)``), warp ids move
+past the warps of the shards before, causal request ids rebase their
+device prefix to the shard index, and series windows
 are stamped with their ``(shard, device, epoch)``.
 """
 
@@ -203,15 +204,17 @@ def _coordinate(shards: list[_Shard], clock_hz: float,
 # The in-memory merge of the shard observers, in shard order.
 
 
-def _merge_trace(observers: list, num_sms: int,
+def _merge_trace(observers: list, num_sms: int, warps: list[int],
                  max_events: int) -> Tracer:
     """Re-record every shard's trace events into one tracer.
 
-    SM ids rebase to shard *i*'s global range and causal request ids
-    to the shard's device prefix; counter mirrors (``sm == -1``) stay
+    SM ids rebase to shard *i*'s global range, warp ids past the
+    ``warps`` of the shards before it, and causal request ids to the
+    shard's device prefix; counter mirrors (``sm == -1``, warp 0) stay
     unrebased.  Each shard's dropped events add to the merged count.
     """
     tracer = Tracer(max_events=max_events)
+    warp_base = 0
     for index, observer in enumerate(observers):
         shard = observer.tracer
         tracer.dropped += shard.dropped
@@ -220,9 +223,12 @@ def _merge_trace(observers: list, num_sms: int,
             req = e.req
             if req:
                 req = f"{index}{req[req.index(':'):]}"
-            tracer.record(e.warp, e.block, e.kind, e.start, e.end,
-                          e.detail, sm=e.sm + base if e.sm >= 0 else e.sm,
-                          req=req)
+            warp, sm = e.warp, e.sm
+            if sm >= 0:
+                warp, sm = warp + warp_base, sm + base
+            tracer.record(warp, e.block, e.kind, e.start, e.end,
+                          e.detail, sm=sm, req=req)
+        warp_base += warps[index]
     return tracer
 
 
@@ -290,7 +296,9 @@ def launch_cluster(launches: list[ClusterLaunch],
     )
     if profiler is not None:
         observers = [shard.engine.profile for shard in shards]
-        tracer = (_merge_trace(observers, spec.num_sms,
+        warps = [launch.grid * -(-launch.block_threads // spec.warp_size)
+                 for launch in launches]
+        tracer = (_merge_trace(observers, spec.num_sms, warps,
                                plan.trace_events * len(launches))
                   if plan.trace_events else None)
         result.profile = profiler.record_cluster(

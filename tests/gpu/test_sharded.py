@@ -3,9 +3,10 @@
 The contract under test: host-free clusters match each device launched
 on its own; the merged profile, trace and series cover every shard
 (observed through ``capture()``) and a traced cluster reruns bit for
-bit; the in-memory merge rebases SM and request ids and keeps every
-shard's drop counts; a sanitized device is sanitized in a cluster too;
-and a shard kernel's exception reaches the caller as itself.  The
+bit; the in-memory merge rebases SM, warp and request ids and keeps
+every shard's drop counts; a sanitized device is sanitized in a
+cluster too; and a shard kernel's exception reaches the caller as
+itself.  The
 results themselves are pinned by ``golden_cluster.json``
 (``test_cluster_golden.py``).
 """
@@ -112,6 +113,20 @@ class TestEpochDefaults:
         assert tracer.events
         sms = {e.sm for e in tracer.events if e.sm >= 0}
         assert max(sms) >= K80_SPEC.num_sms  # shard 1 rebased past 0's
+
+    def test_warp_ids_unique_across_shards(self):
+        # Two devices x 2 blocks x 2 warps: each shard numbers its
+        # warps from 0, so the merge moves shard 1's past shard 0's.
+        from repro.telemetry.attribution import attribute_tracer
+
+        with capture() as prof:
+            launch_cluster(_cluster(make_devices(2), compute_kernel))
+        (tracer,) = prof.traces
+        tracks = {(e.sm, e.warp) for e in tracer.events if e.sm >= 0}
+        assert len(tracks) == 8
+        assert len({warp for _, warp in tracks}) == 8
+        report = attribute_tracer(tracer).to_dict()
+        assert (report["warps"], report["sms"]) == (8, 4)
 
 
 class TestHostFreeEquivalence:
@@ -252,7 +267,7 @@ class TestSeriesMergeEdgeCases:
         assert _merge_series([], epoch=50.0) == {
             "enabled": 0, "window_cycles": 0.0, "windows": 0,
             "dropped_windows": 0, "series": []}
-        tracer = _merge_trace([], K80_SPEC.num_sms, max_events=10)
+        tracer = _merge_trace([], K80_SPEC.num_sms, [], max_events=10)
         assert tracer.events == [] and tracer.dropped == 0
 
     def test_zero_window_shard_merges(self):
@@ -269,7 +284,8 @@ class TestSeriesMergeEdgeCases:
 
     def test_sm_and_req_rebase_skip_counters(self):
         # An empty shard that still dropped events must surface the
-        # loss in the merged tracer.
+        # loss in the merged tracer; shard 1's warps move past shard
+        # 0's four.
         empty = _traced(dropped=2)
         busy = _traced([
             dict(warp=3, block=0, kind="page_in", start=10.0, end=20.0,
@@ -277,13 +293,15 @@ class TestSeriesMergeEdgeCases:
             dict(warp=0, block=-1, kind="counter", start=5.0, end=5.0,
                  detail="x=1"),
         ])
-        tracer = _merge_trace([empty, busy], K80_SPEC.num_sms,
+        tracer = _merge_trace([empty, busy], K80_SPEC.num_sms, [4, 4],
                               max_events=10)
         assert tracer.dropped == 2
         span, counter = tracer.events
         assert span.sm == K80_SPEC.num_sms     # rebased to shard 1
+        assert span.warp == 4 + 3
         assert span.req == "1:3:7"             # device prefix rebased
         assert counter.sm == -1                # counters stay global
+        assert counter.warp == 0
         assert counter.req == ""
 
     def test_merge_series_stamps_launch(self):
