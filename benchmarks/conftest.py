@@ -19,7 +19,7 @@ scientific payload is in ``extra_info`` and in the assertions.
 
 import json
 
-from repro.harness.experiments import ALL_EXPERIMENTS  # noqa: F401
+import repro.harness.experiments  # noqa: F401  (populates REGISTRY)
 from repro.harness.registry import REGISTRY, Experiment
 from repro.harness.runner import ExperimentPointError
 from repro.harness.runner import run_experiment as _run_points

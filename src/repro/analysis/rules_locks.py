@@ -63,9 +63,6 @@ from repro.analysis.model import Finding
 
 RULE = "lock-order"
 
-#: Backwards-compatible alias (pre-effects name of the shared set).
-_BLOCKING_SYSCALLS = BLOCKING_SYSCALLS
-
 
 @dataclass
 class _Acquire:

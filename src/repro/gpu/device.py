@@ -57,10 +57,10 @@ class LaunchResult:
     seconds: float
     stats: EngineStats
     occupancy: OccupancyLimits
-    #: The :class:`~repro.telemetry.profile.LaunchProfile` a profiler
-    #: (explicitly passed or ambient via ``repro.telemetry.capture``)
-    #: recorded for this device or cluster launch, else ``None``.  Its
-    #: trace is the profiler's matching ``traces`` entry.
+    #: The :class:`~repro.telemetry.profile.LaunchProfile` the ambient
+    #: profiler (``repro.telemetry.capture``) recorded for this device
+    #: or cluster launch, else ``None``.  Its trace is the profiler's
+    #: matching ``traces`` entry.
     profile: Optional[Any] = None
 
     def dram_bandwidth(self, spec: GPUSpec) -> float:
@@ -89,12 +89,12 @@ class Device:
     def launch(self, kernel: KernelFn, grid: int, block_threads: int,
                args: tuple = (), regs_per_thread: int = 64,
                scratchpad_bytes: int = 0,
-               block_init: Optional[Callable[[BlockContext], None]] = None,
-               tracer=None, profiler=None) -> LaunchResult:
+               block_init: Optional[Callable[[BlockContext], None]] = None
+               ) -> LaunchResult:
         """Run ``kernel`` over ``grid`` threadblocks and return timing."""
         cfg = KernelLaunch(kernel, grid, block_threads, args,
                            regs_per_thread, scratchpad_bytes, block_init)
-        return self.launch_cfg(cfg, tracer=tracer, profiler=profiler)
+        return self.launch_cfg(cfg)
 
     def block_factories(self, cfg: KernelLaunch, observer=None) -> list:
         """Start one launch of ``cfg`` on this device: one zero-argument
@@ -136,16 +136,18 @@ class Device:
             san.begin_launch()
         return [make_block(b) for b in range(cfg.grid)]
 
-    def launch_cfg(self, cfg: KernelLaunch, tracer=None,
-                   profiler=None) -> LaunchResult:
+    def launch_cfg(self, cfg: KernelLaunch) -> LaunchResult:
+        """Run one launch, observed by the ambient profiler
+        (:func:`repro.telemetry.capture`) when one is active."""
         spec = self.spec
         occ = cfg.occupancy(spec)
-        # Ambient profiling (repro.telemetry.capture): one pointer
-        # test per launch when off, a full profile per launch on.
-        if profiler is None:
-            profiler = telemetry_hooks.current()
-        observer = telemetry_hooks.launch_observer(spec.num_sms, tracer,
-                                                   profiler)
+        # One pointer test per launch when nothing is capturing; under
+        # a profiler, ObserverPlan.of decides what the launch records.
+        profiler = telemetry_hooks.current()
+        observer = None
+        if profiler is not None:
+            observer = telemetry_hooks.ObserverPlan.of(profiler).observer(
+                spec.num_sms, profiler)
         engine = Engine(spec, occ.blocks_per_sm, profile=observer)
         cycles = engine.launch(self.block_factories(cfg, observer))
         self.total_cycles += cycles

@@ -210,8 +210,9 @@ def _merge_trace(observers: list, num_sms: int, warps: list[int],
 
     SM ids rebase to shard *i*'s global range, warp ids past the
     ``warps`` of the shards before it, and causal request ids to the
-    shard's device prefix; counter mirrors (``sm == -1``, warp 0) stay
-    unrebased.  Each shard's dropped events add to the merged count.
+    shard's device prefix (their middle field stays the device-local
+    warp); counter mirrors (``sm == -1``, warp 0) stay unrebased.  Each
+    shard's dropped events add to the merged count.
     """
     tracer = Tracer(max_events=max_events)
     warp_base = 0

@@ -1,7 +1,7 @@
 """Execution tracing for the simulated GPU.
 
-A :class:`Tracer` attached to a launch records one record per completed
-macro-op — which warp, what kind of request, when it started and
+A :class:`Tracer` on a captured launch records one record per
+completed macro-op — which warp, what kind of request, when it started and
 finished, and what resource it used.  Useful for debugging timing
 anomalies ("why is this kernel latency-bound?") and for asserting
 scheduling properties in tests.
@@ -13,16 +13,17 @@ timeline shows faults, not just loads.
 
 Usage::
 
-    tracer = Tracer()
-    device.launch(kernel, grid=1, block_threads=64, tracer=tracer)
+    with capture(max_traces=1) as prof:        # repro.telemetry
+        device.launch(kernel, grid=1, block_threads=64)
+    tracer = prof.traces[0]
     print(render_timeline(tracer, width=72))
     tracer.summary()
     json.dump(tracer.to_chrome_trace(device.spec), open("t.json", "w"))
 
 The Chrome-trace export loads in ``chrome://tracing`` and in Perfetto
 (https://ui.perfetto.dev): one process per SM, one thread track per
-warp.  Tracing costs Python time, so it is off unless a tracer is
-passed.
+warp.  Tracing costs Python time, so it is off unless a tracing
+profiler is capturing.
 """
 
 from __future__ import annotations

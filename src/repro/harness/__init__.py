@@ -7,12 +7,11 @@ module-level point function — executed by the parallel runner
 ``repro-experiments`` (:mod:`repro.harness.cli`) runs them and renders
 text tables next to the paper's published values.
 
-The pre-registry one-function-per-figure API (``table1()``, ...) was
-removed after its deprecation cycle; use ``REGISTRY``/``run_experiment``
-(or the serial ``ALL_EXPERIMENTS`` callables) instead.
+Run an experiment with ``run_experiment(REGISTRY[name])``; it is the
+only entry point.
 """
 
-from repro.harness.experiments import ALL_EXPERIMENTS
+import repro.harness.experiments  # noqa: F401  (populates REGISTRY)
 from repro.harness.registry import (
     REGISTRY,
     Column,
@@ -27,11 +26,9 @@ from repro.harness.runner import (
     RunReport,
     point_seed,
     run_experiment,
-    run_named,
 )
 
 __all__ = [
-    "ALL_EXPERIMENTS",
     "Column",
     "Experiment",
     "ExperimentPointError",
@@ -42,6 +39,5 @@ __all__ = [
     "experiment",
     "point_seed",
     "run_experiment",
-    "run_named",
     "format_result",
 ]

@@ -9,9 +9,10 @@ with:
 * **deterministic per-point seeding** — each point's RNG seed is a
   stable hash of ``(base_seed, experiment, point index, params)``, so
   ``--jobs 1`` and ``--jobs N`` produce row-for-row identical results;
-* **structured failure capture** — a crashed point becomes an entry in
-  ``result.errors`` (params + traceback), never a crashed suite: the
-  sibling points' rows survive;
+* **one point runner** — :func:`run_point` runs a grid point in
+  whichever process gets it and returns one :class:`PointOutcome`; a
+  crashed point becomes an entry in ``result.errors`` (params +
+  traceback), never a crashed suite: the sibling points' rows survive;
 * **per-worker profile merging** — with ``profile=True`` each point
   runs under :func:`repro.telemetry.capture` and its
   ``LaunchProfile`` documents are shipped back and merged into one
@@ -41,7 +42,7 @@ import sys
 import time
 import traceback
 import zlib
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from queue import Empty
 from typing import Optional
@@ -85,9 +86,10 @@ class Instrumentation:
     (:class:`repro.telemetry.hooks.EngineProfile`): where the observer
     is a live object inside one engine launch, ``Instrumentation``
     carries picklable *switches* for a whole experiment run — the
-    runner turns them into a profiler in whichever process executes
-    the point, and :func:`~repro.telemetry.hooks.launch_observer`
-    builds each launch's observer from that profiler.
+    runner turns them into a ``capture()`` profiler in whichever
+    process executes the point, and
+    :meth:`~repro.telemetry.hooks.ObserverPlan.of` decides each
+    launch's observer from that profiler.
 
     * ``profile`` — collect per-launch profiles and a merged suite
       profile (implied by either of the next two).
@@ -194,14 +196,13 @@ def _execute_point(point_fn, params: dict, seed: int, scale: str,
                    profile: bool, trace: bool,
                    attribution: bool = False, sampling=None):
     """Run one point (any process); returns (rows, profile docs,
-    tracers).  Tracers only exist for in-process execution — they are
-    not shipped across the pool.  ``attribution`` forces a tracer per
-    launch (the analyzer needs the event log) and stores the
-    cycle-attribution summary in each profile's components.
-    ``sampling`` (a :func:`_sampling_config` dict) turns on the
-    cycle-window sampler; its one sink writes each closed window to
-    the point's series file (a header line, then windows stamped with
-    ``{experiment, point, pid}``) and sends the window heartbeat."""
+    tracers).  ``attribution`` forces a tracer per launch (the analyzer
+    needs the event log) and stores the cycle-attribution summary in
+    each profile's components.  ``sampling`` (a
+    :func:`_sampling_config` dict) turns on the cycle-window sampler;
+    its one sink writes each closed window to the point's series file
+    (a header line, then windows stamped with ``{experiment, point,
+    pid}``) and sends the window heartbeat."""
     _seed_rngs(seed)
     if not profile:
         return point_fn(scale=scale, **params), [], []
@@ -233,29 +234,45 @@ def _execute_point(point_fn, params: dict, seed: int, scale: str,
     return rows, [p.to_dict() for p in prof.profiles], prof.traces
 
 
-def _pool_task(point_fn, index: int, params: dict, seed: int,
-               scale: str, profile: bool, attribution: bool = False,
-               live=None, exp_name: str = "", beat_queue=None):
-    """Worker-side wrapper: never raises — failures come back as data.
+def run_point(point_fn, exp_name: str, index: int, params: dict,
+              seed: int, scale: str, instrument: Instrumentation,
+              sender: Optional[HeartbeatSender] = None) -> PointOutcome:
+    """Run one grid point in this process and return its outcome.
 
-    With live telemetry on, the worker writes its point's series file
-    itself (one writer per file) and ships rate-limited ``window``
-    heartbeats to the parent over ``beat_queue``.
+    ``jobs=1`` calls this inline and the pool submits it, so both paths
+    build the same :class:`PointOutcome`.  A failing point comes back
+    as its error and traceback.  In a pool worker that covers every
+    failure, Ctrl-C included, so the parent always gets an error row;
+    in the parent, ``KeyboardInterrupt`` and ``SystemExit`` still stop
+    the run.  Only the parent keeps tracers: a worker traces only when
+    attribution needs the events, and never ships a tracer back.
+
+    With live telemetry on, the point writes its own series file (one
+    writer per file) and sends rate-limited ``window`` heartbeats
+    through ``sender``.
     """
+    in_worker = multiprocessing.parent_process() is not None
+    live = instrument.live
+    profile = (instrument.profile or instrument.attribution
+               or live is not None)
+    trace = not in_worker and (profile if instrument.trace is None
+                               else instrument.trace)
+    out = PointOutcome(index=index, params=params, seed=seed,
+                       worker_pid=os.getpid())
     try:
-        sender = None
-        if live is not None:        # run_experiment passes a queue
-            sender = HeartbeatSender(beat_queue.put,
-                                     min_interval=live.heartbeat_interval)
-        sampling = _sampling_config(live, exp_name, index, sender)
-        rows, docs, _ = _execute_point(point_fn, params, seed, scale,
-                                       profile, trace=False,
-                                       attribution=attribution,
-                                       sampling=sampling)
-        return (index, rows, docs, None, None, os.getpid())
+        out.rows, out.profiles, tracers = _execute_point(
+            point_fn, params, seed, scale, profile, trace=trace,
+            attribution=instrument.attribution,
+            sampling=_sampling_config(live, exp_name, index, sender))
     except BaseException as exc:                    # noqa: BLE001
-        return (index, None, [], f"{type(exc).__name__}: {exc}",
-                traceback.format_exc(), os.getpid())
+        if not (in_worker or isinstance(exc, Exception)):
+            raise
+        out.error = f"{type(exc).__name__}: {exc}"
+        out.traceback = traceback.format_exc()
+        return out
+    if not in_worker:
+        out.tracers = tracers
+    return out
 
 
 def spawn_executor(jobs: int) -> ProcessPoolExecutor:
@@ -292,12 +309,8 @@ def run_experiment(exp: Experiment, *, scale: str = "quick",
     """
     if instrument is None:
         instrument = Instrumentation.off()
-    trace = instrument.trace
-    attribution = instrument.attribution
     live = instrument.live
     started = time.time()
-    profile = (instrument.profile or attribution
-               or (live is not None))
     jobs = resolve_jobs(jobs)
     opts = {k: v for k, v in (options or {}).items()
             if k in exp.options and v is not None}
@@ -311,67 +324,48 @@ def run_experiment(exp: Experiment, *, scale: str = "quick",
                                    points=len(grid), jobs=jobs,
                                    scale=scale))
 
+    def finished(out: PointOutcome) -> None:
+        outcomes[out.index] = out
+        renderer.handle(make_heartbeat(
+            "point_done", exp.name, point=out.index,
+            ok=out.error is None, worker=out.worker_pid))
+
     if jobs == 1 and executor is None:
-        in_process_trace = profile if trace is None else trace
         sender = (HeartbeatSender(renderer.handle,
                                   min_interval=live.heartbeat_interval)
                   if live is not None else None)
         for i, params in enumerate(grid):
-            seed = point_seed(exp.name, i, params, base_seed)
-            out = PointOutcome(index=i, params=params, seed=seed,
-                               worker_pid=os.getpid())
-            try:
-                out.rows, out.profiles, out.tracers = _execute_point(
-                    exp.point, params, seed, scale, profile,
-                    trace=in_process_trace, attribution=attribution,
-                    sampling=_sampling_config(live, exp.name, i,
-                                              sender))
-            except Exception as exc:
-                out.error = f"{type(exc).__name__}: {exc}"
-                out.traceback = traceback.format_exc()
-            outcomes[i] = out
-            renderer.handle(make_heartbeat(
-                "point_done", exp.name, point=i,
-                ok=out.error is None))
+            finished(run_point(exp.point, exp.name, i, params,
+                               point_seed(exp.name, i, params, base_seed),
+                               scale, instrument, sender))
     else:
         own_pool = executor is None
         pool = executor if executor is not None else spawn_executor(jobs)
-        manager = None
-        beat_queue = None
+        manager = beat_queue = sender = None
         if live is not None:
             # Spawn-safe heartbeat channel: a manager-proxy queue is
             # picklable, so workers can push window beats mid-point
             # (an executor's own result pipe only speaks at task end).
             manager = multiprocessing.get_context("spawn").Manager()
             beat_queue = manager.Queue()
+            sender = HeartbeatSender(beat_queue.put,
+                                     min_interval=live.heartbeat_interval)
         try:
-            futures = {}
-            for i, params in enumerate(grid):
-                seed = point_seed(exp.name, i, params, base_seed)
-                futures[pool.submit(_pool_task, exp.point, i, params,
-                                    seed, scale, profile, attribution,
-                                    live, exp.name,
-                                    beat_queue)] = (i, params, seed)
-            from concurrent.futures import FIRST_COMPLETED, wait
-            pending = set(futures)
+            pending = {
+                pool.submit(run_point, exp.point, exp.name, i, params,
+                            point_seed(exp.name, i, params, base_seed),
+                            scale, instrument, sender)
+                for i, params in enumerate(grid)}
             while pending:
                 # Short timeout so mid-point heartbeats render live;
                 # without a queue, block until a point finishes.
-                finished, pending = wait(
+                done, pending = wait(
                     pending,
                     timeout=0.1 if beat_queue is not None else None,
                     return_when=FIRST_COMPLETED)
                 _drain_beats(beat_queue, renderer)
-                for fut in finished:
-                    i, params, seed = futures[fut]
-                    index, rows, docs, error, tb, pid = fut.result()
-                    outcomes[index] = PointOutcome(
-                        index=index, params=params, seed=seed,
-                        rows=rows, error=error, traceback=tb,
-                        profiles=docs, worker_pid=pid)
-                    renderer.handle(make_heartbeat(
-                        "point_done", exp.name, point=index,
-                        ok=error is None, worker=pid))
+                for fut in done:
+                    finished(fut.result())
             _drain_beats(beat_queue, renderer)
         finally:
             if own_pool:
@@ -397,7 +391,7 @@ def run_experiment(exp: Experiment, *, scale: str = "quick",
     result.rows = exp.fold(rows, scale) if exp.fold else rows
 
     merged = None
-    if profile and profiles:
+    if profiles:
         # Re-index in deterministic grid order (worker-local indices
         # all start at zero) before merging.
         for index, doc in enumerate(profiles):
@@ -417,13 +411,6 @@ def run_experiment(exp: Experiment, *, scale: str = "quick",
     return RunReport(result=result, outcomes=outcomes,
                      profiles=profiles, tracers=tracers, merged=merged,
                      jobs=jobs, elapsed=time.time() - started)
-
-
-def run_named(name: str, **kwargs) -> RunReport:
-    """Run a registered experiment by id (imports the registry)."""
-    import repro.harness.experiments  # noqa: F401  (populates REGISTRY)
-    from repro.harness.registry import REGISTRY
-    return run_experiment(REGISTRY[name], **kwargs)
 
 
 # ----------------------------------------------------------------------

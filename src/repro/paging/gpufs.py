@@ -52,7 +52,7 @@ MINOR_FAULT_INSTRS = 150.0
 MAJOR_FAULT_EXTRA_INSTRS = 250.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class GPUfsConfig:
     """Configuration of the paging subsystem.
 
@@ -107,32 +107,6 @@ class GPUfsConfig:
             raise ValueError(
                 f"unknown GPUfsConfig fields: {unknown}")
         return cls(**data)
-
-
-def _reject_positional_init(cls):
-    """Make positional GPUfsConfig construction a ``TypeError``.
-
-    The deprecation cycle is over (positional args warned from PR 4);
-    keyword construction and the ``to_dict``/``from_dict`` round-trip
-    are the only supported ways to build a config.
-    """
-    generated = cls.__init__
-
-    def __init__(self, *args, **kwargs):
-        if args:
-            raise TypeError(
-                "positional GPUfsConfig arguments were removed after "
-                "their deprecation cycle; pass fields by keyword "
-                "(GPUfsConfig(num_frames=..., ...)) or use "
-                "GPUfsConfig.from_dict(...)")
-        generated(self, **kwargs)
-
-    __init__.__wrapped__ = generated
-    cls.__init__ = __init__
-    return cls
-
-
-_reject_positional_init(GPUfsConfig)
 
 
 @dataclass

@@ -2,10 +2,12 @@
 and the engine's one observer.
 
 The harness cannot thread a profiler argument through every experiment,
-workload, and runner, so instrumented constructors (``AVM``, ``GPUfs``)
-and :meth:`Device.launch_cfg` ask this module for the *current* profiler
-instead.  When none is active — the default — ``current()`` returns
-``None`` and every instrumentation site is a single pointer test.
+workload, and runner, so instrumented constructors (``AVM``, ``GPUfs``),
+:meth:`Device.launch_cfg` and :func:`~repro.gpu.multigpu.launch_cluster`
+ask this module for the *current* profiler instead.  It is the only way
+a launch is observed.  When none is active — the default — ``current()``
+returns ``None`` and every instrumentation site is a single pointer
+test.
 
 The stack discipline supports nesting (a profiled experiment launching
 a sub-profiled region); :func:`repro.telemetry.capture` is the public
@@ -13,10 +15,9 @@ entry point.
 
 :class:`EngineProfile` is the one instrumentation hook of
 :class:`repro.gpu.engine.Engine`; :meth:`ObserverPlan.of` is the one
-rule deciding, from a profiler, what it records, and
-:func:`launch_observer` builds it per device launch.  The module
-imports nothing from the simulator at load time, so the GPU layer can
-import it freely.
+rule deciding, from a profiler, what every device launch and cluster
+shard records.  The module imports nothing from the simulator at load
+time, so the GPU layer can import it freely.
 """
 
 from __future__ import annotations
@@ -65,8 +66,7 @@ class EngineProfile:
     pointer test per dispatched request and nothing else.  Each call
     carries the warp's runner and the whole interval; the profile keeps
     launch totals and ignores the event times, the tracer (when set)
-    records the intervals.  A trace-only launch gets a profile whose
-    totals nobody reads.  The time-series sampler
+    records the intervals.  The time-series sampler
     (:mod:`repro.telemetry.timeseries`) subclasses this to also bucket
     the counted events into cycle windows (and defines :attr:`advance`,
     the per-event window roll); it overrides only the counting hooks.
@@ -224,13 +224,14 @@ class ObserverPlan:
                    timeseries=profiler.timeseries,
                    window_cycles=profiler.window_cycles)
 
-    def observer(self, num_sms: int, tracer=None, profiler=None):
+    def observer(self, num_sms: int, profiler=None):
         """A :class:`~repro.telemetry.timeseries.TimeseriesSampler` when
-        sampling, else a plain :class:`EngineProfile`; either carries
-        ``tracer`` or, when the plan traces, a new one.  A live
-        ``profiler`` lends the sampler its sink, probes and gauges; a
-        cluster shard gets none."""
-        if tracer is None and self.trace_events:
+        sampling, else a plain :class:`EngineProfile`; either carries a
+        new tracer when the plan traces.  A live ``profiler`` lends the
+        sampler its sink, probes and gauges; a cluster shard gets
+        none."""
+        tracer = None
+        if self.trace_events:
             from repro.gpu.trace import Tracer
             tracer = Tracer(max_events=self.trace_events)
         if not self.timeseries:
@@ -247,15 +248,3 @@ class ObserverPlan:
             num_sms=num_sms,
             window_cycles=self.window_cycles or DEFAULT_WINDOW_CYCLES,
             sink=sink, tracer=tracer, probes=probes, gauges=gauges)
-
-
-def launch_observer(num_sms: int, tracer=None, profiler=None):
-    """The engine observer of one device launch, or ``None`` when
-    nothing observes it.  Under a ``profiler`` (explicit or ambient)
-    the observer follows :meth:`ObserverPlan.of`; a bare ``tracer``
-    gets a plain :class:`EngineProfile` carrying it."""
-    if profiler is not None:
-        return ObserverPlan.of(profiler).observer(num_sms, tracer, profiler)
-    if tracer is not None:
-        return EngineProfile.for_sms(num_sms, tracer=tracer)
-    return None

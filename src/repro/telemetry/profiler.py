@@ -1,14 +1,10 @@
 """The per-launch profiler and its activation context.
 
-Two ways to profile:
-
-* **Explicit** — create a :class:`Profiler` and pass it to
-  :meth:`Device.launch(..., profiler=prof) <repro.gpu.device.Device>`;
-  attach component stats with :meth:`Profiler.register`.
-* **Ambient** — ``with capture() as prof:`` activates the profiler for
-  every launch in the block, and instrumented constructors (``AVM``,
-  ``GPUfs``) register their counters automatically.  This is what
-  ``repro-experiments --profile-dir`` uses: experiments need no changes.
+``with capture() as prof:`` activates a :class:`Profiler` for every
+launch in the block, device and cluster alike, and instrumented
+constructors (``AVM``, ``GPUfs``) register their counters with it
+automatically.  It is the only way to observe a launch, and what
+``repro-experiments --profile-dir`` uses: experiments need no changes.
 
 Each launch appends one :class:`~repro.telemetry.profile.LaunchProfile`
 to ``prof.profiles`` and (up to ``max_traces``) one execution trace to
@@ -73,8 +69,8 @@ class Profiler:
     def record_launch(self, *, device, cfg, occ,
                       engine) -> LaunchProfile:
         """Reduce one finished launch to a :class:`LaunchProfile`; the
-        engine's observer came from
-        :func:`~repro.telemetry.hooks.launch_observer`."""
+        engine's observer came from this profiler's
+        :meth:`~repro.telemetry.hooks.ObserverPlan.of`."""
         prof = engine.profile
         return self._record(
             name=getattr(cfg.kernel, "__name__", "kernel"),

@@ -15,7 +15,8 @@ import pytest
 from repro.core import APConfig, AVM
 from repro.gpu import Device
 from repro.gpu.instructions import TimedLock
-from repro.gpu.trace import ATTRIBUTION_KINDS, Tracer, render_timeline
+from repro.gpu.trace import ATTRIBUTION_KINDS, render_timeline
+from repro.telemetry import capture
 from repro.telemetry.attribution import _parse_translation_detail
 from repro.workloads import run_memcpy
 from tests.gpu.test_engine_golden import contended_kernel_device
@@ -32,20 +33,29 @@ def _launch_memcpy(traced: bool, *, use_apointers=True):
         r = run_memcpy(device, use_apointers=use_apointers, width=4,
                        nblocks=2, warps_per_block=4, iters_per_thread=4)
         return r.cycles, None
-    from repro.telemetry import capture
     with capture(trace=True, max_traces=1) as prof:
         r = run_memcpy(device, use_apointers=use_apointers, width=4,
                        nblocks=2, warps_per_block=4, iters_per_thread=4)
     return r.cycles, prof.traces[0]
 
 
+def _traced_launch(device, kern, **launch):
+    """One launch under a tracing ``capture()``; returns its tracer."""
+    with capture(trace=True, max_traces=1) as prof:
+        device.launch(kern, **launch)
+    return prof.traces[0]
+
+
 def _launch_contended(traced: bool):
     """Run the golden contended atomic+barrier kernel; returns
     ((cycles, stats), tracer-or-None)."""
     device, kern = contended_kernel_device()
-    tracer = Tracer() if traced else None
-    r = device.launch(kern, grid=2, block_threads=64, tracer=tracer)
-    return (r.cycles, r.stats), tracer
+    if not traced:
+        r = device.launch(kern, grid=2, block_threads=64)
+        return (r.cycles, r.stats), None
+    with capture(trace=True, max_traces=1) as prof:
+        r = device.launch(kern, grid=2, block_threads=64)
+    return (r.cycles, r.stats), prof.traces[0]
 
 
 class TestZeroDrift:
@@ -93,7 +103,6 @@ class TestStallRecording:
         # their stall reason instead of the mechanical default
         # ("exec_dependency" for compute).
         device = Device(memory_bytes=8 * 1024 * 1024)
-        tracer = Tracer()
 
         def kern(ctx):
             ctx.push_activity("translation")
@@ -103,7 +112,7 @@ class TestStallRecording:
                 ctx.pop_activity()
             yield from ctx.compute(100, chain=100)
 
-        device.launch(kern, grid=1, block_threads=32, tracer=tracer)
+        tracer = _traced_launch(device, kern, grid=1, block_threads=32)
         reasons = {e.detail for e in tracer.events
                    if e.kind == "stall"}
         assert "translation" in reasons
@@ -155,7 +164,6 @@ class TestStallRecording:
 class TestBarrierAndLockStalls:
     def test_barrier_wait_recorded(self):
         device = Device(memory_bytes=8 * 1024 * 1024)
-        tracer = Tracer()
 
         def kern(ctx):
             # Warp 0 computes 200 cycles, warp 1 arrives immediately:
@@ -164,7 +172,7 @@ class TestBarrierAndLockStalls:
                 yield from ctx.compute(200, chain=200)
             yield from ctx.syncthreads()
 
-        device.launch(kern, grid=1, block_threads=64, tracer=tracer)
+        tracer = _traced_launch(device, kern, grid=1, block_threads=64)
         barriers = [e for e in tracer.events
                     if e.kind == "stall" and e.detail == "barrier"]
         assert barriers
@@ -172,7 +180,6 @@ class TestBarrierAndLockStalls:
 
     def test_contended_lock_wait_recorded(self):
         device = Device(memory_bytes=8 * 1024 * 1024)
-        tracer = Tracer()
         lock = TimedLock("t")
 
         def kern(ctx, lock):
@@ -180,8 +187,8 @@ class TestBarrierAndLockStalls:
             yield from ctx.sleep(50)
             yield from ctx.unlock(lock)
 
-        device.launch(kern, grid=1, block_threads=64, args=(lock,),
-                      tracer=tracer)
+        tracer = _traced_launch(device, kern, grid=1, block_threads=64,
+                                args=(lock,))
         locks = [e for e in tracer.events
                  if e.kind == "stall" and e.detail == "lock"]
         assert locks, "the losing warp must log its lock wait"
@@ -199,8 +206,7 @@ class TestApointerTranslationEvents:
             _ = yield from ap.read(ctx, "f4")
             yield from ap.destroy(ctx)
 
-        tracer = Tracer()
-        device.launch(kern, grid=1, block_threads=32, tracer=tracer)
+        tracer = _traced_launch(device, kern, grid=1, block_threads=32)
         trans = [e for e in tracer.events if e.kind == "translation"]
         assert trans, "apointer reads must emit translation events"
         # Every decomposition stays consistent: hid + exposed parts

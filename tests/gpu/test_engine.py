@@ -12,7 +12,7 @@ from repro.gpu import Device, K80_SPEC, Tracer
 from repro.gpu.engine import Engine
 from repro.gpu.instructions import TimedLock
 from repro.gpu.trace import COUNTER_KIND
-from repro.telemetry import Profiler
+from repro.telemetry import capture
 
 
 @pytest.fixture
@@ -313,40 +313,36 @@ def coverage_kernel(ctx, base, counter, lock):
     yield from ctx.sleep(IO_WAIT_CYCLES, io_wait=True)
 
 
-def run_coverage(tracer=None, profiler=None):
-    """One coverage launch on a fresh device."""
+def run_coverage():
+    """One coverage launch on a fresh device, observed by whatever
+    ``capture()`` is active."""
     device = Device(memory_bytes=8 * 1024 * 1024)
     base = device.alloc(COVERAGE_GRID * COVERAGE_THREADS * 16 + 64)
     counter = device.alloc(8)
     return device.launch(coverage_kernel, grid=COVERAGE_GRID,
                          block_threads=COVERAGE_THREADS,
-                         args=(base, counter, TimedLock("cov")),
-                         tracer=tracer, profiler=profiler)
+                         args=(base, counter, TimedLock("cov")))
 
 
-#: Setup name -> (pass a Tracer?, ``(trace, timeseries)`` of the
-#: Profiler passed, or ``None`` for no profiler).
+#: Setup name -> ``(trace, timeseries)`` of the ``capture()`` around the
+#: launch, or ``None`` for no capture.
 OBSERVER_SETUPS = {
-    "none": (False, None),
-    "profile": (False, (False, False)),
-    "trace": (True, None),
-    "profile+trace": (False, (True, False)),
-    "sampler": (False, (False, True)),
-    "sampler+trace": (False, (True, True)),
+    "none": None,
+    "profile": (False, False),
+    "profile+trace": (True, False),
+    "sampler": (False, True),
+    "sampler+trace": (True, True),
 }
 
 
-def _run_setup(own_tracer, observed):
+def _run_setup(observed):
     """One coverage launch; returns ``(result, tracer or None)``."""
-    tracer = Tracer() if own_tracer else None
-    profiler = None
-    if observed is not None:
-        profiler = Profiler(trace=observed[0], timeseries=observed[1],
-                            window_cycles=COVERAGE_WINDOW)
-    result = run_coverage(tracer=tracer, profiler=profiler)
-    if profiler is not None and profiler.trace:
-        tracer = profiler.traces[-1]
-    return result, tracer
+    if observed is None:
+        return run_coverage(), None
+    with capture(trace=observed[0], timeseries=observed[1],
+                 window_cycles=COVERAGE_WINDOW) as prof:
+        result = run_coverage()
+    return result, prof.traces[-1]
 
 
 class TestObserverMatrix:
@@ -356,7 +352,7 @@ class TestObserverMatrix:
 
     @pytest.fixture(scope="class")
     def runs(self):
-        return {name: _run_setup(*setup)
+        return {name: _run_setup(setup)
                 for name, setup in OBSERVER_SETUPS.items()}
 
     def test_cycles_and_stats_identical(self, runs):
@@ -386,13 +382,13 @@ class TestObserverMatrix:
                          if e.kind != COUNTER_KIND]
                   for name, (_, tracer) in runs.items()
                   if tracer is not None}
-        assert set(traced) == {"trace", "profile+trace", "sampler+trace"}
-        ref = traced["trace"]
+        assert set(traced) == {"profile+trace", "sampler+trace"}
+        ref = traced["profile+trace"]
         for name, events in traced.items():
             assert events == ref, name
 
     def test_kernel_reaches_every_handler(self, runs):
-        _, tracer = runs["trace"]
+        _, tracer = runs["profile+trace"]
         kinds = {e.kind for e in tracer.events}
         assert {"compute", "scratchaccess", "atomicop", "memaccess",
                 "pcietransfer", "hostcompute", "sleep", "issue",

@@ -109,8 +109,12 @@ def _contended_case() -> dict:
 
 
 def _table2_case() -> list:
-    from repro.harness.experiments import ALL_EXPERIMENTS
-    return ALL_EXPERIMENTS["table2"](scale="quick").rows
+    import repro.harness.experiments  # noqa: F401  (populates REGISTRY)
+    from repro.harness.registry import REGISTRY
+    from repro.harness.runner import run_experiment
+    report = run_experiment(REGISTRY["table2"], progress=False)
+    assert report.ok, report.result.errors
+    return report.result.rows
 
 
 #: Record name -> zero-argument capture function.

@@ -34,7 +34,7 @@ from repro.gpu.kernel import BlockContext
 from repro.gpu.memory import Scratchpad
 from repro.paging.gpufs import SPIN_WAIT_CYCLES, GPUfs
 from repro.paging.page_table import PageTableEntry
-from repro.telemetry import Profiler
+from repro.telemetry import capture
 from repro.telemetry.hooks import EngineProfile
 
 SPEC = dataclasses.replace(K80_SPEC, num_sms=2)
@@ -233,10 +233,9 @@ def _spin_launch(delays, preempt: bool, engine_polls: bool) -> dict:
         yield from ctx.sleep(IO_SLEEP, io_wait=True)
         yield from ctx.compute(WORK)
 
-    profiler = Profiler(trace=True)
     # 1024 threads: two blocks fill the SM, the rest queue.
-    res = device.launch(kern, grid=len(delays), block_threads=1024,
-                        profiler=profiler)
+    with capture(trace=True) as profiler:
+        res = device.launch(kern, grid=len(delays), block_threads=1024)
     return {"cycles": res.cycles, "stats": vars(res.stats),
             "busy_waits": gpufs.stats.busy_waits,
             "stalls": res.profile.to_dict()["stalls"],

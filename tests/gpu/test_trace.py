@@ -16,7 +16,6 @@ SPAN_WINDOW = 7000.0
 def traced():
     device = Device(memory_bytes=8 * 1024 * 1024)
     src = device.alloc(64 * 1024)
-    tracer = Tracer()
 
     def kern(ctx):
         for i in range(4):
@@ -25,8 +24,9 @@ def traced():
         yield from ctx.compute(30)
         yield from ctx.syncthreads()
 
-    device.launch(kern, grid=1, block_threads=64, tracer=tracer)
-    return tracer
+    with capture(max_traces=1) as prof:
+        device.launch(kern, grid=1, block_threads=64)
+    return prof.traces[0]
 
 
 class TestTracer:

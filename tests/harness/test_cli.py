@@ -6,8 +6,27 @@ import os
 import pytest
 
 from repro.harness import cli
-from repro.harness.experiments import ALL_EXPERIMENTS
+from repro.harness.registry import REGISTRY, Experiment
 from repro.telemetry import validate_profile
+
+
+def _one_grid(scale):
+    return [{}]
+
+
+def _one_point(*, scale):
+    return [{"value": 1}]
+
+
+def _boom_fold(rows, scale):
+    raise RuntimeError("synthetic failure")
+
+
+#: An experiment whose fold raises: the runner lets that propagate,
+#: unlike a failing point, which becomes an error row.
+FOLD_RAISES = Experiment(
+    name="table1", title="fold raises", columns=("value",),
+    point=_one_point, grid=_one_grid, fold=_boom_fold)
 
 
 class TestMarkdownOutput:
@@ -22,11 +41,7 @@ class TestMarkdownOutput:
     def test_failed_experiment_writes_partial_markdown(
             self, tmp_path, monkeypatch, capsys):
         target = tmp_path / "results.md"
-
-        def boom(scale="quick"):
-            raise RuntimeError("synthetic failure")
-
-        monkeypatch.setitem(ALL_EXPERIMENTS, "table1", boom)
+        monkeypatch.setitem(REGISTRY, "table1", FOLD_RAISES)
         with pytest.raises(RuntimeError, match="synthetic failure"):
             cli.main(["table1", "--markdown", str(target)])
         text = target.read_text()
@@ -36,10 +51,7 @@ class TestMarkdownOutput:
 
     def test_failure_without_markdown_still_raises(self, monkeypatch,
                                                    capsys):
-        def boom(scale="quick"):
-            raise RuntimeError("synthetic failure")
-
-        monkeypatch.setitem(ALL_EXPERIMENTS, "table1", boom)
+        monkeypatch.setitem(REGISTRY, "table1", FOLD_RAISES)
         with pytest.raises(RuntimeError):
             cli.main(["table1"])
 

@@ -1,11 +1,26 @@
 """Tests for the experiment harness (fast experiments only; the heavy
 sweeps run in benchmarks/)."""
 
+import math
+
 import pytest
 
-from repro.harness import ALL_EXPERIMENTS, format_result
-from repro.harness.experiments import TABLE1_PAPER, ExperimentResult
+from repro.harness import REGISTRY, format_result, run_experiment
+from repro.harness.experiments import (
+    _EXPERIMENT_ORDER,
+    TABLE1_PAPER,
+    ExperimentResult,
+)
 from repro.harness.reporting import format_markdown
+from repro.harness.runner import Instrumentation, point_seed, run_point
+
+
+def run(name: str) -> ExperimentResult:
+    """Run a registered experiment serially at quick scale; every
+    point must succeed."""
+    report = run_experiment(REGISTRY[name], progress=False)
+    assert report.ok, report.result.errors
+    return report.result
 
 
 class TestRegistry:
@@ -16,17 +31,65 @@ class TestRegistry:
                     "ablation_registers", "ablation_eviction",
                     "ablation_readahead", "ablation_future_hw",
                     "ablation_io_preemption"}
-        assert expected <= set(ALL_EXPERIMENTS)
+        assert expected <= set(REGISTRY)
+
+    def test_listing_order_holds_every_registered_id(self):
+        assert sorted(_EXPERIMENT_ORDER) == sorted(REGISTRY)
+        assert len(set(_EXPERIMENT_ORDER)) == len(_EXPERIMENT_ORDER)
 
     def test_registry_entries_accept_scale(self):
-        result = ALL_EXPERIMENTS["table1"](scale="quick")
-        assert isinstance(result, ExperimentResult)
+        report = run_experiment(REGISTRY["table1"], scale="quick",
+                                progress=False)
+        assert isinstance(report.result, ExperimentResult)
+
+
+#: Registered id -> index of its cheapest quick grid point (0.01 to
+#: 1.5 s each; a baseline point where the fold derives a ratio).
+#: ``table3`` and ``figure9`` points take 8-15 s; their runners are
+#: pinned by ``tests/gpu/golden_collage.json`` instead.
+CHEAP_POINT = {
+    "table1": 1, "table2": 0, "figure6a": 20, "figure6b": 0,
+    "figure6c": 0, "figure7": 0, "unaligned": 0,
+    "ablation_prefetch": 1, "ablation_batching": 0,
+    "ablation_registers": 0, "ablation_eviction": 3,
+    "ablation_readahead": 0, "ablation_future_hw": 0,
+    "ablation_io_preemption": 0, "syscall_kvstore": 0,
+    "syscall_grepscan": 0, "syscall_graphwalk": 1,
+}
+
+
+class TestEveryExperiment:
+    """One quick point and the fold of every registered experiment
+    run under test, so none of them is exercised only by hand."""
+
+    def test_every_experiment_has_a_cheap_point(self):
+        assert set(CHEAP_POINT) | {"table3", "figure9"} == set(REGISTRY)
+
+    @pytest.mark.parametrize("name", list(CHEAP_POINT))
+    def test_point_and_fold(self, name):
+        exp = REGISTRY[name]
+        index = CHEAP_POINT[name]
+        params = exp.grid("quick")[index]
+        out = run_point(exp.point, name, index, params,
+                        point_seed(name, index, params), "quick",
+                        Instrumentation.off())
+        assert out.error is None, out.traceback
+        assert out.rows
+        rows = exp.fold(out.rows, "quick") if exp.fold else out.rows
+        assert rows
+        columns = set(exp.columns_for("quick"))
+        for row in rows:
+            assert set(row) <= columns, set(row) - columns
+            for key, value in row.items():
+                assert value is not None, key
+                if isinstance(value, float):
+                    assert math.isfinite(value), (key, value)
 
 
 class TestTable1:
     @pytest.fixture(scope="class")
     def result(self):
-        return ALL_EXPERIMENTS["table1"]()
+        return run("table1")
 
     def test_has_all_paper_cells(self, result):
         assert len(result.rows) == len(TABLE1_PAPER)
@@ -47,24 +110,24 @@ class TestTable1:
 
 class TestAblations:
     def test_prefetch_helps_latency(self):
-        result = ALL_EXPERIMENTS["ablation_prefetch"]()
+        result = run("ablation_prefetch")
         pf = result.row_by(variant="prefetching")
         ptx = result.row_by(variant="optimized_ptx")
         assert pf["read_latency_cycles"] < ptx["read_latency_cycles"]
 
     def test_batching_helps(self):
-        result = ALL_EXPERIMENTS["ablation_batching"]()
+        result = run("ablation_batching")
         on = result.row_by(batching=True)
         off = result.row_by(batching=False)
         assert on["cycles"] < off["cycles"]
 
     def test_register_pressure_halves_occupancy(self):
-        result = ALL_EXPERIMENTS["ablation_registers"]()
+        result = run("ablation_registers")
         assert result.row_by(regs_per_thread=128)["blocks_per_sm"] == 1
         assert result.row_by(regs_per_thread=128)["slowdown_vs_64"] > 1.2
 
     def test_future_hw_cuts_increment_cost(self):
-        result = ALL_EXPERIMENTS["ablation_future_hw"]()
+        result = run("ablation_future_hw")
         hw = result.row_by(variant="hw_assisted")
         sw = result.row_by(variant="prefetching")
         assert hw["inc_latency_cycles"] < sw["inc_latency_cycles"] / 2
@@ -78,7 +141,7 @@ class TestAblations:
 class TestReporting:
     @pytest.fixture(scope="class")
     def result(self):
-        return ALL_EXPERIMENTS["table1"]()
+        return run("table1")
 
     def test_text_table_contains_all_rows(self, result):
         text = format_result(result)

@@ -11,7 +11,6 @@ import json
 import pytest
 
 from repro.harness import cli
-from repro.harness.experiments import ALL_EXPERIMENTS
 from repro.harness.registry import REGISTRY, Column, Experiment
 from repro.harness.runner import (
     DEFAULT_BASE_SEED,
@@ -132,10 +131,7 @@ class TestFailureCapture:
 
 class TestCliExitCodes:
     def _install(self, monkeypatch, exp):
-        def run(scale="quick", **options):
-            raise AssertionError("CLI must use the runner path")
-        run.experiment = exp
-        monkeypatch.setitem(ALL_EXPERIMENTS, "table1", run)
+        monkeypatch.setitem(REGISTRY, "table1", exp)
 
     def test_error_rows_exit_nonzero_without_losing_rows(
             self, monkeypatch, capsys):

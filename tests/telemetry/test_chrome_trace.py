@@ -16,7 +16,6 @@ PAGE = 4096
 def traced_fault_run():
     """A launch with both engine macro-ops and paging spans."""
     npages = 4
-    tracer = Tracer()
     device, gpufs, fid, _ = make_file_env(
         npages * PAGE, num_frames=npages + 4,
         memory_bytes=npages * PAGE + 32 * 1024 * 1024)
@@ -26,8 +25,9 @@ def traced_fault_run():
             yield from gpufs.gmmap(ctx, fid, p * PAGE)
             yield from gpufs.gmunmap(ctx, fid, p * PAGE)
 
-    device.launch(kern, grid=1, block_threads=64, tracer=tracer)
-    return device, tracer
+    with capture(max_traces=1) as prof:
+        device.launch(kern, grid=1, block_threads=64)
+    return device, prof.traces[0]
 
 
 def _validate_chrome_trace(doc):

@@ -8,9 +8,7 @@ import pytest
 from repro.core import APConfig, AVM
 from repro.gpu import Device, K80_SPEC
 from repro.telemetry import (
-    LaunchProfile,
     MetricsRegistry,
-    Profiler,
     capture,
     hooks,
     validate_profile,
@@ -269,19 +267,6 @@ class TestHooks:
 
         result = device.launch(kern, grid=1, block_threads=32)
         assert result.profile is None
-
-    def test_explicit_profiler_without_capture(self):
-        prof = Profiler(trace=False)
-        device = Device(memory_bytes=8 * 1024 * 1024)
-
-        def kern(ctx):
-            yield from ctx.compute(5)
-
-        result = device.launch(kern, grid=1, block_threads=32,
-                               profiler=prof)
-        assert isinstance(result.profile, LaunchProfile)
-        assert prof.traces == [None]
-        validate_profile(result.profile.to_dict())
 
 
 class TestWrite:
