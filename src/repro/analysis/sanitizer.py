@@ -283,10 +283,6 @@ class Sanitizer:
             invariant=invariant, block_id=ctx.block_id,
             warp_id=ctx.warp_id, message=message, details=details))
 
-    # ------------------------------------------------------------------
-    def by_invariant(self, invariant: str) -> list[Violation]:
-        return [v for v in self.violations if v.invariant == invariant]
-
 
 def _byte_overlap(a: _Write, b: _Write) -> bool:
     """Exact per-lane extent intersection (the range test prefilters)."""

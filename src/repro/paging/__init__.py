@@ -17,7 +17,7 @@ reimplements the *redesigned* GPUfs paging subsystem the paper describes:
 """
 
 from repro.paging.page_table import PageTable, PageTableEntry
-from repro.paging.page_cache import PageCache, PageCacheConfig
+from repro.paging.page_cache import PageCache
 from repro.paging.staging import TransferBatcher
 from repro.paging.gpufs import (
     GPUfs,
@@ -31,7 +31,6 @@ __all__ = [
     "PageTable",
     "PageTableEntry",
     "PageCache",
-    "PageCacheConfig",
     "TransferBatcher",
     "GPUfs",
     "GPUfsConfig",

@@ -18,7 +18,6 @@ introduction proposes for a CryptFS-style encrypted GPU file system.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from functools import partial
 from typing import Optional
@@ -28,7 +27,7 @@ import numpy as np
 from repro.gpu.kernel import WarpContext
 from repro.host.filesys import FileHandle, HostFileSystem, O_RDONLY
 from repro.host.ramfs import FileSystemError
-from repro.paging.page_cache import PageCache, PageCacheConfig
+from repro.paging.page_cache import PageCache
 from repro.paging.page_table import PageTableEntry
 from repro.paging.staging import TransferBatcher
 from repro.telemetry import hooks as telemetry_hooks
@@ -54,59 +53,38 @@ MAJOR_FAULT_EXTRA_INSTRS = 250.0
 
 @dataclass(frozen=True, kw_only=True)
 class GPUfsConfig:
-    """Configuration of the paging subsystem.
+    """Configuration of the paging stack: the one place its settable
+    values live.  Keyword arguments only.
 
-    Construct with keyword arguments only — positional construction
-    raises ``TypeError`` (its ``DeprecationWarning`` release was PR 4
-    through PR 8): the field list has grown PR over PR and positional
-    call sites silently change meaning when a field lands in the
-    middle.  The **only sanctioned serialization** of a config is the
-    :meth:`to_dict` / :meth:`from_dict` round-trip through plain
-    JSON-able dicts — it is how the parallel runner ships configs to
-    spawn workers and how profiles embed them; anything else (pickled
-    instances, positional tuples, ad-hoc field lists) breaks when a
-    field is added.
+    * ``page_size`` — bytes per page; a power of two (§V uses 4 KB).
+    * ``num_frames`` — page-cache frames in device memory; positive.
+    * ``batching`` — aggregate concurrent host-to-GPU transfers into
+      one DMA (§V); off, every fetch pays the host RPC alone.
+    * ``eviction_policy`` — ``clock``, ``fifo``, ``lru`` or ``random``.
+    * ``readahead`` — run the asynchronous readahead daemon
+      (:mod:`repro.readahead`); off, the paging layer does only
+      demand paging.
+    * ``sanitize`` — watch every warp on the device with the runtime
+      sanitizer (:mod:`repro.analysis.sanitizer`) for lockstep,
+      torn-write and pin-balance violations; off, launches are
+      unchanged.
+
+    The fixed parameters of the stack are constants on the classes
+    that use them (``docs/paging.md``, "Fixed parameters").
     """
 
     page_size: int = 4096
     num_frames: int = 512
-    table_slots_per_frame: int = 16
     batching: bool = True
-    max_batch: int = 64
     eviction_policy: str = "clock"
-    # Asynchronous page readahead (repro.readahead).  Off by default:
-    # with the knob off the paging layer behaves exactly as before and
-    # existing experiments are unchanged.
     readahead: bool = False
-    readahead_window: int = 4        # initial window, pages
-    readahead_min_window: int = 2
-    readahead_max_window: int = 64
-    readahead_max_streams: int = 64
-    readahead_max_stride: int = 64
-    # Runtime sanitizer (repro.analysis.sanitizer).  Off by default:
-    # launches on the device are completely unchanged (same context
-    # class, no wrapper generators); on, every warp is watched for
-    # lockstep, torn-write, and pin-balance violations.
     sanitize: bool = False
 
-    def to_dict(self) -> dict:
-        """Plain JSON-able dict of every field (round-trips through
-        :meth:`from_dict`)."""
-        return {f.name: getattr(self, f.name)
-                for f in dataclasses.fields(self)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "GPUfsConfig":
-        """Rebuild a config from :meth:`to_dict` output.
-
-        Unknown keys raise ``ValueError`` (a typo'd knob should fail
-        loudly, not silently run with defaults)."""
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ValueError(
-                f"unknown GPUfsConfig fields: {unknown}")
-        return cls(**data)
+    def __post_init__(self):
+        if self.page_size & (self.page_size - 1):
+            raise ValueError("page_size must be a power of two")
+        if self.num_frames <= 0:
+            raise ValueError("num_frames must be positive")
 
 
 @dataclass
@@ -146,30 +124,17 @@ class GPUfs:
         self.device = device
         self.host_fs = host_fs if host_fs is not None else HostFileSystem()
         self.config = config
-        self.cache = PageCache(device, PageCacheConfig(
-            page_size=config.page_size,
-            num_frames=config.num_frames,
-            table_slots_per_frame=config.table_slots_per_frame,
-            eviction_policy=config.eviction_policy,
-        ))
+        self.cache = PageCache(device, config)
         self.batcher = TransferBatcher(device, config.page_size,
-                                       max_batch=config.max_batch,
                                        enabled=config.batching)
         self.fault_filter = fault_filter
         self.stats = PagingStats()
         self._handles: dict[int, FileHandle] = {}
         if config.readahead:
-            from repro.readahead import ReadaheadConfig, ReadaheadEngine
+            from repro.readahead import ReadaheadEngine
             self.readahead = ReadaheadEngine(
                 self.cache, self.batcher, self.handle_for,
-                config.page_size,
-                ReadaheadConfig(
-                    initial_window=config.readahead_window,
-                    min_window=config.readahead_min_window,
-                    max_window=config.readahead_max_window,
-                    max_streams=config.readahead_max_streams,
-                    max_stride=config.readahead_max_stride,
-                ))
+                config.page_size)
             self.cache.spec_listener = self.readahead
         else:
             self.readahead = None

@@ -12,11 +12,13 @@ written back to the backing store before reuse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.paging.page_table import PageTable, PageTableEntry
 from repro.paging.policies import make_policy
+
+if TYPE_CHECKING:
+    from repro.paging.gpufs import GPUfsConfig
 
 
 class PageCacheFullError(Exception):
@@ -28,31 +30,16 @@ class PageCacheFullError(Exception):
     """
 
 
-@dataclass(frozen=True)
-class PageCacheConfig:
-    """Geometry of the page cache."""
-
-    page_size: int = 4096
-    num_frames: int = 512
-    table_slots_per_frame: int = 16
-    eviction_policy: str = "clock"
-
-    def __post_init__(self):
-        if self.page_size & (self.page_size - 1):
-            raise ValueError("page_size must be a power of two")
-        if self.num_frames <= 0:
-            raise ValueError("num_frames must be positive")
-
-
 class PageCache:
-    """Frame allocator and eviction policy over device memory."""
+    """Frame allocator and eviction policy over device memory, shaped
+    by a :class:`~repro.paging.gpufs.GPUfsConfig`'s ``page_size``,
+    ``num_frames`` and ``eviction_policy``."""
 
-    def __init__(self, device, config: PageCacheConfig):
+    def __init__(self, device, config: GPUfsConfig):
         self.config = config
         self.device = device
         self.base = device.alloc(config.num_frames * config.page_size)
-        self.table = PageTable(device, config.num_frames,
-                               config.table_slots_per_frame)
+        self.table = PageTable(device, config.num_frames)
         self._free: list[int] = list(range(config.num_frames - 1, -1, -1))
         self._owner: list[Optional[PageTableEntry]] = (
             [None] * config.num_frames)

@@ -42,21 +42,21 @@ class BatcherStats:
 class TransferBatcher:
     """Aggregates concurrent host->GPU page transfers into DMA batches."""
 
-    def __init__(self, device, page_size: int, max_batch: int = 32,
-                 enabled: bool = True,
-                 aggregation_cycles: float = 4000.0):
+    #: Most transfers one DMA batch aggregates.
+    MAX_BATCH = 64
+    #: The host daemon keeps collecting requests for this long after a
+    #: batch opens before issuing the DMA (§V batching).
+    AGGREGATION_CYCLES = 4000.0
+
+    def __init__(self, device, page_size: int, enabled: bool = True):
         self._device = device
         self.page_size = page_size
-        self.max_batch = max_batch
         self.enabled = enabled
-        # The host daemon keeps collecting requests for this long after
-        # a batch opens before issuing the DMA (§V batching).
-        self.aggregation_cycles = aggregation_cycles
         self.stats = BatcherStats()
         # Staging ring: sized so slot reuse is rare, with per-slot
         # busy tracking so an in-flight copy is never clobbered even
         # when concurrent fetches outnumber the slots.
-        self.num_slots = max_batch * 4
+        self.num_slots = self.MAX_BATCH * 4
         self.staging_base = device.alloc(self.num_slots * page_size)
         self._next_slot = 0
         self._slot_busy = [False] * self.num_slots
@@ -95,7 +95,7 @@ class TransferBatcher:
         t0 = ctx.now
         joined = (self.enabled
                   and ctx.now <= self._window_end
-                  and self._window_count < self.max_batch)
+                  and self._window_count < self.MAX_BATCH)
         if joined:
             # Ride the batch the host daemon is already assembling: no
             # host RPC handling cost, just DMA latency and bandwidth.
@@ -110,7 +110,7 @@ class TransferBatcher:
             # then the DMA itself.
             self.stats.batches += 1
             self._window_count = 1
-            self._window_end = (ctx.now + self.aggregation_cycles
+            self._window_end = (ctx.now + self.AGGREGATION_CYCLES
                                 + self.spec.pcie_latency_cycles()
                                 + nbytes / self.spec.pcie_bytes_per_cycle())
             yield from ctx.host_compute(self.spec.host_rpc_s)
@@ -150,14 +150,14 @@ class TransferBatcher:
         spec = self.spec
         dma_cycles = nbytes / spec.pcie_bytes_per_cycle()
         if (self.enabled and now <= self._window_end
-                and self._window_count < self.max_batch):
+                and self._window_count < self.MAX_BATCH):
             self._window_count += 1
             self._window_end += dma_cycles
             done_at = now + spec.pcie_latency_cycles() + dma_cycles
         else:
             self.stats.batches += 1
             self._window_count = 1
-            self._window_end = (now + self.aggregation_cycles
+            self._window_end = (now + self.AGGREGATION_CYCLES
                                 + spec.pcie_latency_cycles()
                                 + dma_cycles)
             done_at = (now + spec.host_rpc_s * spec.clock_hz

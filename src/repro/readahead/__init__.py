@@ -25,20 +25,10 @@ See ``docs/paging.md`` for the full paging-stack walkthrough and the
 counter glossary.
 """
 
-from repro.readahead.engine import (
-    ReadaheadConfig,
-    ReadaheadEngine,
-    ReadaheadStats,
-)
-from repro.readahead.stream import (
-    DetectorParams,
-    Stream,
-    StreamDetector,
-)
+from repro.readahead.engine import ReadaheadEngine, ReadaheadStats
+from repro.readahead.stream import Stream, StreamDetector
 
 __all__ = [
-    "DetectorParams",
-    "ReadaheadConfig",
     "ReadaheadEngine",
     "ReadaheadStats",
     "Stream",

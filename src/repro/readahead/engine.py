@@ -34,33 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.paging.page_table import PageTableEntry
-from repro.readahead.stream import DetectorParams, Stream, StreamDetector
-
-
-@dataclass(frozen=True)
-class ReadaheadConfig:
-    """Knobs of the readahead daemon."""
-
-    initial_window: int = 4     # pages issued when a stream is confirmed
-    min_window: int = 2         # floor after repeated shrinks
-    max_window: int = 64        # ceiling after repeated doublings
-    max_streams: int = 64       # concurrent streams tracked per GPUfs
-    max_stride: int = 64        # largest page stride recognised
-    min_run: int = 2            # accesses before a stream is confirmed
-    #: Instruction cost billed to the triggering warp per issue event —
-    #: the fault handler's "kick the daemon" doorbell write, not the
-    #: transfer itself.
-    issue_cost_instrs: float = 20.0
-
-    def detector_params(self) -> DetectorParams:
-        return DetectorParams(
-            max_streams=self.max_streams,
-            max_stride=self.max_stride,
-            min_run=self.min_run,
-            initial_window=self.initial_window,
-            min_window=self.min_window,
-            max_window=self.max_window,
-        )
+from repro.readahead.stream import Stream, StreamDetector
 
 
 @dataclass
@@ -88,16 +62,18 @@ class ReadaheadStats:
 class ReadaheadEngine:
     """Stream detection + async issue queue for one GPUfs instance."""
 
-    def __init__(self, cache, batcher, handle_for, page_size: int,
-                 config: ReadaheadConfig = ReadaheadConfig()):
+    #: Instruction cost billed to the triggering warp per issue event —
+    #: the fault handler's "kick the daemon" doorbell write, not the
+    #: transfer itself.
+    ISSUE_COST_INSTRS = 20.0
+
+    def __init__(self, cache, batcher, handle_for, page_size: int):
         self.cache = cache
         self.table = cache.table
         self.batcher = batcher
         self.page_size = page_size
-        self.config = config
         self.stats = ReadaheadStats()
-        self.detector = StreamDetector(config.detector_params(),
-                                       counters=self.stats)
+        self.detector = StreamDetector(counters=self.stats)
         self._handle_for = handle_for
         self._device = cache.device
         #: In-flight speculative page-ins: (entry, done_at, launch_no).
@@ -236,7 +212,7 @@ class ReadaheadEngine:
             fpn += stride
         stream.next_ra = fpn
         if issued:
-            ctx.charge(self.config.issue_cost_instrs)
+            ctx.charge(self.ISSUE_COST_INSTRS)
             hist = self.stats.window_hist
             hist[stream.window] = hist.get(stream.window, 0) + 1
             if ctx.tracer is not None:

@@ -41,36 +41,34 @@ class Stream:
 
 
 @dataclass
-class DetectorParams:
-    """Stream-detection knobs (a subset of ``ReadaheadConfig``)."""
-
-    max_streams: int = 64
-    max_stride: int = 64
-    min_run: int = 2
-    initial_window: int = 4
-    min_window: int = 2
-    max_window: int = 64
-
-
-@dataclass
 class DetectorCounters:
     streams_created: int = 0
     streams_recycled: int = 0
 
 
 class StreamDetector:
-    """Tracks up to ``max_streams`` concurrent streams per file system.
+    """Tracks up to ``MAX_STREAMS`` concurrent streams per file system.
 
     :meth:`observe` feeds one page access in; it returns the stream the
-    access extended once that stream is *confirmed* (``min_run``
+    access extended once that stream is *confirmed* (``MIN_RUN``
     consecutive accesses at a constant stride), or ``None`` while the
     pattern is still ambiguous.  Random access therefore never returns
     a stream and costs only the per-access bookkeeping.
     """
 
-    def __init__(self, params: DetectorParams = DetectorParams(),
-                 counters: Optional[DetectorCounters] = None):
-        self.params = params
+    #: Concurrent streams tracked; the least recently used is recycled.
+    MAX_STREAMS = 64
+    #: Largest page stride recognised as a stream.
+    MAX_STRIDE = 64
+    #: Accesses at one stride before a stream is confirmed.
+    MIN_RUN = 2
+    #: Readahead window, in pages, of a newly confirmed stream.
+    INITIAL_WINDOW = 4
+    #: Floor and ceiling of the adaptive window.
+    MIN_WINDOW = 2
+    MAX_WINDOW = 64
+
+    def __init__(self, counters: Optional[DetectorCounters] = None):
         self.counters = counters if counters is not None \
             else DetectorCounters()
         self._streams: dict[tuple[int, int], Stream] = {}
@@ -97,14 +95,14 @@ class StreamDetector:
             stream.last_fpn = fpn
             stream.run += 1
             return stream
-        if not stream.confirmed and 0 < delta <= self.params.max_stride:
+        if not stream.confirmed and 0 < delta <= self.MAX_STRIDE:
             # Second access of an embryo stream fixes its stride.
             stream.stride = delta
             stream.last_fpn = fpn
             stream.run = 2
             if stream.window == 0:
-                stream.window = self.params.initial_window
-            return stream if stream.run >= self.params.min_run else None
+                stream.window = self.INITIAL_WINDOW
+            return stream if stream.run >= self.MIN_RUN else None
         # The pattern broke: restart the stream at the new position.
         # Keep the learnt window — a seek within the same logical
         # stream (e.g. a new record) should not forfeit its history.
@@ -116,7 +114,7 @@ class StreamDetector:
 
     # ------------------------------------------------------------------
     def _new_stream(self, key: tuple[int, int], fpn: int) -> Stream:
-        if len(self._streams) >= self.params.max_streams:
+        if len(self._streams) >= self.MAX_STREAMS:
             lru = min(self._streams, key=lambda k:
                       self._streams[k].last_used)
             del self._streams[lru]
@@ -132,15 +130,15 @@ class StreamDetector:
     # ------------------------------------------------------------------
     def grow(self, stream: Stream) -> bool:
         """Speculation paid off: double the stream's window."""
-        new = min(max(stream.window * 2, self.params.min_window),
-                  self.params.max_window)
+        new = min(max(stream.window * 2, self.MIN_WINDOW),
+                  self.MAX_WINDOW)
         changed = new != stream.window
         stream.window = new
         return changed
 
     def shrink(self, stream: Stream) -> bool:
         """Speculation wasted or cache pressure: halve the window."""
-        new = max(stream.window // 2, self.params.min_window)
+        new = max(stream.window // 2, self.MIN_WINDOW)
         changed = new != stream.window
         stream.window = new
         return changed

@@ -50,7 +50,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from repro.gpu.trace import (
-    ATTRIBUTION_KINDS,
     COUNTER_KIND,
     TraceEvent,
     Tracer,
@@ -450,8 +449,3 @@ def attribute_chrome_trace(trace: dict, *,
     events, dropped = events_from_chrome_trace(trace)
     return attribute_events(events, dropped=dropped,
                             launch_cycles=launch_cycles)
-
-
-def has_attribution_events(events: Iterable[TraceEvent]) -> bool:
-    """Whether a trace carries the overlay kinds this module needs."""
-    return any(e.kind in ATTRIBUTION_KINDS for e in events)

@@ -39,7 +39,6 @@ def make_file_env(total_bytes: int, *, page_size: int = 4096,
                   batching: bool = True,
                   eviction_policy: str = "clock",
                   readahead: bool = False,
-                  readahead_window: int = 4,
                   sanitize: bool = False,
                   flags: int = O_RDONLY,
                   data: Optional[np.ndarray] = None,
@@ -61,7 +60,6 @@ def make_file_env(total_bytes: int, *, page_size: int = 4096,
                               batching=batching,
                               eviction_policy=eviction_policy,
                               readahead=readahead,
-                              readahead_window=readahead_window,
                               sanitize=sanitize))
     fid = gpufs.open("bench", flags)
     return device, gpufs, fid, data
@@ -203,7 +201,6 @@ def run_sequential_file_read(*, npages: int, warps: int = 32,
                              readahead: bool = False,
                              eviction_policy: str = "clock",
                              num_frames: Optional[int] = None,
-                             readahead_window: int = 4,
                              seed: int = 13) -> SequentialReadResult:
     """Cold-cache sequential file read — the readahead ablation workload.
 
@@ -224,8 +221,7 @@ def run_sequential_file_read(*, npages: int, warps: int = 32,
     device, gpufs, fid, data = make_file_env(
         total_bytes, num_frames=frames,
         memory_bytes=(frames + npages + 64) * 4096 + 64 * 1024 * 1024,
-        eviction_policy=eviction_policy, readahead=readahead,
-        readahead_window=readahead_window, seed=seed)
+        eviction_policy=eviction_policy, readahead=readahead, seed=seed)
     page = gpufs.page_size
     line = 32 * 4
     out_bytes = npages * (page if copy_pages else line)

@@ -1,32 +1,10 @@
-"""GPUfsConfig keyword-only API: dict round-trip and the positional
-deprecation window."""
+"""GPUfsConfig is built from keyword arguments only and is frozen."""
 
 import warnings
 
 import pytest
 
 from repro.paging.gpufs import GPUfsConfig
-
-
-class TestDictRoundTrip:
-    def test_round_trip_preserves_every_field(self):
-        cfg = GPUfsConfig(num_frames=64, batching=False,
-                          eviction_policy="lru", readahead=True,
-                          readahead_window=8)
-        assert GPUfsConfig.from_dict(cfg.to_dict()) == cfg
-
-    def test_to_dict_is_plain_json_types(self):
-        import json
-        json.dumps(GPUfsConfig().to_dict())
-
-    def test_unknown_keys_fail_loudly(self):
-        with pytest.raises(ValueError, match="readahed_window"):
-            GPUfsConfig.from_dict({"readahed_window": 8})
-
-    def test_partial_dict_fills_defaults(self):
-        cfg = GPUfsConfig.from_dict({"num_frames": 3})
-        assert cfg.num_frames == 3
-        assert cfg.page_size == GPUfsConfig().page_size
 
 
 class TestPositionalRemoval:
@@ -43,8 +21,9 @@ class TestPositionalRemoval:
         with pytest.raises(TypeError, match="keyword"):
             GPUfsConfig(4096, batching=False)
 
-    def test_frozen_semantics_survive_the_wrapper(self):
+    def test_config_is_frozen_and_hashable(self):
         cfg = GPUfsConfig(num_frames=8)
         with pytest.raises(Exception):
             cfg.num_frames = 9
         assert hash(cfg) == hash(GPUfsConfig(num_frames=8))
+

@@ -187,7 +187,7 @@ class TestBatching:
 
     def test_batch_size_capped(self, file_bytes):
         device, gfs = make_gpufs(file_bytes, num_frames=64)
-        gfs.batcher.max_batch = 4
+        gfs.batcher.MAX_BATCH = 4
         fid = gfs.open("data")
 
         def kern(ctx, fid):

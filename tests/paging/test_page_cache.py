@@ -3,11 +3,8 @@
 import pytest
 
 from repro.gpu import Device
-from repro.paging.page_cache import (
-    PageCache,
-    PageCacheConfig,
-    PageCacheFullError,
-)
+from repro.paging.gpufs import GPUfsConfig
+from repro.paging.page_cache import PageCache, PageCacheFullError
 from repro.paging.page_table import PageTableEntry
 
 
@@ -18,7 +15,7 @@ def device():
 
 @pytest.fixture
 def cache(device):
-    return PageCache(device, PageCacheConfig(page_size=4096, num_frames=4))
+    return PageCache(device, GPUfsConfig(page_size=4096, num_frames=4))
 
 
 def drive(device, gen_fn, *args, **kwargs):
@@ -37,13 +34,15 @@ def _no_writeback(ctx, entry, frame_addr):
 
 
 class TestConfig:
+    """The cache's geometry checks run when its GPUfsConfig is built."""
+
     def test_page_size_must_be_power_of_two(self):
-        with pytest.raises(ValueError):
-            PageCacheConfig(page_size=3000)
+        with pytest.raises(ValueError, match="power of two"):
+            GPUfsConfig(page_size=3000)
 
     def test_frames_must_be_positive(self):
-        with pytest.raises(ValueError):
-            PageCacheConfig(num_frames=0)
+        with pytest.raises(ValueError, match="positive"):
+            GPUfsConfig(num_frames=0)
 
 
 class TestFrames:

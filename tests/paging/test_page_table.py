@@ -247,10 +247,11 @@ class TestHostRemoveLockDiscipline:
         """allocate_speculative goes through host_remove, so a
         speculative page that was promoted and written can never be
         silently reclaimed by the readahead daemon."""
-        from repro.paging.page_cache import PageCache, PageCacheConfig
+        from repro.paging.gpufs import GPUfsConfig
+        from repro.paging.page_cache import PageCache
 
-        cache = PageCache(device, PageCacheConfig(page_size=4096,
-                                                  num_frames=2))
+        cache = PageCache(device, GPUfsConfig(page_size=4096,
+                                              num_frames=2))
         frames = [cache.allocate_speculative() for _ in range(2)]
         assert None not in frames
         entries = []

@@ -11,7 +11,7 @@ PAGE = 4096
 FILE_PAGES = 64
 
 
-def make_env(num_frames=96, readahead=True, **cfg):
+def make_env(num_frames=96, readahead=True, initial_window=None):
     rng = np.random.RandomState(7)
     data = rng.randint(0, 256, FILE_PAGES * PAGE, dtype=np.uint8)
     fs = RamFS()
@@ -19,7 +19,10 @@ def make_env(num_frames=96, readahead=True, **cfg):
     device = Device(memory_bytes=64 * 1024 * 1024)
     gpufs = GPUfs(device, HostFileSystem(fs),
                   GPUfsConfig(page_size=PAGE, num_frames=num_frames,
-                              readahead=readahead, **cfg))
+                              readahead=readahead))
+    if initial_window is not None:
+        # Shadows the class constant on this engine's detector only.
+        gpufs.readahead.detector.INITIAL_WINDOW = initial_window
     fid = gpufs.open("data")
     return device, gpufs, fid, data
 
@@ -80,7 +83,7 @@ class TestSequentialPrefetch:
         assert gpufs.stats.major_faults == len(pages)
 
     def test_window_grows_on_sustained_streaming(self):
-        device, gpufs, fid, _ = make_env(readahead_window=2)
+        device, gpufs, fid, _ = make_env(initial_window=2)
         walk_pages(device, gpufs, fid, range(32))
         ra = gpufs.readahead.stats
         assert ra.window_grows > 0
@@ -166,7 +169,7 @@ class TestPoliteness:
 
     def test_cache_pressure_cancels_and_shrinks(self):
         device, gpufs, fid, _ = make_env(num_frames=6,
-                                         readahead_window=8)
+                                         initial_window=8)
         # Hold a reference to each mapped page for the whole kernel so
         # frames stay pinned and speculative allocation runs dry.
         npages = 6

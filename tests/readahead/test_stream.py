@@ -1,6 +1,6 @@
 """Unit tests for the readahead stream detector."""
 
-from repro.readahead import DetectorParams, StreamDetector
+from repro.readahead import StreamDetector
 
 
 def feed(det, fpns, file_id=0, hint=0):
@@ -15,7 +15,7 @@ class TestConfirmation:
         assert first is None
         assert second is not None and second.confirmed
         assert second.stride == 1
-        assert second.window == DetectorParams().initial_window
+        assert second.window == StreamDetector.INITIAL_WINDOW
 
     def test_strided_stream_confirms(self):
         det = StreamDetector()
@@ -25,9 +25,12 @@ class TestConfirmation:
         assert results[2].run == 3
 
     def test_stride_beyond_max_never_confirms(self):
-        det = StreamDetector(DetectorParams(max_stride=16))
-        results = feed(det, [0, 100, 300, 600])
+        det = StreamDetector()
+        limit = StreamDetector.MAX_STRIDE
+        results = feed(det, [0, limit + 1, 2 * (limit + 1)])
         assert all(r is None for r in results)
+        # The largest recognised stride still confirms.
+        assert feed(StreamDetector(), [0, limit])[1].stride == limit
 
     def test_backward_access_never_confirms(self):
         det = StreamDetector()
@@ -64,29 +67,34 @@ class TestStreamIdentity:
         assert det.observe(1, 1) is None  # new embryo, not a confirm
 
     def test_lru_recycling_bounds_stream_count(self):
-        det = StreamDetector(DetectorParams(max_streams=2))
-        for hint in range(5):
+        det = StreamDetector()
+        limit = StreamDetector.MAX_STREAMS
+        for hint in range(limit + 3):
             det.observe(0, hint * 10, hint=hint)
-        assert len(det.streams) == 2
+        assert len(det.streams) == limit
         assert det.counters.streams_recycled == 3
-        assert det.counters.streams_created == 5
+        assert det.counters.streams_created == limit + 3
+        # The three least recently used hints were the ones recycled.
+        assert min(s.hint for s in det.streams) == 3
 
 
 class TestWindowFeedback:
     def test_grow_doubles_and_clamps(self):
-        det = StreamDetector(DetectorParams(initial_window=4,
-                                            max_window=16))
+        det = StreamDetector()
         stream = feed(det, [0, 1])[1]
-        assert det.grow(stream) and stream.window == 8
-        assert det.grow(stream) and stream.window == 16
-        assert not det.grow(stream) and stream.window == 16
+        assert stream.window == 4
+        for window in (8, 16, 32, 64):
+            assert det.grow(stream) and stream.window == window
+        assert stream.window == StreamDetector.MAX_WINDOW
+        assert not det.grow(stream) and stream.window == 64
 
     def test_shrink_halves_and_clamps(self):
-        det = StreamDetector(DetectorParams(initial_window=8,
-                                            min_window=2))
+        det = StreamDetector()
+        det.INITIAL_WINDOW = 8
         stream = feed(det, [0, 1])[1]
         assert det.shrink(stream) and stream.window == 4
         assert det.shrink(stream) and stream.window == 2
+        assert stream.window == StreamDetector.MIN_WINDOW
         assert not det.shrink(stream) and stream.window == 2
 
     def test_pattern_break_keeps_learnt_window(self):

@@ -25,7 +25,6 @@ from repro.telemetry.attribution import (
     attribute_chrome_trace,
     attribute_events,
     attribute_tracer,
-    has_attribution_events,
 )
 
 
@@ -228,7 +227,6 @@ class TestEdgeCases:
 
     def test_macro_ops_only_trace_has_no_rows(self):
         events = [ev(0, "compute", 0, 5), ev(0, "memaccess", 5, 30)]
-        assert not has_attribution_events(events)
         report = attribute_events(events)
         assert report.warp_rows == []
         assert report.events == 2
