@@ -33,12 +33,15 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceEvent:
     """One completed macro-op or layer-level span.
 
     A plain (not frozen) dataclass: a frozen ``__init__`` costs about
     four times as much per record, and nothing mutates or hashes events.
+    Slotted, so a record keeps its fields in fixed slots and carries no
+    attribute dictionary: record size matters at the tracer's
+    200 000-event cap.
     """
 
     warp: int              # global warp id (block * warps + warp)
@@ -94,11 +97,12 @@ class Tracer:
     def record(self, warp: int, block: int, kind: str, start: float,
                end: float, detail: str = "", sm: int = -1,
                req: str = "") -> None:
-        if len(self.events) >= self.max_events:
+        events = self.events
+        if len(events) < self.max_events:
+            events.append(TraceEvent(warp, block, kind, start, end,
+                                     detail, sm, req))
+        else:
             self.dropped += 1
-            return
-        self.events.append(TraceEvent(warp, block, kind, start, end,
-                                      detail, sm, req))
 
     def record_counter(self, name: str, t: float, value: float) -> None:
         """Record one named counter sample at time ``t`` (a point, not

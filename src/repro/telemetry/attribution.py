@@ -84,22 +84,37 @@ _INF = float("inf")
 _NO_BREAKS = ((_INF,), (_INF,))
 
 
+class _Span:
+    """A bare interval: what :meth:`_SMIntervals.add` holds and a
+    single :meth:`_SMIntervals.coverage` query asks about.  The
+    analyzer hands both the trace events themselves."""
+
+    __slots__ = ("start", "end", "warp")
+
+    def __init__(self, start: float, end: float, warp: int = -1) -> None:
+        self.start = start
+        self.end = end
+        self.warp = warp
+
+
 class _SMIntervals:
     """Per-SM interval set answering exclusion coverage queries.
 
-    Holds ``(start, end, warp)`` triples; ``coverage(s, e, exclude)``
-    returns the measure of ``[s, e)`` covered by the union of intervals
-    belonging to any warp other than ``exclude``.
+    Holds intervals with ``start``, ``end`` and ``warp`` (trace events,
+    or :class:`_Span`); ``coverage(s, e, exclude)`` returns the measure
+    of ``[s, e)`` covered by the union of intervals belonging to any
+    warp other than ``exclude``.
 
     :meth:`freeze` cuts the time line at every interval endpoint and
     keeps two kinds of sorted *break* segments, where no warp other
     than ``exclude`` covers the line: the global gaps, covered by no
     interval, and per warp the segments only that warp's intervals
-    cover.  A query bisects into the gaps and ``exclude``'s own breaks
-    and walks only the breaks inside ``[s, e)``.  Each covered run
-    between two breaks costs one subtraction of original endpoints,
-    added left to right — the same floats, in the same order, as a
-    closed-interval merge of the clipped intervals one by one.
+    cover.  A query starts at the first gap and the first of
+    ``exclude``'s own breaks that end after ``s`` and walks only the
+    breaks inside ``[s, e)``.  Each covered run between two breaks
+    costs one subtraction of original endpoints, added left to right —
+    the same floats, in the same order, as a closed-interval merge of
+    the clipped intervals one by one.
     """
 
     __slots__ = ("items", "_gaps", "_only")
@@ -111,11 +126,54 @@ class _SMIntervals:
 
     def add(self, start: float, end: float, warp: int) -> None:
         if end > start:
-            self.items.append((start, end, warp))
+            self.items.append(_Span(start, end, warp))
 
     def freeze(self) -> None:
-        cuts = [(s, 1, w) for s, _, w in self.items]
-        cuts += [(e, -1, w) for _, e, w in self.items]
+        gaps, only = self._serial_breaks()
+        if gaps is None:
+            gaps, only = self._swept_breaks()
+        # A sentinel break at infinity ends every walk.
+        for starts, ends in (gaps, *only.values()):
+            starts.append(_INF)
+            ends.append(_INF)
+        self._gaps = gaps
+        self._only = only
+
+    def _serial_breaks(self) -> tuple:
+        """The breaks of a set held in time order, each interval
+        starting at or after the one before it ends (an SM's issue
+        intervals, which its issue server serialises): the gaps between
+        the intervals, and each interval as its warp's own break — what
+        the sweep yields for such a set, without its cuts.  ``(None,
+        None)`` for any other set."""
+        gap_starts: list = []
+        gap_ends: list = []
+        only: dict = {}
+        prev_end = -_INF
+        for item in self.items:
+            s = item.start
+            if s < prev_end:
+                return None, None
+            e = item.end
+            w = item.warp
+            if s > prev_end:
+                gap_starts.append(prev_end)
+                gap_ends.append(s)
+            own = only.get(w)
+            if own is None:
+                own = only[w] = ([], [])
+            own[0].append(s)
+            own[1].append(e)
+            prev_end = e
+        gap_starts.append(prev_end)
+        gap_ends.append(_INF)
+        return (gap_starts, gap_ends), only
+
+    def _swept_breaks(self) -> tuple:
+        """The breaks of any set: sweep the sorted interval endpoints,
+        counting per warp the intervals open."""
+        cuts = [(it.start, 1, it.warp) for it in self.items]
+        cuts += [(it.end, -1, it.warp) for it in self.items]
         cuts.sort()
         gaps: tuple = ([], [])
         only: dict = defaultdict(lambda: ([], []))
@@ -142,37 +200,63 @@ class _SMIntervals:
                 warp_sum -= w
         gaps[0].append(prev)
         gaps[1].append(_INF)
-        # A sentinel break at infinity ends every walk.
-        for starts, ends in (gaps, *only.values()):
-            starts.append(_INF)
-            ends.append(_INF)
-        self._gaps = gaps
-        self._only = only
+        return gaps, dict(only)
 
     def coverage(self, s: float, e: float, exclude: int = -1) -> float:
-        if e <= s:
-            return 0.0
+        return self.coverages((_Span(s, e),), exclude)[0]
+
+    def coverages(self, spans, exclude: int = -1) -> list:
+        """:meth:`coverage` of every ``[span.start, span.end)`` in
+        ``spans``, in one walk.  While the spans start in time order,
+        each one's first breaks are found by stepping on from where the
+        previous span's were; a span that starts earlier bisects
+        afresh."""
         gap_starts, gap_ends = self._gaps
         own_starts, own_ends = self._only.get(exclude, _NO_BREAKS)
-        i = bisect_right(gap_ends, s)
-        j = bisect_right(own_ends, s)
-        cov = 0.0
-        cursor = s
-        while True:
-            if gap_starts[i] < own_starts[j]:
-                start, end = gap_starts[i], gap_ends[i]
-                i += 1
+        out = []
+        i = j = 0
+        last = _INF   # the first span bisects
+        for span in spans:
+            s = span.start
+            e = span.end
+            if e <= s:
+                out.append(0.0)
+                continue
+            if s >= last:
+                while gap_ends[i] <= s:
+                    i += 1
+                while own_ends[j] <= s:
+                    j += 1
             else:
-                start, end = own_starts[j], own_ends[j]
-                j += 1
-            if start >= e:
-                break
-            if start > cursor:
-                cov += start - cursor
-            cursor = end
-        if cursor < e:
-            cov += e - cursor
-        return cov
+                i = bisect_right(gap_ends, s)
+                j = bisect_right(own_ends, s)
+            last = s
+            gi, oj = i, j
+            gap = gap_starts[gi]
+            own = own_starts[oj]
+            cov = 0.0
+            cursor = s
+            while True:
+                if gap < own:
+                    if gap >= e:
+                        break
+                    if gap > cursor:
+                        cov += gap - cursor
+                    cursor = gap_ends[gi]
+                    gi += 1
+                    gap = gap_starts[gi]
+                else:
+                    if own >= e:
+                        break
+                    if own > cursor:
+                        cov += own - cursor
+                    cursor = own_ends[oj]
+                    oj += 1
+                    own = own_starts[oj]
+            if cursor < e:
+                cov += e - cursor
+            out.append(cov)
+        return out
 
     def gaps(self, t0: float, t1: float) -> tuple:
         """``(starts, ends)`` of the global gaps clipped to
@@ -297,43 +381,66 @@ def attribute_events(events: Iterable[TraceEvent], *,
             "raise Tracer(max_events=...) or shrink the launch")
     events = list(events)
     report = AttributionReport(dropped=0, events=len(events))
-    # Time-series counter samples sit at their window's end, which may
-    # lie past the launch end: they are outside the attributed span.
-    events = [e for e in events if e.kind != COUNTER_KIND]
-    if not events:
-        return report
 
-    t0 = min(e.start for e in events)
-    t1 = max(e.end for e in events)
+    # One pass buckets the events and finds the span.  Time-series
+    # counter samples sit at their window's end, which may lie past
+    # the launch end: they are outside the attributed span.  The
+    # indexes hold the events themselves, and, as ``add`` does, only
+    # those of positive length.
+    t0 = _INF
+    t1 = -_INF
+    issue_by_sm: dict = {}
+    queue_by_sm: dict = {}
+    stalls_by_sm: dict = {}
+    issue_by_warp: dict = {}
+    stalls_by_warp: dict = {}
+    translations: list = []
+    warp_sm: dict = {}
+    for e in events:
+        kind = e.kind
+        if kind == COUNTER_KIND:
+            continue
+        start = e.start
+        end = e.end
+        if start < t0:
+            t0 = start
+        if end > t1:
+            t1 = end
+        warp = e.warp
+        if warp not in warp_sm:
+            warp_sm[warp] = e.sm
+        if kind == "stall":
+            sm = e.sm
+            if e.detail == "issue_queue" and end > start:
+                idx = queue_by_sm.get(sm)
+                if idx is None:
+                    idx = queue_by_sm[sm] = _SMIntervals()
+                idx.items.append(e)
+            by_sm = stalls_by_sm.get(sm)
+            if by_sm is None:
+                by_sm = stalls_by_sm[sm] = []
+            by_sm.append(e)
+            by_warp = stalls_by_warp.get(warp)
+            if by_warp is None:
+                by_warp = stalls_by_warp[warp] = []
+            by_warp.append(e)
+        elif kind == "issue":
+            sm = e.sm
+            idx = issue_by_sm.get(sm)
+            if idx is None:
+                idx = issue_by_sm[sm] = _SMIntervals()
+            if end > start:
+                idx.items.append(e)
+            issue_by_warp[warp] = issue_by_warp.get(warp, 0.0) \
+                + (end - start)
+        elif kind == "translation":
+            translations.append(e)
+    if not warp_sm:
+        return report
     if launch_cycles is not None:
         t1 = max(t1, t0 + launch_cycles)
     span = t1 - t0
     report.launch_cycles = span
-
-    issue_by_sm: dict = {}
-    queue_by_sm: dict = {}
-    stalls_by_sm: dict = {}
-    issue_by_warp: dict = defaultdict(float)
-    stalls_by_warp: dict = defaultdict(list)
-    translations: list = []
-    warp_sm: dict = {}
-
-    for e in events:
-        warp_sm.setdefault(e.warp, e.sm)
-        if e.kind == "issue":
-            issue_by_sm.setdefault(e.sm, _SMIntervals()).add(
-                e.start, e.end, e.warp)
-            issue_by_warp[e.warp] += e.end - e.start
-        elif e.kind == "stall":
-            reason = e.detail or "unknown"
-            if reason == "issue_queue":
-                queue_by_sm.setdefault(e.sm, _SMIntervals()).add(
-                    e.start, e.end, e.warp)
-            stalls_by_sm.setdefault(e.sm, []).append(
-                (e.start, e.end, reason))
-            stalls_by_warp[e.warp].append(e)
-        elif e.kind == "translation":
-            translations.append(e)
 
     for idx in issue_by_sm.values():
         idx.freeze()
@@ -349,18 +456,18 @@ def attribute_events(events: Iterable[TraceEvent], *,
     empty = _SMIntervals()
     for warp in warps:
         sm = warp_sm.get(warp, -1)
-        issue_idx = issue_by_sm.get(sm, empty)
         issue = issue_by_warp.get(warp, 0.0)
+        stalls = stalls_by_warp.get(warp, ())
         stall_total = 0.0
-        hidden_stall = 0.0
-        for e in stalls_by_warp.get(warp, ()):
+        for e in stalls:
             reason = e.detail or "unknown"
             duration = e.end - e.start
             stall_total += duration
             stall_totals[reason] = (stall_totals.get(reason, 0.0)
                                     + duration)
-            hidden_stall += issue_idx.coverage(e.start, e.end,
-                                               exclude=warp)
+        hidden_stall = 0.0
+        for cov in issue_by_sm.get(sm, empty).coverages(stalls, warp):
+            hidden_stall += cov
         idle = max(0.0, span - issue - stall_total)
         report.warp_rows.append({
             "warp": warp,
@@ -383,14 +490,18 @@ def attribute_events(events: Iterable[TraceEvent], *,
         gap_starts, gap_ends = idx.gaps(t0, t1)
         if not gap_starts:
             continue
+        n_gaps = len(gap_starts)
         weights: list = [{} for _ in gap_starts]
-        for s, e, reason in stalls_by_sm.get(sm, []):
+        for stall in stalls_by_sm.get(sm, ()):
+            s = stall.start
+            e = stall.end
             gi = bisect_right(gap_ends, s)
-            while gi < len(gap_starts) and gap_starts[gi] < e:
+            while gi < n_gaps and gap_starts[gi] < e:
                 ov = min(e, gap_ends[gi]) - max(s, gap_starts[gi])
                 if ov > 0:
-                    weights[gi][reason] = (weights[gi].get(reason, 0.0)
-                                           + ov)
+                    w = weights[gi]
+                    reason = stall.detail or "unknown"
+                    w[reason] = w.get(reason, 0.0) + ov
                 gi += 1
         for gs, ge, w in zip(gap_starts, gap_ends, weights):
             dur = ge - gs
@@ -406,23 +517,47 @@ def attribute_events(events: Iterable[TraceEvent], *,
     report.critical_path_cycles = crit_cycles
 
     # -- translation hidden-vs-exposed --------------------------------
+    # Each distinct detail parses once.  A coverage whose weight is
+    # zero is not asked for: ``lat * (1 - cov)`` with ``lat == 0`` and
+    # ``iss * cont`` with ``iss == 0`` are the same signed zero for
+    # every ``cov``/``cont`` in [0, 1].  Coverages are walked per
+    # (SM, warp), then folded in trace order.
+    parsed: dict = {}
+    n = len(translations)
+    vals_of: list = [None] * n
+    cov_of = [0.0] * n
+    cont_of = [0.0] * n
+    groups: dict = {}     # (sm, warp) -> cov and cont spans, indices
+    for k, e in enumerate(translations):
+        detail = e.detail
+        vals = parsed.get(detail)
+        if vals is None:
+            iss, lat, hid = _parse_translation_detail(detail)
+            vals = parsed[detail] = (iss, lat, iss + lat + hid)
+        vals_of[k] = vals
+        if e.end - e.start > 0 and vals[2] > 0:
+            key = (e.sm, e.warp)
+            group = groups.get(key)
+            if group is None:
+                group = groups[key] = ([], [], [], [])
+            if vals[1] != 0:
+                group[0].append(e)
+                group[1].append(k)
+            if vals[0] != 0:
+                group[2].append(e)
+                group[3].append(k)
+    for (sm, warp), (cov_spans, cov_ks, cont_spans, cont_ks) \
+            in groups.items():
+        for out, idx, spans, ks in (
+                (cov_of, issue_by_sm.get(sm, empty), cov_spans, cov_ks),
+                (cont_of, queue_by_sm.get(sm, empty), cont_spans,
+                 cont_ks)):
+            for e, k, cov in zip(spans, ks, idx.coverages(spans, warp)):
+                out[k] = min(1.0, cov / (e.end - e.start))
     split = report.translation
-    for e in translations:
-        iss, lat, hid = _parse_translation_detail(e.detail)
-        total = iss + lat + hid
+    for (iss, lat, total), cov, cont in zip(vals_of, cov_of, cont_of):
         if total <= 0:
             continue
-        span_len = e.duration
-        sm = e.sm
-        if span_len > 0:
-            cov = issue_by_sm.get(sm, empty).coverage(
-                e.start, e.end, exclude=e.warp) / span_len
-            cont = queue_by_sm.get(sm, empty).coverage(
-                e.start, e.end, exclude=e.warp) / span_len
-            cov = min(1.0, cov)
-            cont = min(1.0, cont)
-        else:
-            cov = cont = 0.0
         exposed = lat * (1.0 - cov) + iss * cont
         exposed = min(exposed, total)
         split.total += total

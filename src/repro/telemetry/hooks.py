@@ -154,8 +154,10 @@ class EngineProfile:
         queue (hidden even at warp level).  The analyzer reclassifies
         ``iss``/``lat`` at launch level using concurrent-warp overlap."""
         if self.tracer is not None and (iss > 0 or lat > 0 or hid > 0):
+            # %-formatting: the same ``.6g`` text as an f-string, at
+            # about half the cost.
             self._record(runner, "translation", start, max(end, start),
-                         f"iss={iss:.6g};lat={lat:.6g};hid={hid:.6g}")
+                         "iss=%.6g;lat=%.6g;hid=%.6g" % (iss, lat, hid))
 
     def dram(self, start: float, nbytes: int, transactions: int,
              busy: float, queue_cycles: float) -> None:
@@ -185,7 +187,7 @@ class EngineProfile:
                 detail: str = "") -> None:
         block = runner.block
         self.tracer.record(runner.warp_id, block.block_id, kind, start,
-                           end, detail, sm=block.sm_index)
+                           end, detail, block.sm_index)
 
     @classmethod
     def merged(cls, parts: list["EngineProfile"]) -> "EngineProfile":

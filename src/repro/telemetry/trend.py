@@ -44,16 +44,26 @@ __all__ = [
 ]
 
 
-def current_commit() -> str:
-    """Short hash of HEAD, or ``"unknown"`` outside a git checkout."""
+def _git(*args: str) -> str | None:
+    """Stripped standard output of ``git args``, or ``None`` when git
+    is missing or fails."""
     try:
-        out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True, text=True, timeout=10)
+        out = subprocess.run(["git", *args], capture_output=True,
+                             text=True, timeout=10)
     except (OSError, subprocess.SubprocessError):
+        return None
+    return out.stdout.strip() if out.returncode == 0 else None
+
+
+def current_commit() -> str:
+    """Short hash of HEAD, suffixed ``-dirty`` when tracked files differ
+    from HEAD (the numbers then come from no commit), or ``"unknown"``
+    outside a git checkout."""
+    commit = _git("rev-parse", "--short", "HEAD")
+    status = _git("status", "--porcelain", "--untracked-files=no")
+    if not commit or status is None:
         return "unknown"
-    commit = out.stdout.strip()
-    return commit if out.returncode == 0 and commit else "unknown"
+    return f"{commit}-dirty" if status else commit
 
 
 def load_trend(path: str) -> dict:

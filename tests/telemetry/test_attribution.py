@@ -8,18 +8,28 @@ guarantee: ``hidden + exposed + idle == cycles`` for every warp.
 :class:`TestIndexAgainstMerge` holds the break-segment coverage index
 to the item-by-item interval merge it replaced, kept here as a
 reference: every query must return the same float, not a close one.
+:class:`TestPassAgainstReference` holds the one-pass analyzer to the
+query-per-event analyzer it replaced (``_reference_attribute_events``,
+over that merge): every report must be equal, float for float.
 """
 
 import json
 import random
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+from collections import defaultdict
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gpu.trace import TraceEvent, Tracer, events_from_chrome_trace
+from repro.gpu.trace import (
+    COUNTER_KIND,
+    TraceEvent,
+    Tracer,
+    events_from_chrome_trace,
+)
 from repro.telemetry.attribution import (
+    AttributionReport,
     TruncatedTraceError,
     _SMIntervals,
     attribute_chrome_trace,
@@ -504,5 +514,296 @@ class TestIndexAgainstMerge:
             assert index.coverage(s, e, exclude) \
                 == merge.coverage(s, e, exclude)
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_serial_sets_break_as_the_sweep_does(self, data):
+        # Each interval starts at or after the one before it ends, as
+        # on an SM's issue server: touching runs of one warp or of
+        # two, gaps between them.  Out of time order, the set sweeps.
+        cursor = data.draw(_POINTS)
+        items = []
+        for _ in range(data.draw(st.integers(min_value=0, max_value=12))):
+            cursor += data.draw(st.one_of(st.just(0.0), _POINTS))
+            end = cursor + data.draw(_POINTS.filter(lambda d: d > 0))
+            items.append((cursor, end, data.draw(st.integers(0, 3))))
+            cursor = end
+        index = _SMIntervals()
+        for item in items:
+            index.add(*item)
+        assert index._serial_breaks() == index._swept_breaks()
+        shuffled = data.draw(st.permutations(index.items))
+        if shuffled != index.items:
+            index.items = shuffled
+            assert index._serial_breaks() == (None, None)
+        # One overlap sends the set to the sweep.
+        if index.items:
+            last = index.items[-1]
+            index.add(last.start, last.end + 1.0, last.warp + 1)
+            assert index._serial_breaks() == (None, None)
+
     def test_unfrozen_empty_index_covers_nothing(self):
         assert _SMIntervals().coverage(0.0, 10.0, exclude=3) == 0.0
+
+
+# ----------------------------------------------------------------------
+# Differential: one-pass analyzer == query-per-event analyzer
+# ----------------------------------------------------------------------
+def _reference_parse(detail):
+    vals = {"iss": 0.0, "lat": 0.0, "hid": 0.0}
+    for part in detail.split(";"):
+        key, _, raw = part.partition("=")
+        if key in vals and raw:
+            vals[key] = float(raw)
+    return vals["iss"], vals["lat"], vals["hid"]
+
+
+def _reference_attribute_events(events, launch_cycles=None):
+    """The analyzer the one-pass form replaced: a filtered copy of the
+    events, two more scans for the span, one coverage query per stall
+    and two per translation (over :class:`_MergeIntervals`), and a
+    parse of every translation detail."""
+    events = list(events)
+    report = AttributionReport(dropped=0, events=len(events))
+    events = [e for e in events if e.kind != COUNTER_KIND]
+    if not events:
+        return report
+
+    t0 = min(e.start for e in events)
+    t1 = max(e.end for e in events)
+    if launch_cycles is not None:
+        t1 = max(t1, t0 + launch_cycles)
+    span = t1 - t0
+    report.launch_cycles = span
+
+    issue_by_sm: dict = {}
+    queue_by_sm: dict = {}
+    stalls_by_sm: dict = {}
+    issue_by_warp: dict = defaultdict(float)
+    stalls_by_warp: dict = defaultdict(list)
+    translations: list = []
+    warp_sm: dict = {}
+
+    for e in events:
+        warp_sm.setdefault(e.warp, e.sm)
+        if e.kind == "issue":
+            issue_by_sm.setdefault(e.sm, _MergeIntervals()).add(
+                e.start, e.end, e.warp)
+            issue_by_warp[e.warp] += e.end - e.start
+        elif e.kind == "stall":
+            reason = e.detail or "unknown"
+            if reason == "issue_queue":
+                queue_by_sm.setdefault(e.sm, _MergeIntervals()).add(
+                    e.start, e.end, e.warp)
+            stalls_by_sm.setdefault(e.sm, []).append(
+                (e.start, e.end, reason))
+            stalls_by_warp[e.warp].append(e)
+        elif e.kind == "translation":
+            translations.append(e)
+
+    for idx in issue_by_sm.values():
+        idx.freeze()
+    for idx in queue_by_sm.values():
+        idx.freeze()
+
+    warps = sorted(issue_by_warp.keys() | stalls_by_warp.keys())
+    report.warps = len(warps)
+    report.sms = len({sm for sm in warp_sm.values()})
+
+    stall_totals: dict = {}
+    empty = _MergeIntervals()
+    empty.freeze()
+    for warp in warps:
+        sm = warp_sm.get(warp, -1)
+        issue_idx = issue_by_sm.get(sm, empty)
+        issue = issue_by_warp.get(warp, 0.0)
+        stall_total = 0.0
+        hidden_stall = 0.0
+        for e in stalls_by_warp.get(warp, ()):
+            reason = e.detail or "unknown"
+            duration = e.end - e.start
+            stall_total += duration
+            stall_totals[reason] = (stall_totals.get(reason, 0.0)
+                                    + duration)
+            hidden_stall += issue_idx.coverage(e.start, e.end,
+                                               exclude=warp)
+        idle = max(0.0, span - issue - stall_total)
+        report.warp_rows.append({
+            "warp": warp,
+            "sm": sm,
+            "cycles": span,
+            "issue": issue,
+            "stall": stall_total,
+            "hidden": issue + hidden_stall,
+            "exposed": stall_total - hidden_stall,
+            "idle": idle,
+        })
+        report.issue_cycles += issue
+    report.stall_cycles = dict(sorted(stall_totals.items()))
+    report.idle_cycles = sum(r["idle"] for r in report.warp_rows)
+
+    crit: dict = {}
+    crit_cycles = 0.0
+    for sm, idx in issue_by_sm.items():
+        gaps = idx.gaps(t0, t1)
+        gap_starts = [g[0] for g in gaps]
+        gap_ends = [g[1] for g in gaps]
+        if not gap_starts:
+            continue
+        weights: list = [{} for _ in gap_starts]
+        for s, e, reason in stalls_by_sm.get(sm, []):
+            gi = bisect_right(gap_ends, s)
+            while gi < len(gap_starts) and gap_starts[gi] < e:
+                ov = min(e, gap_ends[gi]) - max(s, gap_starts[gi])
+                if ov > 0:
+                    weights[gi][reason] = (weights[gi].get(reason, 0.0)
+                                           + ov)
+                gi += 1
+        for gs, ge, w in zip(gap_starts, gap_ends, weights):
+            dur = ge - gs
+            crit_cycles += dur
+            total_w = sum(w.values())
+            if total_w > 0:
+                for reason, ov in w.items():
+                    crit[reason] = (crit.get(reason, 0.0)
+                                    + dur * ov / total_w)
+            else:
+                crit["idle"] = crit.get("idle", 0.0) + dur
+    report.critical_path = dict(sorted(crit.items()))
+    report.critical_path_cycles = crit_cycles
+
+    split = report.translation
+    for e in translations:
+        iss, lat, hid = _reference_parse(e.detail)
+        total = iss + lat + hid
+        if total <= 0:
+            continue
+        span_len = e.duration
+        sm = e.sm
+        if span_len > 0:
+            cov = issue_by_sm.get(sm, empty).coverage(
+                e.start, e.end, exclude=e.warp) / span_len
+            cont = queue_by_sm.get(sm, empty).coverage(
+                e.start, e.end, exclude=e.warp) / span_len
+            cov = min(1.0, cov)
+            cont = min(1.0, cont)
+        else:
+            cov = cont = 0.0
+        exposed = lat * (1.0 - cov) + iss * cont
+        exposed = min(exposed, total)
+        split.total += total
+        split.exposed += exposed
+        split.hidden += total - exposed
+        split.issue_slots += iss
+        split.events += 1
+    return report
+
+
+#: Translation detail parts: signed zeros (``-0`` in the engine's
+#: ``.6g`` form), integers and floats that round in ``.6g``.
+_PARTS = st.sampled_from([0.0, -0.0, 0.0, 1.0, 3.0, 2.5, 1e-3,
+                          12.3456789])
+#: Details the engine never writes: missing keys, empty.
+_ODD_DETAILS = st.sampled_from(["", "lat=4", "iss=2;hid=1", "hid=3"])
+
+
+@st.composite
+def _details(draw):
+    if draw(st.integers(0, 9)) == 0:
+        return draw(_ODD_DETAILS)
+    iss, lat, hid = draw(_PARTS), draw(_PARTS), draw(_PARTS)
+    return f"iss={iss:.6g};lat={lat:.6g};hid={hid:.6g}"
+
+
+@st.composite
+def launch_traces(draw):
+    """A traced launch: warps on up to three SMs laying issue, stall
+    (``issue_queue`` among the reasons) and macro-op intervals end to
+    end, some zero-length, some re-laid over their own last interval;
+    translation overlays with every detail form; the warps interleaved
+    in a drawn trace order, a warp's own events sometimes shuffled out
+    of time order; plus counter samples, some past the launch end."""
+    n_sms = draw(st.integers(min_value=1, max_value=3))
+    per_warp = []
+    for warp in range(draw(st.integers(min_value=1, max_value=6))):
+        sm = draw(st.integers(min_value=0, max_value=n_sms - 1))
+        cursor = draw(_POINTS)
+        mine = []
+        for _ in range(draw(st.integers(min_value=1, max_value=8))):
+            dur = draw(st.one_of(st.just(0.0), _POINTS))
+            kind = draw(st.sampled_from(
+                ["issue", "issue", "stall", "stall", "translation",
+                 "memaccess", "gap"]))
+            # An event off the warp's SM, now and then.
+            where = draw(st.one_of(
+                st.just(sm), st.integers(min_value=0,
+                                         max_value=n_sms - 1)))
+            if kind == "stall":
+                reason = draw(st.sampled_from(
+                    ["memory", "issue_queue", "issue_queue",
+                     "translation", "io", ""]))
+                mine.append(ev(warp, "stall", cursor, cursor + dur,
+                               reason, sm=where))
+            elif kind == "translation":
+                mine.append(ev(warp, "translation", cursor, cursor + dur,
+                               draw(_details()), sm=where))
+            elif kind != "gap":
+                mine.append(ev(warp, kind, cursor, cursor + dur,
+                               sm=where))
+            if draw(st.integers(0, 4)):
+                cursor += dur
+        if len(mine) > 1 and draw(st.booleans()):
+            mine = draw(st.permutations(mine))
+        per_warp.append(list(mine))
+    tracer = Tracer()
+    while any(per_warp):
+        queue = draw(st.sampled_from([q for q in per_warp if q]))
+        e = queue.pop(0)
+        tracer.record(e.warp, e.block, e.kind, e.start, e.end, e.detail,
+                      e.sm)
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        tracer.record_counter("dram_bytes", draw(_POINTS) * 3, 64.0)
+    launch_cycles = draw(st.one_of(st.none(), _POINTS.map(lambda c: c * 2)))
+    return tracer, launch_cycles
+
+
+def _bits(report) -> str:
+    """The report as text: ``==`` on the dicts would let ``-0.0`` pass
+    for ``0.0`` and ``1`` for ``1.0``."""
+    return json.dumps(report.to_dict())
+
+
+class TestPassAgainstReference:
+    @settings(max_examples=200, deadline=None)
+    @given(launch_traces())
+    def test_report_is_bit_identical(self, case):
+        tracer, launch_cycles = case
+        assert _bits(attribute_tracer(
+            tracer, launch_cycles=launch_cycles)) \
+            == _bits(_reference_attribute_events(
+                tracer.events, launch_cycles=launch_cycles))
+
+    @settings(max_examples=60, deadline=None)
+    @given(launch_traces())
+    def test_chrome_round_trip_is_bit_identical(self, case):
+        # The export sorts events by time: another trace order.
+        tracer, launch_cycles = case
+        trace = tracer.to_chrome_trace()
+        events, _ = events_from_chrome_trace(trace)
+        assert _bits(attribute_chrome_trace(
+            trace, launch_cycles=launch_cycles)) \
+            == _bits(_reference_attribute_events(
+                events, launch_cycles=launch_cycles))
+
+    def test_memcpy_launch_is_bit_identical(self):
+        # A real launch: 16 warps on 4 SMs, in-order per-warp timelines.
+        from repro.gpu import Device
+        from repro.telemetry import capture
+        from repro.workloads import run_memcpy
+
+        with capture(trace=True) as prof:
+            run_memcpy(Device(), use_apointers=True, width=4, nblocks=4,
+                       warps_per_block=4, iters_per_thread=4)
+        tracer, cycles = prof.traces[0], prof.profiles[0].cycles
+        assert _bits(attribute_tracer(tracer, launch_cycles=cycles)) \
+            == _bits(_reference_attribute_events(
+                tracer.events, launch_cycles=cycles))

@@ -2,9 +2,9 @@
 
 ``golden_traces.json`` (next to this file) records, for a fixed set of
 traced runs, one entry per launch: the sha256 of the ordered event list
-(``[vars(e) for e in tracer.events]``, ``json.dumps``-ed), the drop
-count, and ``tracer.by_kind()``, so a diff names the event kind whose
-count or cycles moved.  ``golden_profiles.json`` sees trace contents
+(``[dataclasses.asdict(e) for e in tracer.events]``, ``json.dumps``-ed),
+the drop count, and ``tracer.by_kind()``, so a diff names the event kind
+whose count or cycles moved.  ``golden_profiles.json`` sees trace contents
 only through the spans and attribution components; this fixture pins
 every event, including the engine's attribution overlay (stall, issue
 and translation intervals) and the time-series counter mirrors.
@@ -25,6 +25,7 @@ only in a change that says why a trace moved.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -45,7 +46,7 @@ GOLDEN = Path(__file__).with_name("golden_traces.json")
 def _trace_record(tracer) -> dict | None:
     if tracer is None:
         return None
-    text = json.dumps([vars(e) for e in tracer.events])
+    text = json.dumps([dataclasses.asdict(e) for e in tracer.events])
     return {
         "sha256": hashlib.sha256(text.encode()).hexdigest(),
         "dropped": tracer.dropped,

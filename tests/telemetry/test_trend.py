@@ -1,6 +1,7 @@
 """Benchmark trend record: append, load, and the regression gate."""
 
 import json
+import subprocess
 
 import pytest
 
@@ -50,6 +51,31 @@ class TestAppendAndLoad:
         path = str(tmp_path / "trend.json")
         doc = append_run(path, {"e": metric(1.0)})
         assert doc["runs"][0]["commit"] == current_commit() != ""
+
+    def test_commit_marks_a_dirty_tree(self, tmp_path, monkeypatch):
+        def git(*args):
+            return subprocess.run(
+                ["git", "-c", "user.name=t", "-c", "user.email=t@t",
+                 *args], cwd=tmp_path, check=True, capture_output=True,
+                text=True).stdout.strip()
+
+        git("init", "-q")
+        (tmp_path / "tracked.txt").write_text("a\n")
+        git("add", "tracked.txt")
+        git("commit", "-q", "-m", "seed")
+        head = git("rev-parse", "--short", "HEAD")
+        monkeypatch.chdir(tmp_path)
+        # An untracked file leaves the tree clean.
+        (tmp_path / "untracked.txt").write_text("x\n")
+        assert current_commit() == head
+        (tmp_path / "tracked.txt").write_text("b\n")
+        assert current_commit() == f"{head}-dirty"
+
+    def test_commit_outside_a_checkout_is_unknown(self, tmp_path,
+                                                   monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
+        assert current_commit() == "unknown"
 
     def test_missing_file_loads_empty_document(self, tmp_path):
         doc = load_trend(str(tmp_path / "absent.json"))
