@@ -30,8 +30,11 @@ and anything they cannot prove (divergent lanes, masked lanes out of
 range, a page crossing) takes the per-lane vector path.  An unmasked
 dereference of lanes one element apart on one shared page reaches
 memory as :class:`~repro.gpu.memory.AffineLanes`, one coalesced span,
-rather than 32 addresses.  The summary is recomputed after every
-per-lane mutation and updated in O(1) on a scalar ``add``.
+rather than 32 addresses.  The summary has a *link* part and a
+*position* part, and each is kept current where it changes: faults and
+unlinks refresh only the link part (in O(1) when one group links, or
+an unlink drops, the whole warp), a per-lane ``add`` refreshes only the
+position part, and a scalar ``add`` shifts it in O(1).
 
 Page faults use the warp-level *translation aggregation* of Listing 1:
 subgroups of lanes that fault on the same page elect a leader with
@@ -55,7 +58,7 @@ from repro.core.calibration import CostModel, cost_model_for
 from repro.core.config import APConfig, ImplVariant, PtrFormat
 from repro.gpu import warp_primitives as wp
 from repro.gpu.kernel import WarpContext
-from repro.gpu.memory import AffineLanes
+from repro.gpu.memory import DTYPES, AffineLanes
 
 
 class APtrState(enum.Enum):
@@ -87,6 +90,18 @@ class APtr:
         self.writable = bool(write)
         self.config: APConfig = avm.config
         self.cost: CostModel = cost_model_for(avm.config)
+        cm = self.cost
+        self.page_size: int = backend.page_size
+        # Charges the configuration fixes, summed once per pointer:
+        # ``(count, chain)`` of an ``add`` and of a dereference, and the
+        # serial chain of the valid-bit vote, which under speculative
+        # prefetch overlaps the memory access (§IV-B).
+        self._arith = (cm.arith_count + cm.fmt_extra_count,
+                       cm.arith_chain + cm.fmt_extra_chain)
+        self._deref_cost = (cm.deref_count + cm.fmt_extra_count,
+                            cm.deref_chain + cm.fmt_extra_chain)
+        self._vote_chain = (0 if avm.config.variant is ImplVariant.PREFETCH
+                            else 1)
         n = ctx.warp_size
         # -- per-lane translation state (hardware registers) --
         self.pos = np.zeros(n, dtype=np.int64)
@@ -106,8 +121,18 @@ class APtr:
     # Introspection
     # ------------------------------------------------------------------
     @property
-    def page_size(self) -> int:
-        return self.backend.page_size
+    def pos(self) -> np.ndarray:
+        """Each lane's byte position in the mapping.  A scalar ``add``
+        only accumulates ``_shift``; the lanes move when next read."""
+        if self._shift:
+            self._pos = self._pos + self._shift
+            self._shift = 0
+        return self._pos
+
+    @pos.setter
+    def pos(self, value: np.ndarray) -> None:
+        self._pos = value
+        self._shift = 0
 
     @property
     def state(self) -> APtrState:
@@ -154,21 +179,21 @@ class APtr:
         per-lane).  Lanes that leave their linked page unlink, dropping
         their page references — the paper's proactive-decrement
         heuristic."""
-        cm = self.cost
-        ctx.charge(cm.arith_count + cm.fmt_extra_count,
-                   chain=cm.arith_chain + cm.fmt_extra_chain,
-                   tag="translation")
+        count, chain = self._arith
+        ctx.charge(count, chain=chain, tag="translation")
         self.avm.stats.arith_ops += 1
-        per_lane = not isinstance(delta, (int, np.integer))
-        if per_lane:
+        if not isinstance(delta, (int, np.integer)):
             self.pos = self.pos + np.asarray(delta, dtype=np.int64)
+            self._summarize_pos()
+            if not self._any_linked:
+                return
         else:
             # Every lane moves together: the position range and the
             # alignment bound shift in O(1), the lane stride is kept, and
             # a pointer with no link, or whose range stays inside the
             # page every lane is linked to, has nothing to unlink.
             delta = int(delta)
-            self.pos = self.pos + delta
+            self._shift += delta
             self._lo += delta
             self._hi += delta
             bits = self._align | delta
@@ -182,8 +207,6 @@ class APtr:
         crossing = self.valid & (self.xpage_vec() != self.linked_xpage)
         if crossing.any():
             yield from self._unlink(ctx, crossing)
-        elif per_lane:
-            self._summarize()
 
     def seek(self, ctx: WarpContext, pos):
         """Timed: set each lane's absolute position in the mapping."""
@@ -196,13 +219,12 @@ class APtr:
     def read(self, ctx: WarpContext, dtype: str = "f4",
              mask: Optional[np.ndarray] = None):
         """Timed: ``*ptr`` — load one ``dtype`` element per active lane."""
-        width = int(np.dtype(dtype).itemsize)
-        addrs = yield from self._deref(ctx, width, write=False, mask=mask)
+        addrs = yield from self._deref(ctx, DTYPES[dtype].itemsize,
+                                       write=False, mask=mask)
         cm = self.cost
         self.avm.stats.reads += 1
-        ctx.charge(cm.deref_count + cm.fmt_extra_count,
-                   chain=cm.deref_chain + cm.fmt_extra_chain,
-                   tag="translation")
+        count, chain = self._deref_cost
+        ctx.charge(count, chain=chain, tag="translation")
         overlap, post = cm.deref_overlap, cm.deref_post
         if self.config.perm_checks:
             self.avm.stats.perm_checks += 1
@@ -225,13 +247,12 @@ class APtr:
         ``nonblocking`` overlaps the load with later work (memory-level
         parallelism); pair with ``ctx.fence()``.
         """
-        width = int(np.dtype(dtype).itemsize) * elems
+        width = DTYPES[dtype].itemsize * elems
         addrs = yield from self._deref(ctx, width, write=False, mask=mask)
         cm = self.cost
         self.avm.stats.reads += 1
-        ctx.charge(cm.deref_count + cm.fmt_extra_count + elems,
-                   chain=cm.deref_chain + cm.fmt_extra_chain,
-                   tag="translation")
+        count, chain = self._deref_cost
+        ctx.charge(count + elems, chain=chain, tag="translation")
         overlap, post = cm.deref_overlap, cm.deref_post
         if self.config.perm_checks:
             self.avm.stats.perm_checks += 1
@@ -247,13 +268,12 @@ class APtr:
     def write(self, ctx: WarpContext, values, dtype: str = "f4",
               mask: Optional[np.ndarray] = None):
         """Timed: ``*ptr = v`` — store one element per active lane."""
-        width = int(np.dtype(dtype).itemsize)
-        addrs = yield from self._deref(ctx, width, write=True, mask=mask)
+        addrs = yield from self._deref(ctx, DTYPES[dtype].itemsize,
+                                       write=True, mask=mask)
         cm = self.cost
         self.avm.stats.writes += 1
-        ctx.charge(cm.deref_count + cm.fmt_extra_count,
-                   chain=cm.deref_chain + cm.fmt_extra_chain,
-                   tag="translation")
+        count, chain = self._deref_cost
+        ctx.charge(count, chain=chain, tag="translation")
         if self.config.perm_checks:
             self.avm.stats.perm_checks += 1
             ctx.charge(cm.perm_count, chain=cm.perm_chain + cm.perm_post,
@@ -266,13 +286,12 @@ class APtr:
         written through one dereference per lane."""
         values = np.asarray(values)
         elems = values.shape[1]
-        width = int(np.dtype(dtype).itemsize) * elems
+        width = DTYPES[dtype].itemsize * elems
         addrs = yield from self._deref(ctx, width, write=True, mask=mask)
         cm = self.cost
         self.avm.stats.writes += 1
-        ctx.charge(cm.deref_count + cm.fmt_extra_count + elems,
-                   chain=cm.deref_chain + cm.fmt_extra_chain,
-                   tag="translation")
+        count, chain = self._deref_cost
+        ctx.charge(count + elems, chain=chain, tag="translation")
         if self.config.perm_checks:
             self.avm.stats.perm_checks += 1
             ctx.charge(cm.perm_count, chain=cm.perm_chain + cm.perm_post,
@@ -308,8 +327,7 @@ class APtr:
         # speculative prefetch the vote overlaps the memory access
         # (§IV-B), so it adds no serial latency.
         all_valid = self._all_linked or wp.all_sync(self.valid, active)
-        prefetching = self.config.variant is ImplVariant.PREFETCH
-        ctx.charge(1, chain=0 if prefetching else 1, tag="translation")
+        ctx.charge(1, chain=self._vote_chain, tag="translation")
         if not all_valid:
             yield from self._page_fault(ctx, active, write)
         elif write:
@@ -321,7 +339,7 @@ class APtr:
             offset = self._frame + self.base_offset \
                 - self._page * self.page_size
             if mask is None and self._stride == width:
-                return AffineLanes(self._lo + offset, width, self.pos.size)
+                return AffineLanes(self._lo + offset, width, self._pos.size)
             return self.pos + offset
         return self.frame_addr + self.in_page_vec()
 
@@ -333,6 +351,8 @@ class APtr:
         page, lowest lane first, and nothing but this loop links this
         warp's lanes, so its groups are known before the first round:
         they are found in one pass, and each is charged as its round.
+        Positions do not move, so only the link part of the summary is
+        refreshed: in O(1) when one group links every lane.
         """
         cm = self.cost
         faulting = (~self.valid) & active
@@ -341,6 +361,7 @@ class APtr:
         ctx.begin_request()
         try:
             ctx.push_activity("translation")
+            whole_warp = None
             try:
                 for xpage, same, refs in _lane_groups(faulting,
                                                       self.xpage_vec()):
@@ -354,11 +375,18 @@ class APtr:
                     self.tlb_backed[same] = via_tlb
                     self.linked_write[same] = write
                     self.valid[same] = True
+                    if refs == self.valid.size:
+                        whole_warp = xpage, int(frame_addr)
                     ctx.charge(cm.fault_link_count)
                     self.avm.stats.links += refs
                 ctx.charge(2)                  # the final, empty ballot
             finally:
-                self._summarize()
+                if whole_warp is None:
+                    self._summarize_links()
+                else:
+                    self._any_linked = self._all_linked = True
+                    self._all_write = bool(write)
+                    self._page, self._frame = whole_warp
                 ctx.pop_activity()
             if ctx.tracer is not None:
                 ctx.trace_span("translation_fault", t0, ctx.now,
@@ -399,10 +427,13 @@ class APtr:
         return frame, installed
 
     def _unlink(self, ctx: WarpContext, mask: np.ndarray):
-        """Drop references for ``mask`` lanes, grouped per page and per
-        backing path (TLB-tracked vs. direct), lowest lane first."""
+        """Drop references for ``mask`` lanes (linked ones), grouped per
+        page and per backing path (TLB-tracked vs. direct), lowest lane
+        first.  Positions do not move, so only the link part of the
+        summary is refreshed: in O(1) when every lane is dropped."""
         cm = self.cost
         tlb = self.avm.tlb_for(ctx)
+        dropped = 0
         try:
             # One group per page and backing path: key 2 * page + via_tlb.
             for key, group, refs in _lane_groups(
@@ -421,8 +452,14 @@ class APtr:
                 self.linked_write[group] = False
                 self.valid[group] = False
                 self.avm.stats.unlinks += refs
+                dropped += refs
         finally:
-            self._summarize()
+            if dropped == self.valid.size:
+                self._any_linked = self._all_linked = False
+                self._all_write = False
+                self._page = self._frame = None
+            else:
+                self._summarize_links()
 
     def _mark_dirty(self, active: np.ndarray) -> None:
         backend = self.backend
@@ -435,15 +472,20 @@ class APtr:
                 entry.dirty = True
 
     def _summarize(self) -> None:
-        """Recompute the warp summary from the lane arrays.
+        """Recompute the whole warp summary from the lane arrays: the
+        link part (:meth:`_summarize_links`) and the position part
+        (:meth:`_summarize_pos`)."""
+        self._summarize_links()
+        self._summarize_pos()
+
+    def _summarize_links(self) -> None:
+        """The link part, from ``valid``, ``linked_write``,
+        ``linked_xpage`` and ``frame_addr``.
 
         ``_any_linked``/``_all_linked``: some / every lane is linked;
         ``_all_write``: every lane is linked for writing; ``_page`` and
         ``_frame``: the page and frame every lane is linked to (``None``
-        unless all lanes share one); ``_lo``/``_hi``: the lane position
-        range; ``_stride``: the common difference between consecutive
-        lanes' positions, else ``None``; ``_align``: a power of two
-        dividing every ``base_offset + pos`` (0 when all of them are 0).
+        unless all lanes share one).
         """
         valid = self.valid
         linked = int(np.count_nonzero(valid))
@@ -457,6 +499,15 @@ class APtr:
             if ((self.linked_xpage == page).all()
                     and (self.frame_addr == frame).all()):
                 self._page, self._frame = page, frame
+
+    def _summarize_pos(self) -> None:
+        """The position part, from ``pos``.
+
+        ``_lo``/``_hi``: the lane position range; ``_stride``: the common
+        difference between consecutive lanes' positions, else ``None``;
+        ``_align``: a power of two dividing every ``base_offset + pos``
+        (0 when all of them are 0).
+        """
         pos = self.pos
         self._lo = int(pos.min())
         self._hi = int(pos.max())

@@ -38,7 +38,7 @@ from repro.gpu.instructions import (
     Sleep,
     TimedLock,
 )
-from repro.gpu.memory import AffineLanes, GlobalMemory, Scratchpad
+from repro.gpu.memory import DTYPES, AffineLanes, GlobalMemory, Scratchpad
 from repro.gpu.specs import GPUSpec
 
 
@@ -270,29 +270,39 @@ class WarpContext:
         ``chain_tag`` attributes those chains to an activity for the
         stall recorder (the translation layer passes ``"translation"``).
         """
-        addrs = self._addr_vec(addrs)
-        width = int(np.dtype(dtype).itemsize)
-        tx = self.memory.transactions_for(addrs, width, mask=mask)
-        pc, pch, tags = self._take_pending()
-        req = MemAccess(transactions=tx, is_store=False, count=pc,
-                        chain=pch, overlap_chain=overlap_chain,
-                        post_chain=post_chain)
-        if chain_tag and self.tracer is not None:
-            req.chain_tag = chain_tag
-        self.now = yield self._tagged(req, tags)
-        return self.memory.load_vector(addrs, dtype, mask=mask)
+        # The pending charge is taken inline (as in :meth:`_take_pending`)
+        # and the request tagged only under a tracer: the apointer layer
+        # issues one of these per dereference.
+        if type(addrs) is not AffineLanes:
+            addrs = self._addr_vec(addrs)
+        memory = self.memory
+        req = MemAccess(
+            memory.transactions_for(addrs, DTYPES[dtype].itemsize, mask),
+            False, self._pending_count, self._pending_chain,
+            overlap_chain, post_chain)
+        self._pending_count = self._pending_chain = 0.0
+        if self.tracer is not None:
+            tags, self._pending_tags = self._pending_tags, {}
+            self._tagged(req, tags)
+            if chain_tag:
+                req.chain_tag = chain_tag
+        self.now = yield req
+        return memory.load_vector(addrs, dtype, mask)
 
     def store(self, addrs, values, dtype: str = "f4", mask=None
               ) -> Iterator[Request]:
         """Warp-wide scatter to global memory (write-back, non-stalling)."""
-        addrs = self._addr_vec(addrs)
-        width = int(np.dtype(dtype).itemsize)
-        tx = self.memory.transactions_for(addrs, width, mask=mask)
-        self.memory.store_vector(addrs, values, dtype, mask=mask)
-        pc, pch, tags = self._take_pending()
-        self.now = yield self._tagged(
-            MemAccess(transactions=tx, is_store=True, count=pc,
-                      chain=pch), tags)
+        if type(addrs) is not AffineLanes:
+            addrs = self._addr_vec(addrs)
+        memory = self.memory
+        tx = memory.transactions_for(addrs, DTYPES[dtype].itemsize, mask)
+        memory.store_vector(addrs, values, dtype, mask)
+        req = MemAccess(tx, True, self._pending_count, self._pending_chain)
+        self._pending_count = self._pending_chain = 0.0
+        if self.tracer is not None:
+            tags, self._pending_tags = self._pending_tags, {}
+            self._tagged(req, tags)
+        self.now = yield req
 
     def load_wide(self, addrs, dtype: str = "f4", elems: int = 4,
                   mask=None, overlap_chain: float = 0.0,
@@ -307,7 +317,7 @@ class WarpContext:
         values' timing-wise.
         """
         addrs = self._addr_vec(addrs)
-        width = int(np.dtype(dtype).itemsize) * elems
+        width = DTYPES[dtype].itemsize * elems
         tx = self.memory.transactions_for(addrs, width, mask=mask)
         pc, pch, tags = self._take_pending()
         req = MemAccess(transactions=tx, is_store=False, count=pc,
@@ -331,7 +341,7 @@ class WarpContext:
         addrs = self._addr_vec(addrs)
         values = np.asarray(values)
         elems = values.shape[1]
-        width = int(np.dtype(dtype).itemsize)
+        width = DTYPES[dtype].itemsize
         tx = self.memory.transactions_for(addrs, width * elems, mask=mask)
         self.memory.store_vector_wide(addrs, values, dtype, mask=mask)
         pc, pch, tags = self._take_pending()
@@ -344,7 +354,7 @@ class WarpContext:
 
         The one lane reaches memory as ``AffineLanes(addr, itemsize, 1)``,
         so it takes the closed-form count, bounds check and slice."""
-        lane = AffineLanes(int(addr), np.dtype(dtype).itemsize, 1)
+        lane = AffineLanes(int(addr), DTYPES[dtype].itemsize, 1)
         vals = yield from self.load(lane, dtype)
         return vals[0]
 
@@ -352,7 +362,7 @@ class WarpContext:
                      ) -> Iterator[Request]:
         """Single-address store performed by the warp leader, carried
         to memory as one affine lane like :meth:`load_scalar`."""
-        dt = np.dtype(dtype)
+        dt = DTYPES[dtype]
         yield from self.store(AffineLanes(int(addr), dt.itemsize, 1),
                               np.array([value], dtype=dt), dtype)
 
@@ -411,7 +421,7 @@ class WarpContext:
     def atomic_add(self, addr: int, value: int = 1,
                    dtype: str = "i8") -> Iterator[Request]:
         """Scalar atomic add at a global address; returns the old value."""
-        dt = np.dtype(dtype)
+        dt = DTYPES[dtype]
         word = self.memory.read(int(addr), dt.itemsize)
         old = int(word.view(dt)[0])
         word[:] = np.asarray(np.array([old + value]), dtype=dt).view(

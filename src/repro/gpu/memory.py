@@ -17,12 +17,15 @@ from __future__ import annotations
 
 import numpy as np
 
-DTYPE_WIDTHS = {
-    "u1": 1, "i1": 1,
-    "u2": 2, "i2": 2,
-    "u4": 4, "i4": 4, "f4": 4,
-    "u8": 8, "i8": 8, "f8": 8,
-}
+#: The element types of warp and scratchpad accesses, by name.  Built
+#: once: ``np.dtype(name)`` costs far more than a dict lookup, and a
+#: warp access needs the dtype (or its ``itemsize``) on every call.
+DTYPES = {name: np.dtype(name) for name in (
+    "u1", "i1",
+    "u2", "i2",
+    "u4", "i4", "f4",
+    "u8", "i8", "f8",
+)}
 
 
 class MemoryError_(Exception):
@@ -120,27 +123,28 @@ class GlobalMemory:
     # ------------------------------------------------------------------
     def load_vector(self, addrs: np.ndarray, dtype: str,
                     mask: np.ndarray | None = None) -> np.ndarray:
-        """Gather one element of ``dtype`` per active lane."""
-        return self._load(addrs, np.dtype(dtype), 1, mask).reshape(
-            np.shape(addrs))
+        """Gather one element of ``dtype`` per active lane.  ``addrs`` is
+        an address array or :class:`AffineLanes`."""
+        return self._load(addrs, DTYPES[dtype], 1, mask).reshape(
+            addrs.shape)
 
     def load_vector_wide(self, addrs: np.ndarray, dtype: str, elems: int,
                          mask: np.ndarray | None = None) -> np.ndarray:
         """Gather ``elems`` consecutive elements of ``dtype`` per lane
         (vectorised 8/16-byte loads).  Returns shape ``(lanes, elems)``."""
-        return self._load(addrs, np.dtype(dtype), elems, mask)
+        return self._load(addrs, DTYPES[dtype], elems, mask)
 
     def store_vector(self, addrs: np.ndarray, values: np.ndarray,
                      dtype: str, mask: np.ndarray | None = None) -> None:
         """Scatter one element of ``dtype`` per active lane."""
-        self._store(addrs, values, np.dtype(dtype), mask)
+        self._store(addrs, values, DTYPES[dtype], mask)
 
     def store_vector_wide(self, addrs: np.ndarray, values: np.ndarray,
                           dtype: str, mask: np.ndarray | None = None
                           ) -> None:
         """Scatter ``values`` of shape ``(lanes, elems)``: ``elems``
         consecutive elements of ``dtype`` per active lane."""
-        self._store(addrs, values, np.dtype(dtype), mask)
+        self._store(addrs, values, DTYPES[dtype], mask)
 
     def transactions_for(self, addrs: np.ndarray, width: int,
                          mask: np.ndarray | None = None) -> int:
@@ -261,14 +265,14 @@ class Scratchpad:
 
     def alloc_array(self, name: str, count: int, dtype: str) -> np.ndarray:
         """Allocate a named typed array; raises if over capacity."""
-        width = DTYPE_WIDTHS[dtype]
-        need = count * width
+        dt = DTYPES[dtype]
+        need = count * dt.itemsize
         if self._used + need > self.nbytes:
             raise MemoryError_(
                 f"scratchpad overflow: {self._used} + {need} > {self.nbytes}"
             )
         self._used += need
-        arr = np.zeros(count, dtype=np.dtype(dtype))
+        arr = np.zeros(count, dtype=dt)
         self._arrays[name] = arr
         return arr
 

@@ -1,6 +1,9 @@
 """Tests for the APtr state machine, arithmetic, dereference, and the
 reference-counting invariants of §III-B."""
 
+import contextlib
+import copy
+import json
 from unittest import mock
 
 import numpy as np
@@ -18,7 +21,10 @@ from repro.host import HostFileSystem
 from repro.host.filesys import O_RDWR
 from repro.host.ramfs import RamFS
 from repro.paging import GPUfs, GPUfsConfig
-from tests.core.conftest import PAGE, launch, make_avm
+from tests.core.conftest import PAGE, budget, launch, make_avm
+from tests.gpu.test_engine_golden import CASES as GOLDEN_CASES
+from tests.gpu.test_engine_golden import GOLDEN as GOLDEN_ENGINE
+from tests.gpu.test_engine_golden import capture as capture_golden_case
 
 
 class TestStateMachine:
@@ -507,7 +513,7 @@ class TestSummaryAgainstLaneArrays:
     bounds errors match the per-lane rule, and reads return the bytes
     last written there."""
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=budget(40), deadline=None)
     @given(backend=st.sampled_from(["device", "device-odd", "gpufs",
                                     "gpufs-tlb"]),
            program=st.lists(ops, min_size=1, max_size=14))
@@ -527,6 +533,23 @@ class TestSummaryAgainstLaneArrays:
     @example(backend="device", program=[
         ("seek", 0, 4), ("read", "u4", 0xFFFF0000),
         ("write", "u4", 0x0000FFFF, 3)])
+    # One fault group links all 32 lanes (the O(1) link update), through
+    # the TLB, then again after a per-lane seek within the page.
+    @example(backend="gpufs-tlb", program=[
+        ("read", "u4", None), ("seek", 64, 4), ("write", "u4", None, 5)])
+    # A scalar add moves every lane off its page: the unlink drops the
+    # whole warp (the O(1) "nothing linked" update); a new fault links
+    # it again and destroy drops it again.
+    @example(backend="gpufs", program=[
+        ("seek", 0, 4), ("read", "u4", None), ("add", PAGE),
+        ("read", "u4", None), ("destroy",)])
+    # A per-lane add widens the lanes' range inside the page; the scalar
+    # add after it crosses a page with the upper half of the lanes only,
+    # which the O(1) range test sees only if the per-lane add refreshed
+    # the position part.
+    @example(backend="device", program=[
+        ("seek", 0, 4), ("read", "u4", None), ("add_lanes", 4, 0),
+        ("add", PAGE - 128), ("read", "u4", None)])
     def test_summary_matches_lanes(self, backend, program):
         rng = np.random.RandomState(5)
         image = rng.randint(0, 256, (MAP_PAGES + 1) * PAGE, dtype=np.uint8)
@@ -618,6 +641,62 @@ class TestSummaryAgainstLaneArrays:
         if backend.startswith("gpufs"):
             assert all(e.refcount == 0
                        for e in gpufs.cache.table.entries())
+
+
+#: The summary fields a full ``_summarize()`` writes exactly; ``_align``
+#: is a bound (a scalar ``add`` keeps a power of two dividing it).
+EXACT_SUMMARY = ("_any_linked", "_all_linked", "_all_write", "_page",
+                 "_frame", "_lo", "_hi", "_stride")
+#: Golden engine cases that create apointers.
+REPLAYED = [name for name in GOLDEN_CASES
+            if name.startswith("apointer/")
+            or name in ("syscall/graphwalk", "table2/quick")]
+
+
+def check_kept_summary(ptr):
+    """The summary ``ptr`` kept current equals what a full
+    ``_summarize()`` writes from its lane arrays (on a copy, so the
+    replayed run is not disturbed)."""
+    full = copy.copy(ptr)
+    full._summarize()
+    assert ({name: getattr(ptr, name) for name in EXACT_SUMMARY}
+            == {name: getattr(full, name) for name in EXACT_SUMMARY})
+    align = ptr._align
+    if align == 0:
+        assert full._align == 0
+    else:
+        assert align & (align - 1) == 0 and full._align % align == 0
+
+
+class TestSummaryKeptCurrent:
+    """Replays the golden engine cases that use apointers and, after
+    every fault, unlink, ``add`` and ``seek``, holds the summary each
+    operation kept current to a full recompute; the cases' cycles,
+    stats and memory must still equal their golden records."""
+
+    METHODS = ("_page_fault", "_unlink", "add", "seek")
+
+    @pytest.mark.parametrize("name", REPLAYED)
+    def test_summary_equals_full_recompute(self, name):
+        golden = json.loads(GOLDEN_ENGINE.read_text())
+        seen = dict.fromkeys(self.METHODS, 0)
+
+        def replayed(method):
+            real = getattr(APtr, method)
+
+            def run(self, *args, **kwargs):
+                result = yield from real(self, *args, **kwargs)
+                check_kept_summary(self)
+                seen[method] += 1
+                return result
+            return run
+
+        with contextlib.ExitStack() as stack:
+            for method in self.METHODS:
+                stack.enter_context(mock.patch.object(
+                    APtr, method, replayed(method)))
+            assert capture_golden_case(name) == golden[name]
+        assert all(seen.values()), seen
 
 
 class TestEncodedWord:
@@ -885,7 +964,7 @@ class TestListing1AgainstBallotLoop:
     backend and TLB calls, in the same order, with the same counters,
     pending charge and lane arrays as the one-round-per-page loops."""
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=budget(100), deadline=None)
     @given(page=per_lane(pages), valid=per_lane(st.booleans()),
            linked=per_lane(pages), via_tlb=per_lane(st.booleans()),
            linked_write=per_lane(st.booleans()),

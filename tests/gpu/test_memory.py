@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.gpu.memory import (
-    DTYPE_WIDTHS,
+    DTYPES,
     AffineLanes,
     GlobalMemory,
     MemoryError_,
@@ -67,7 +67,7 @@ class TestBulkAccess:
 class TestVectorAccess:
     @pytest.mark.parametrize("dtype", ["u1", "u2", "u4", "i4", "f4", "u8", "f8"])
     def test_roundtrip_all_dtypes(self, mem, dtype):
-        width = DTYPE_WIDTHS[dtype]
+        width = DTYPES[dtype].itemsize
         addrs = np.arange(32) * width
         vals = np.arange(32).astype(np.dtype(dtype))
         mem.store_vector(addrs, vals, dtype)
@@ -167,7 +167,7 @@ class PerByteMemory:
         self.transaction_bytes = transaction_bytes
 
     def load_vector(self, addrs, dtype, mask=None):
-        width = DTYPE_WIDTHS[dtype]
+        width = DTYPES[dtype].itemsize
         addrs = np.asarray(addrs, dtype=np.int64)
         out = np.zeros(addrs.shape, dtype=np.dtype(dtype))
         active = np.ones(addrs.shape, dtype=bool) if mask is None else mask
@@ -183,14 +183,14 @@ class PerByteMemory:
         return out
 
     def load_vector_wide(self, addrs, dtype, elems, mask=None):
-        width = DTYPE_WIDTHS[dtype]
+        width = DTYPES[dtype].itemsize
         addrs = np.asarray(addrs, dtype=np.int64)
         cols = [self.load_vector(addrs + i * width, dtype, mask=mask)
                 for i in range(elems)]
         return np.stack(cols, axis=1)
 
     def store_vector(self, addrs, values, dtype, mask=None):
-        width = DTYPE_WIDTHS[dtype]
+        width = DTYPES[dtype].itemsize
         addrs = np.asarray(addrs, dtype=np.int64)
         values = np.asarray(values, dtype=np.dtype(dtype))
         active = np.ones(addrs.shape, dtype=bool) if mask is None else mask
@@ -204,7 +204,7 @@ class PerByteMemory:
 
     def store_vector_wide(self, addrs, values, dtype, mask=None):
         # WarpContext.store_wide's per-element loop.
-        width = DTYPE_WIDTHS[dtype]
+        width = DTYPES[dtype].itemsize
         addrs = np.asarray(addrs, dtype=np.int64)
         for j in range(values.shape[1]):
             self.store_vector(addrs + j * width, values[:, j], dtype,
@@ -242,9 +242,9 @@ def masks(lanes: int):
 @st.composite
 def accesses(draw, max_elems: int = 1):
     """(dtype, elems, lane addresses, mask, values, initial memory)."""
-    dtype = draw(st.sampled_from(sorted(DTYPE_WIDTHS)))
+    dtype = draw(st.sampled_from(sorted(DTYPES)))
     elems = draw(st.integers(1, max_elems))
-    nbytes = DTYPE_WIDTHS[dtype] * elems
+    nbytes = DTYPES[dtype].itemsize * elems
     lanes = draw(st.integers(1, 32))
     # A narrow window makes duplicate and overlapping lanes common;
     # addresses are unaligned throughout.
@@ -288,9 +288,9 @@ def affine_accesses(draw, max_elems: int = 1):
     the access's bytes per lane (one element, or ``elems`` of them) and
     the mask usually ``None``, the shape the closed form serves;
     otherwise the lanes overlap, leave gaps or run backwards."""
-    dtype = draw(st.sampled_from(sorted(DTYPE_WIDTHS)))
+    dtype = draw(st.sampled_from(sorted(DTYPES)))
     elems = draw(st.integers(1, max_elems))
-    width = DTYPE_WIDTHS[dtype]
+    width = DTYPES[dtype].itemsize
     nbytes = width * elems
     lanes = draw(st.integers(1, 32))
     stride = draw(st.sampled_from([nbytes, nbytes, width, width, 0, 1,
@@ -310,7 +310,7 @@ def affine_accesses(draw, max_elems: int = 1):
 
 def span_access(dtype: str, elems: int, end: int):
     """An unmasked 32-lane contiguous access whose span ends at ``end``."""
-    nbytes = DTYPE_WIDTHS[dtype] * elems
+    nbytes = DTYPES[dtype].itemsize * elems
     rng = np.random.default_rng(end)
     values = rng.integers(0, 256, 32 * nbytes, dtype=np.uint8).view(
         np.dtype(dtype)).reshape(32, elems)
