@@ -102,6 +102,9 @@ class APtr:
                             cm.deref_chain + cm.fmt_extra_chain)
         self._vote_chain = (0 if avm.config.variant is ImplVariant.PREFETCH
                             else 1)
+        # The page cache whose entries a write marks dirty, or ``None``
+        # (device memory, DSM): then a write marks nothing.
+        self._gpufs = getattr(backend, "gpufs", None)
         n = ctx.warp_size
         # -- per-lane translation state (hardware registers) --
         self.pos = np.zeros(n, dtype=np.int64)
@@ -330,7 +333,7 @@ class APtr:
         ctx.charge(1, chain=self._vote_chain, tag="translation")
         if not all_valid:
             yield from self._page_fault(ctx, active, write)
-        elif write:
+        elif write and self._gpufs is not None:
             self._mark_dirty(active)
         if self._page is not None:
             # One shared page: frame + in-page offset is pos + constant.
@@ -393,7 +396,7 @@ class APtr:
                                f"lanes={int(faulting.sum())}")
         finally:
             ctx.end_request()
-        if write:
+        if write and self._gpufs is not None:
             self._mark_dirty(active)
 
     def _resolve(self, ctx: WarpContext, xpage: int, refs: int,
@@ -462,12 +465,15 @@ class APtr:
                 self._summarize_links()
 
     def _mark_dirty(self, active: np.ndarray) -> None:
-        backend = self.backend
-        gpufs = getattr(backend, "gpufs", None)
+        """Mark the pages ``active`` lanes link dirty in the page cache,
+        if there is one (the hot callers test :attr:`_gpufs` first)."""
+        gpufs = self._gpufs
         if gpufs is None:
             return
+        table = gpufs.cache.table
+        file_id = self.backend.file_id
         for xpage in np.unique(self.linked_xpage[active & self.valid]):
-            entry = gpufs.cache.table.get(backend.file_id, int(xpage))
+            entry = table.get(file_id, int(xpage))
             if entry is not None:
                 entry.dirty = True
 

@@ -35,9 +35,11 @@ spin the engine re-polls itself (``docs/engine.md``, "Request runs").
 The engine has one instrumentation hook, ``Engine(..., profile=...)``:
 an observer following the :class:`repro.telemetry.hooks.EngineProfile`
 protocol, which sees every macro-op, issue reservation, stall, lock
-grant, translation decomposition, DRAM access and PCIe transfer, with
-the warp and the whole interval.  What it keeps — launch totals, cycle
-windows, trace records — is its own business; the engine only tests it
+grant, DRAM access and PCIe transfer, with the warp and the whole
+interval.  A memory request or compute block is one call carrying every
+time the engine computed for it.  What the observer keeps or derives —
+launch totals, cycle windows, trace rows, the translation
+decomposition — is its own business; the engine only tests it
 against ``None``, once per handler site, so observed runs stay
 cycle-bit-identical to unobserved ones.  :meth:`Engine.launch` takes
 the grid's block factories and is the single entry point.
@@ -150,6 +152,9 @@ class Engine:
         # pointer test per event.
         self.profile = profile
         self._advance = profile.advance if profile is not None else None
+        self._eff_ipc = spec.effective_issue_rate()
+        if profile is not None:
+            profile.bind(spec.dependent_issue_cycles, self._eff_ipc)
         self.stats = EngineStats()
         self._issue_avail = [0.0] * spec.num_sms
         self._dram_avail = 0.0
@@ -160,7 +165,6 @@ class Engine:
         self._seq = itertools.count()
         self._pending: list = []         # block factories not yet started
         self._resident = [0] * spec.num_sms
-        self._eff_ipc = spec.effective_issue_rate()
         self._extra_blocks = [0] * spec.num_sms   # preemption slots used
         self._dram_bpc = spec.dram_bytes_per_cycle()
         self._pcie_bpc = spec.pcie_bytes_per_cycle()
@@ -384,7 +388,8 @@ class Engine:
             return
         start = max(now, self._issue_avail[sm])
         issue_time = req.count / self._eff_ipc
-        self._issue_avail[sm] = start + issue_time
+        issued = start + issue_time
+        self._issue_avail[sm] = issued
         self.stats.issue_busy += issue_time
         latency = (spec.macro_op_overhead_cycles
                    + req.chain_length() * spec.dependent_issue_cycles)
@@ -392,21 +397,8 @@ class Engine:
         done = start + max(issue_time, latency)
         prof = self.profile
         if prof is not None:
-            prof.op(runner, req, start, done)
-            prof.issue(runner, sm, now, start, issue_time, req.count)
-            prof.stall(runner, req, "exec_dependency", start + issue_time,
-                       done, latency - issue_time)
-            # Requests carry tags only while a trace is recorded, so
-            # the decomposition feeds the attribution overlay alone.
-            tr = (req.tags.get("translation")
-                  if req.tags is not None else None)
-            if tr is not None:
-                pre = (min(tr[1], req.chain_length())
-                       * spec.dependent_issue_cycles)
-                pre_x = done - (start + max(issue_time, latency - pre))
-                prof.translation(runner, start, done,
-                                 tr[0] / self._eff_ipc, pre_x,
-                                 pre - pre_x)
+            prof.compute(runner, req, sm, now, start, issue_time, issued,
+                         latency, done)
         self._schedule(runner, done)
 
     def _h_scratch(self, req: ScratchAccess, runner: _WarpRunner,
@@ -591,14 +583,14 @@ class Engine:
         busy = nbytes / self._dram_bpc
         self._dram_avail = dram_start + busy
         self.stats.dram_busy += busy
-        blocking = not (req.is_store or req.nonblocking)
         if req.is_store:
             self.stats.stores += 1
             resume = max(pre_done, issued)
+            data_ready = ready = overlap_done = None
         else:
             self.stats.loads += 1
             data_ready = dram_start + spec.dram_latency_cycles
-            if blocking:
+            if not req.nonblocking:
                 overlap_done = pre_done + req.overlap_chain * dep
                 ready = max(data_ready, overlap_done)
                 ready += req.post_chain * dep
@@ -608,47 +600,12 @@ class Engine:
                 # LoadFence later waits for the slowest outstanding load.
                 runner.outstanding = max(runner.outstanding, data_ready)
                 resume = max(pre_done, issued)
+                ready = overlap_done = None
         prof = self.profile
         if prof is not None:
-            prof.issue(runner, sm, now, start, issue_time, req.count + 1)
-            prof.dram(dram_start, nbytes, req.transactions, busy,
-                      dram_start - pre_done)
-            if not req.is_store:
-                prof.op(runner, req, start, data_ready)
-            if blocking:
-                prof.stall(runner, req, "memory", issued, resume,
-                           ready - issued)
-            else:   # traced, not counted (as between issue slices)
-                prof.stall(runner, req, "exec_dependency", issued,
-                           resume, 0.0)
-            # Requests carry tags only while a trace is recorded, so
-            # the decomposition feeds the attribution overlay alone.
-            tr = (req.tags.get("translation")
-                  if req.tags is not None else None)
-            if tr is not None or req.chain_tag == "translation":
-                tr_cnt, tr_chain = tr if tr is not None else (0.0, 0.0)
-                pre = min(tr_chain, req.chain) * dep
-                if blocking:
-                    # Exposed pre-chain: extra delay the translation
-                    # chain added to the DRAM access start
-                    # (counterfactual start with the chain removed,
-                    # still bounded by queueing).
-                    pre_x = dram_start - max(pre_done - pre, dram_avail)
-                    if req.chain_tag == "translation":
-                        ov = req.overlap_chain * dep
-                        ov_x = min(ov, max(0.0, overlap_done - data_ready))
-                        post_x = req.post_chain * dep
-                    else:
-                        ov = ov_x = post_x = 0.0
-                    lat = pre_x + ov_x + post_x
-                    hid = (pre - pre_x) + (ov - ov_x)
-                else:
-                    # Counterfactual: where the warp would resume with
-                    # the translation pre-chain removed.
-                    pre_x = resume - max(pre_done - pre, issued)
-                    lat, hid = pre_x, pre - pre_x
-                prof.translation(runner, start, resume,
-                                 tr_cnt / self._eff_ipc, lat, hid)
+            prof.mem(runner, req, sm, now, start, issue_time, issued,
+                     pre_done, dram_avail, dram_start, busy, nbytes,
+                     data_ready, ready, overlap_done, resume)
         self._schedule(runner, resume)
 
     # ------------------------------------------------------------------

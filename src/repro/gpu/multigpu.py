@@ -206,7 +206,7 @@ def _coordinate(shards: list[_Shard], clock_hz: float,
 
 def _merge_trace(observers: list, num_sms: int, warps: list[int],
                  max_events: int) -> Tracer:
-    """Re-record every shard's trace events into one tracer.
+    """Re-record every shard's trace rows into one tracer.
 
     SM ids rebase to shard *i*'s global range, warp ids past the
     ``warps`` of the shards before it, and causal request ids to the
@@ -220,15 +220,12 @@ def _merge_trace(observers: list, num_sms: int, warps: list[int],
         shard = observer.tracer
         tracer.dropped += shard.dropped
         base = index * num_sms
-        for e in shard.events:
-            req = e.req
+        for warp, block, kind, start, end, detail, sm, req in shard.rows:
             if req:
                 req = f"{index}{req[req.index(':'):]}"
-            warp, sm = e.warp, e.sm
             if sm >= 0:
                 warp, sm = warp + warp_base, sm + base
-            tracer.record(warp, e.block, e.kind, e.start, e.end,
-                          e.detail, sm=sm, req=req)
+            tracer.record(warp, block, kind, start, end, detail, sm, req)
         warp_base += warps[index]
     return tracer
 

@@ -87,20 +87,30 @@ COUNTER_KIND = "counter"
 
 
 class Tracer:
-    """Collects :class:`TraceEvent` records during a launch."""
+    """Collects one launch's trace.
+
+    The store is :attr:`rows`: plain tuples in :class:`TraceEvent`
+    field order ``(warp, block, kind, start, end, detail, sm, req)``.
+    The reducers (launch profile, spans, attribution, cluster merge)
+    read the rows; :attr:`events` is the same trace as
+    :class:`TraceEvent` objects, for reports, exports and tests.
+
+    At most ``max_events`` rows are kept; every record past the cap is
+    dropped and counted in :attr:`dropped`, one at a time.
+    """
 
     def __init__(self, max_events: int = 200_000):
         self.max_events = max_events
-        self.events: list[TraceEvent] = []
+        self.rows: list[tuple] = []
         self.dropped = 0
+        self._view: list[TraceEvent] = []
 
     def record(self, warp: int, block: int, kind: str, start: float,
                end: float, detail: str = "", sm: int = -1,
                req: str = "") -> None:
-        events = self.events
-        if len(events) < self.max_events:
-            events.append(TraceEvent(warp, block, kind, start, end,
-                                     detail, sm, req))
+        rows = self.rows
+        if len(rows) < self.max_events:
+            rows.append((warp, block, kind, start, end, detail, sm, req))
         else:
             self.dropped += 1
 
@@ -110,6 +120,15 @@ class Tracer:
         onto these.  Exported as Chrome ``"C"`` events."""
         self.record(0, -1, COUNTER_KIND, t, t,
                     f"{name}={value:.12g}")
+
+    @property
+    def events(self) -> list[TraceEvent]:
+        """The rows as :class:`TraceEvent` objects: a read-only view,
+        built on first access and rebuilt once more rows have been
+        recorded.  Edit the trace through :meth:`record`, not here."""
+        if len(self._view) != len(self.rows):
+            self._view = [TraceEvent(*row) for row in self.rows]
+        return self._view
 
     # ------------------------------------------------------------------
     def by_kind(self) -> dict:
@@ -222,11 +241,23 @@ class Tracer:
         return trace
 
 
-def events_from_chrome_trace(trace: dict) -> tuple[list[TraceEvent], int]:
-    """Invert :meth:`Tracer.to_chrome_trace`: rebuild the event list (in
+def as_rows(records: Iterable) -> list:
+    """``records`` as trace rows: a list of rows as it is, and
+    :class:`TraceEvent` objects (hand-built traces, read-backs) turned
+    into rows once."""
+    if not isinstance(records, list):
+        records = list(records)
+    if records and type(records[0]) is not tuple:
+        return [(e.warp, e.block, e.kind, e.start, e.end, e.detail, e.sm,
+                 e.req) for e in records]
+    return records
+
+
+def rows_from_chrome_trace(trace: dict) -> tuple[list[tuple], int]:
+    """Invert :meth:`Tracer.to_chrome_trace`: rebuild the trace rows (in
     cycles) from an exported Chrome-trace dict.
 
-    Returns ``(events, dropped)`` where ``dropped`` is the recorded
+    Returns ``(rows, dropped)`` where ``dropped`` is the recorded
     overflow count.  Raises :class:`ValueError` if the dict was exported
     in microseconds but carries no ``clock_hz`` to convert back.
     """
@@ -241,31 +272,35 @@ def events_from_chrome_trace(trace: dict) -> tuple[list[TraceEvent], int]:
                 "trace exported in microseconds without clock_hz; "
                 "cannot convert timestamps back to cycles")
         scale = 1e6 / clock_hz
-    events = []
+    rows = []
     for rec in trace.get("traceEvents", []):
         if rec.get("ph") == "C":
             t = rec["ts"] / scale
             value = rec.get("args", {}).get("value", 0.0)
-            events.append(TraceEvent(
-                warp=0, block=-1, kind=COUNTER_KIND, start=t, end=t,
-                detail=f"{rec.get('name', '')}={value:.12g}",
-                sm=int(rec.get("pid", 0)) - 1,
-            ))
+            rows.append((0, -1, COUNTER_KIND, t, t,
+                         f"{rec.get('name', '')}={value:.12g}",
+                         int(rec.get("pid", 0)) - 1, ""))
             continue
         if rec.get("ph") != "X":
             continue
         args = rec.get("args", {})
-        events.append(TraceEvent(
-            warp=int(rec.get("tid", 0)),
-            block=int(args.get("block", -1)),
-            kind=str(rec.get("name", "")),
-            start=rec["ts"] / scale,
-            end=(rec["ts"] + rec.get("dur", 0.0)) / scale,
-            detail=str(args.get("detail", "")),
-            sm=int(rec.get("pid", 0)) - 1,
-            req=str(args.get("req", "")),
+        rows.append((
+            int(rec.get("tid", 0)),
+            int(args.get("block", -1)),
+            str(rec.get("name", "")),
+            rec["ts"] / scale,
+            (rec["ts"] + rec.get("dur", 0.0)) / scale,
+            str(args.get("detail", "")),
+            int(rec.get("pid", 0)) - 1,
+            str(args.get("req", "")),
         ))
-    return events, int(other.get("dropped", 0))
+    return rows, int(other.get("dropped", 0))
+
+
+def events_from_chrome_trace(trace: dict) -> tuple[list[TraceEvent], int]:
+    """:func:`rows_from_chrome_trace` as :class:`TraceEvent` objects."""
+    rows, dropped = rows_from_chrome_trace(trace)
+    return [TraceEvent(*row) for row in rows], dropped
 
 
 _GLYPHS = {

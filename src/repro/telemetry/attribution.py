@@ -47,13 +47,14 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Optional
 
 from repro.gpu.trace import (
     COUNTER_KIND,
-    TraceEvent,
     Tracer,
-    events_from_chrome_trace,
+    as_rows,
+    rows_from_chrome_trace,
 )
 
 __all__ = [
@@ -84,24 +85,28 @@ _INF = float("inf")
 _NO_BREAKS = ((_INF,), (_INF,))
 
 
-class _Span:
-    """A bare interval: what :meth:`_SMIntervals.add` holds and a
-    single :meth:`_SMIntervals.coverage` query asks about.  The
-    analyzer hands both the trace events themselves."""
+class _Span(tuple):
+    """A bare interval laid out as the head of a trace row, ``(warp,
+    block, kind, start, end)``: what :meth:`_SMIntervals.add` holds and
+    a single :meth:`_SMIntervals.coverage` query asks about.  The
+    analyzer hands both the trace rows themselves."""
 
-    __slots__ = ("start", "end", "warp")
+    __slots__ = ()
 
-    def __init__(self, start: float, end: float, warp: int = -1) -> None:
-        self.start = start
-        self.end = end
-        self.warp = warp
+    def __new__(cls, start: float, end: float, warp: int = -1) -> "_Span":
+        return tuple.__new__(cls, (warp, -1, "", start, end))
+
+    warp = property(itemgetter(0))
+    start = property(itemgetter(3))
+    end = property(itemgetter(4))
 
 
 class _SMIntervals:
     """Per-SM interval set answering exclusion coverage queries.
 
-    Holds intervals with ``start``, ``end`` and ``warp`` (trace events,
-    or :class:`_Span`); ``coverage(s, e, exclude)`` returns the measure
+    Holds intervals laid out as trace rows, ``warp`` at index 0 and
+    ``start``/``end`` at 3/4 (the rows themselves, or :class:`_Span`);
+    ``coverage(s, e, exclude)`` returns the measure
     of ``[s, e)`` covered by the union of intervals belonging to any
     warp other than ``exclude``.
 
@@ -151,11 +156,11 @@ class _SMIntervals:
         only: dict = {}
         prev_end = -_INF
         for item in self.items:
-            s = item.start
+            s = item[3]
             if s < prev_end:
                 return None, None
-            e = item.end
-            w = item.warp
+            e = item[4]
+            w = item[0]
             if s > prev_end:
                 gap_starts.append(prev_end)
                 gap_ends.append(s)
@@ -172,8 +177,8 @@ class _SMIntervals:
     def _swept_breaks(self) -> tuple:
         """The breaks of any set: sweep the sorted interval endpoints,
         counting per warp the intervals open."""
-        cuts = [(it.start, 1, it.warp) for it in self.items]
-        cuts += [(it.end, -1, it.warp) for it in self.items]
+        cuts = [(it[3], 1, it[0]) for it in self.items]
+        cuts += [(it[4], -1, it[0]) for it in self.items]
         cuts.sort()
         gaps: tuple = ([], [])
         only: dict = defaultdict(lambda: ([], []))
@@ -206,7 +211,7 @@ class _SMIntervals:
         return self.coverages((_Span(s, e),), exclude)[0]
 
     def coverages(self, spans, exclude: int = -1) -> list:
-        """:meth:`coverage` of every ``[span.start, span.end)`` in
+        """:meth:`coverage` of every ``[start, end)`` of the rows in
         ``spans``, in one walk.  While the spans start in time order,
         each one's first breaks are found by stepping on from where the
         previous span's were; a span that starts earlier bisects
@@ -217,8 +222,8 @@ class _SMIntervals:
         i = j = 0
         last = _INF   # the first span bisects
         for span in spans:
-            s = span.start
-            e = span.end
+            s = span[3]
+            e = span[4]
             if e <= s:
                 out.append(0.0)
                 continue
@@ -363,11 +368,14 @@ class AttributionReport:
 # ----------------------------------------------------------------------
 # Analyzer
 # ----------------------------------------------------------------------
-def attribute_events(events: Iterable[TraceEvent], *,
+def attribute_events(events: Iterable, *,
                      dropped: int = 0,
                      launch_cycles: Optional[float] = None,
                      ) -> AttributionReport:
-    """Attribute one launch's trace events.
+    """Attribute one launch's trace: its rows
+    (:attr:`Tracer.rows <repro.gpu.trace.Tracer.rows>`) or
+    :class:`~repro.gpu.trace.TraceEvent` objects, which become rows
+    once here.
 
     ``dropped`` is the tracer's overflow count; a nonzero value raises
     :class:`TruncatedTraceError`.  ``launch_cycles`` overrides the span
@@ -379,62 +387,45 @@ def attribute_events(events: Iterable[TraceEvent], *,
             f"trace dropped {dropped} events at the Tracer cap; "
             "attribution over a truncated timeline would be wrong — "
             "raise Tracer(max_events=...) or shrink the launch")
-    events = list(events)
-    report = AttributionReport(dropped=0, events=len(events))
+    rows = as_rows(events)
+    report = AttributionReport(dropped=0, events=len(rows))
 
-    # One pass buckets the events and finds the span.  Time-series
+    # One pass buckets the rows and finds the span.  Time-series
     # counter samples sit at their window's end, which may lie past
     # the launch end: they are outside the attributed span.  The
-    # indexes hold the events themselves, and, as ``add`` does, only
+    # indexes hold the rows themselves, and, as ``add`` does, only
     # those of positive length.
     t0 = _INF
     t1 = -_INF
-    issue_by_sm: dict = {}
-    queue_by_sm: dict = {}
-    stalls_by_sm: dict = {}
-    issue_by_warp: dict = {}
-    stalls_by_warp: dict = {}
+    issue_by_sm: dict = defaultdict(_SMIntervals)
+    queue_by_sm: dict = defaultdict(_SMIntervals)
+    stalls_by_sm: dict = defaultdict(list)
+    issue_by_warp: dict = defaultdict(float)
+    stalls_by_warp: dict = defaultdict(list)
     translations: list = []
     warp_sm: dict = {}
-    for e in events:
-        kind = e.kind
-        if kind == COUNTER_KIND:
+    for row in rows:
+        warp, _, kind, start, end, detail, sm, _ = row
+        if kind == "stall":
+            if detail == "issue_queue" and end > start:
+                queue_by_sm[sm].items.append(row)
+            stalls_by_sm[sm].append(row)
+            stalls_by_warp[warp].append(row)
+        elif kind == "issue":
+            idx = issue_by_sm[sm]
+            if end > start:
+                idx.items.append(row)
+            issue_by_warp[warp] += end - start
+        elif kind == "translation":
+            translations.append(row)
+        elif kind == COUNTER_KIND:
             continue
-        start = e.start
-        end = e.end
         if start < t0:
             t0 = start
         if end > t1:
             t1 = end
-        warp = e.warp
         if warp not in warp_sm:
-            warp_sm[warp] = e.sm
-        if kind == "stall":
-            sm = e.sm
-            if e.detail == "issue_queue" and end > start:
-                idx = queue_by_sm.get(sm)
-                if idx is None:
-                    idx = queue_by_sm[sm] = _SMIntervals()
-                idx.items.append(e)
-            by_sm = stalls_by_sm.get(sm)
-            if by_sm is None:
-                by_sm = stalls_by_sm[sm] = []
-            by_sm.append(e)
-            by_warp = stalls_by_warp.get(warp)
-            if by_warp is None:
-                by_warp = stalls_by_warp[warp] = []
-            by_warp.append(e)
-        elif kind == "issue":
-            sm = e.sm
-            idx = issue_by_sm.get(sm)
-            if idx is None:
-                idx = issue_by_sm[sm] = _SMIntervals()
-            if end > start:
-                idx.items.append(e)
-            issue_by_warp[warp] = issue_by_warp.get(warp, 0.0) \
-                + (end - start)
-        elif kind == "translation":
-            translations.append(e)
+            warp_sm[warp] = sm
     if not warp_sm:
         return report
     if launch_cycles is not None:
@@ -459,9 +450,9 @@ def attribute_events(events: Iterable[TraceEvent], *,
         issue = issue_by_warp.get(warp, 0.0)
         stalls = stalls_by_warp.get(warp, ())
         stall_total = 0.0
-        for e in stalls:
-            reason = e.detail or "unknown"
-            duration = e.end - e.start
+        for row in stalls:
+            reason = row[5] or "unknown"
+            duration = row[4] - row[3]
             stall_total += duration
             stall_totals[reason] = (stall_totals.get(reason, 0.0)
                                     + duration)
@@ -493,14 +484,14 @@ def attribute_events(events: Iterable[TraceEvent], *,
         n_gaps = len(gap_starts)
         weights: list = [{} for _ in gap_starts]
         for stall in stalls_by_sm.get(sm, ()):
-            s = stall.start
-            e = stall.end
+            s = stall[3]
+            e = stall[4]
             gi = bisect_right(gap_ends, s)
             while gi < n_gaps and gap_starts[gi] < e:
                 ov = min(e, gap_ends[gi]) - max(s, gap_starts[gi])
                 if ov > 0:
                     w = weights[gi]
-                    reason = stall.detail or "unknown"
+                    reason = stall[5] or "unknown"
                     w[reason] = w.get(reason, 0.0) + ov
                 gi += 1
         for gs, ge, w in zip(gap_starts, gap_ends, weights):
@@ -528,23 +519,23 @@ def attribute_events(events: Iterable[TraceEvent], *,
     cov_of = [0.0] * n
     cont_of = [0.0] * n
     groups: dict = {}     # (sm, warp) -> cov and cont spans, indices
-    for k, e in enumerate(translations):
-        detail = e.detail
+    for k, row in enumerate(translations):
+        warp, _, _, start, end, detail, sm, _ = row
         vals = parsed.get(detail)
         if vals is None:
             iss, lat, hid = _parse_translation_detail(detail)
             vals = parsed[detail] = (iss, lat, iss + lat + hid)
         vals_of[k] = vals
-        if e.end - e.start > 0 and vals[2] > 0:
-            key = (e.sm, e.warp)
+        if end - start > 0 and vals[2] > 0:
+            key = (sm, warp)
             group = groups.get(key)
             if group is None:
                 group = groups[key] = ([], [], [], [])
             if vals[1] != 0:
-                group[0].append(e)
+                group[0].append(row)
                 group[1].append(k)
             if vals[0] != 0:
-                group[2].append(e)
+                group[2].append(row)
                 group[3].append(k)
     for (sm, warp), (cov_spans, cov_ks, cont_spans, cont_ks) \
             in groups.items():
@@ -552,8 +543,9 @@ def attribute_events(events: Iterable[TraceEvent], *,
                 (cov_of, issue_by_sm.get(sm, empty), cov_spans, cov_ks),
                 (cont_of, queue_by_sm.get(sm, empty), cont_spans,
                  cont_ks)):
-            for e, k, cov in zip(spans, ks, idx.coverages(spans, warp)):
-                out[k] = min(1.0, cov / (e.end - e.start))
+            for row, k, cov in zip(spans, ks,
+                                   idx.coverages(spans, warp)):
+                out[k] = min(1.0, cov / (row[4] - row[3]))
     split = report.translation
     for (iss, lat, total), cov, cont in zip(vals_of, cov_of, cont_of):
         if total <= 0:
@@ -572,7 +564,7 @@ def attribute_tracer(tracer: Tracer, *,
                      launch_cycles: Optional[float] = None,
                      ) -> AttributionReport:
     """Attribute a live :class:`~repro.gpu.trace.Tracer`."""
-    return attribute_events(tracer.events, dropped=tracer.dropped,
+    return attribute_events(tracer.rows, dropped=tracer.dropped,
                             launch_cycles=launch_cycles)
 
 
@@ -581,6 +573,6 @@ def attribute_chrome_trace(trace: dict, *,
                            ) -> AttributionReport:
     """Attribute an exported Chrome-trace dict (``--profile-dir``
     output, :meth:`Tracer.to_chrome_trace`)."""
-    events, dropped = events_from_chrome_trace(trace)
-    return attribute_events(events, dropped=dropped,
+    rows, dropped = rows_from_chrome_trace(trace)
+    return attribute_events(rows, dropped=dropped,
                             launch_cycles=launch_cycles)

@@ -59,17 +59,19 @@ class EngineProfile:
     """The engine's one observer: deep per-launch counters, plus the
     execution trace's attribution overlay when a ``tracer`` rides along.
 
-    The engine feeds it through :meth:`op`, :meth:`issue`,
-    :meth:`stall`, :meth:`grant`, :meth:`translation`, :meth:`dram`,
-    :meth:`pcie`, :meth:`advance` and :meth:`finish`, behind one ``is
-    not None`` guard per handler site, so an unobserved launch pays one
-    pointer test per dispatched request and nothing else.  Each call
-    carries the warp's runner and the whole interval; the profile keeps
-    launch totals and ignores the event times, the tracer (when set)
-    records the intervals.  The time-series sampler
-    (:mod:`repro.telemetry.timeseries`) subclasses this to also bucket
-    the counted events into cycle windows (and defines :attr:`advance`,
-    the per-event window roll); it overrides only the counting hooks.
+    The engine feeds it behind one ``is not None`` guard per handler
+    site, so an unobserved launch pays one pointer test per dispatched
+    request and nothing else.  A memory request is one :meth:`mem` call
+    and a compute block one :meth:`compute` call, carrying every time
+    the engine computed for it; the other requests come through
+    :meth:`op`, :meth:`issue`, :meth:`stall`, :meth:`grant` and
+    :meth:`pcie`.  The profile keeps launch totals through the counting
+    hooks (:meth:`_count_issue`, :meth:`_count_stall`, :meth:`dram`);
+    the tracer, when set, gets the intervals as rows.  The time-series
+    sampler (:mod:`repro.telemetry.timeseries`) subclasses this to also
+    bucket the counted events into cycle windows (and defines
+    :attr:`advance`, the per-event window roll); it overrides only the
+    counting hooks.
 
     * ``sm_busy`` — issue-server busy cycles per SM; idle is the launch
       span minus busy (the per-SM utilisation of the paper's Figure 6
@@ -89,16 +91,148 @@ class EngineProfile:
     #: Chrome-trace recorder (:class:`repro.gpu.trace.Tracer`) of the
     #: attribution overlay, or ``None``.
     tracer: object = field(default=None, repr=False, compare=False)
+    #: Translation ``detail`` text per distinct ``(iss, lat, hid)``.
+    #: Keyed by value, so ``-0.0`` would share ``0.0``'s text; the
+    #: decomposition's terms are differences of ordered times and
+    #: products of non-negative chain lengths, never ``-0.0``.
+    _details: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     #: ``advance(now)`` closes the windows that ended before event
     #: time ``now``; ``None`` for a profile that does not window.
     advance = None
+
+    #: The units of the translation decomposition (:meth:`bind`).
+    _dep = 0.0
+    _issue_rate = 1.0
 
     @classmethod
     def for_sms(cls, total_sms: int, tracer=None) -> "EngineProfile":
         return cls(sm_busy=[0.0] * total_sms, tracer=tracer)
 
     # -- engine-facing hooks -------------------------------------------
+    def bind(self, dependent_issue_cycles: float,
+             issue_rate: float) -> None:
+        """The engine observed: its cycles per dependent instruction
+        and its warp instructions issued per cycle."""
+        self._dep = dependent_issue_cycles
+        self._issue_rate = issue_rate
+
+    def mem(self, runner, req, sm: int, now: float, start: float,
+            issue_time: float, issued: float, pre_done: float,
+            dram_avail: float, dram_start: float, busy: float,
+            nbytes: int, data_ready, ready, overlap_done,
+            resume: float) -> None:
+        """Memory request ``req`` of warp ``runner`` on ``sm``, in the
+        engine's times: queued for the issue server ``now``→``start``,
+        issuing for ``issue_time`` cycles to ``issued``, its serial
+        pre-chain done at ``pre_done``; the DRAM server, free from
+        ``dram_avail``, served ``nbytes`` from ``dram_start`` for
+        ``busy`` cycles; data at ``data_ready`` (``None`` for a store);
+        a blocking load's overlap chain done at ``overlap_done`` and the
+        load ready at ``ready`` (both ``None`` otherwise); the warp
+        resumed at ``resume``."""
+        if start > now:
+            self._count_stall("issue_queue", start, start - now)
+        self._count_issue(sm, start, issue_time, req.count + 1)
+        self.dram(dram_start, nbytes, req.transactions, busy,
+                  dram_start - pre_done)
+        if ready is not None:
+            self._count_stall("memory", resume, ready - issued)
+        tracer = self.tracer
+        if tracer is None:
+            return
+        rows = tracer.rows
+        # Rows go through the cap one at a time only near it.
+        add = (rows.append if len(rows) + 5 <= tracer.max_events
+               else lambda row: tracer.record(*row))
+        warp = runner.warp_id
+        block = runner.block.block_id
+        if start > now:
+            add((warp, block, "stall", now, start, "issue_queue", sm, ""))
+        if issued > start:
+            add((warp, block, "issue", start, issued, "", sm, ""))
+        if data_ready is not None:
+            add((warp, block, type(req).__name__.lower(), start,
+                 data_ready, "", sm, ""))
+        if resume > issued:
+            add((warp, block, "stall", issued, resume,
+                 req.tag or ("memory" if ready is not None
+                             else "exec_dependency"), sm, ""))
+        tags = req.tags
+        tr = tags.get("translation") if tags is not None else None
+        chains = req.chain_tag == "translation"
+        if tr is None and not chains:
+            return
+        # The translation counterfactual: where the access would have
+        # started (blocking) or the warp resumed (otherwise) with the
+        # translation pre-chain removed, still bounded by queueing.
+        tr_cnt, tr_chain = tr if tr is not None else (0.0, 0.0)
+        dep = self._dep
+        pre = min(tr_chain, req.chain) * dep
+        if ready is not None:
+            pre_x = dram_start - max(pre_done - pre, dram_avail)
+            if chains:
+                ov = req.overlap_chain * dep
+                ov_x = min(ov, max(0.0, overlap_done - data_ready))
+                post_x = req.post_chain * dep
+            else:
+                ov = ov_x = post_x = 0.0
+            lat = pre_x + ov_x + post_x
+            hid = (pre - pre_x) + (ov - ov_x)
+        else:
+            pre_x = resume - max(pre_done - pre, issued)
+            lat, hid = pre_x, pre - pre_x
+        iss = tr_cnt / self._issue_rate
+        if iss > 0 or lat > 0 or hid > 0:
+            key = (iss, lat, hid)
+            add((warp, block, "translation", start, max(resume, start),
+                 self._details.get(key) or self._detail(key), sm, ""))
+
+    def compute(self, runner, req, sm: int, now: float, start: float,
+                issue_time: float, issued: float, latency: float,
+                done: float) -> None:
+        """Compute block ``req`` of warp ``runner`` on ``sm``, in the
+        engine's times: queued for the issue server ``now``→``start``,
+        issuing for ``issue_time`` cycles to ``issued``, done at
+        ``done`` after its ``latency``."""
+        if start > now:
+            self._count_stall("issue_queue", start, start - now)
+        self._count_issue(sm, start, issue_time, req.count)
+        self._count_stall("exec_dependency", done, latency - issue_time)
+        tracer = self.tracer
+        if tracer is None:
+            return
+        rows = tracer.rows
+        # Rows go through the cap one at a time only near it.
+        add = (rows.append if len(rows) + 5 <= tracer.max_events
+               else lambda row: tracer.record(*row))
+        warp = runner.warp_id
+        block = runner.block.block_id
+        add((warp, block, type(req).__name__.lower(), start,
+             done, "", sm, ""))
+        if start > now:
+            add((warp, block, "stall", now, start, "issue_queue", sm, ""))
+        if issued > start:
+            add((warp, block, "issue", start, issued, "", sm, ""))
+        if done > issued:
+            add((warp, block, "stall", issued, done,
+                 req.tag or "exec_dependency", sm, ""))
+        # Requests carry tags only while a trace is recorded.
+        tags = req.tags
+        tr = tags.get("translation") if tags is not None else None
+        if tr is not None:
+            # Where the block would end with the translation chain
+            # removed from its latency.
+            pre = min(tr[1], req.chain_length()) * self._dep
+            pre_x = done - (start + max(issue_time, latency - pre))
+            iss = tr[0] / self._issue_rate
+            if iss > 0 or pre_x > 0 or pre - pre_x > 0:
+                key = (iss, pre_x, pre - pre_x)
+                add((warp, block, "translation", start, max(done, start),
+                     self._details.get(key) or self._detail(key), sm,
+                     ""))
+
     def op(self, runner, req, start: float, end: float) -> None:
         """Macro-op ``req`` of warp ``runner`` ran ``start``→``end``
         (traced only)."""
@@ -145,20 +279,6 @@ class EngineProfile:
             self._record(runner, "stall", enqueued, now + cost,
                          tag or "lock")
 
-    def translation(self, runner, start: float, end: float, iss: float,
-                    lat: float, hid: float) -> None:
-        """The translation-cycle decomposition of one request (traced
-        only): ``iss`` issue slots consumed, ``lat`` warp-visible
-        latency the translation chains added (exposed at warp level),
-        ``hid`` chain cycles absorbed by the memory bubble or bandwidth
-        queue (hidden even at warp level).  The analyzer reclassifies
-        ``iss``/``lat`` at launch level using concurrent-warp overlap."""
-        if self.tracer is not None and (iss > 0 or lat > 0 or hid > 0):
-            # %-formatting: the same ``.6g`` text as an f-string, at
-            # about half the cost.
-            self._record(runner, "translation", start, max(end, start),
-                         "iss=%.6g;lat=%.6g;hid=%.6g" % (iss, lat, hid))
-
     def dram(self, start: float, nbytes: int, transactions: int,
              busy: float, queue_cycles: float) -> None:
         """One DRAM access starting at ``start`` after ``queue_cycles``
@@ -188,6 +308,19 @@ class EngineProfile:
         block = runner.block
         self.tracer.record(runner.warp_id, block.block_id, kind, start,
                            end, detail, block.sm_index)
+
+    def _detail(self, key: tuple) -> str:
+        """The ``detail`` text of a translation row, ``key`` being the
+        request's ``(iss, lat, hid)``: ``iss`` issue slots consumed,
+        ``lat`` warp-visible latency the translation chains added
+        (exposed at warp level), ``hid`` chain cycles absorbed by the
+        memory bubble or bandwidth queue (hidden even at warp level).
+        The analyzer reclassifies ``iss``/``lat`` at launch level using
+        concurrent-warp overlap.  Formatted once per distinct key."""
+        # %-formatting: the same ``.6g`` text as an f-string, at about
+        # half the cost.
+        detail = self._details[key] = "iss=%.6g;lat=%.6g;hid=%.6g" % key
+        return detail
 
     @classmethod
     def merged(cls, parts: list["EngineProfile"]) -> "EngineProfile":

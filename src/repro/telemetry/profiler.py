@@ -164,7 +164,7 @@ class Profiler:
             },
             stalls=dict(prof.stalls),
             components=_merge_components(self.registry.collect()),
-            trace=({"events": len(tracer.events),
+            trace=({"events": len(tracer.rows),
                     "dropped": tracer.dropped}
                    if tracer is not None else None),
         )
@@ -172,7 +172,7 @@ class Profiler:
             profile.components["timeseries"] = series
         if tracer is not None:
             from repro.telemetry.spans import spans_component
-            profile.components["spans"] = spans_component(tracer.events)
+            profile.components["spans"] = spans_component(tracer.rows)
         if self.attribution and tracer is not None \
                 and not tracer.dropped:
             # A truncated trace is refused by the analyzer; the profile
@@ -225,7 +225,7 @@ def write_profile_docs(directory, docs, tracers=None) -> list[str]:
             json.dump(doc, f, indent=2, sort_keys=True)
         written.append(path)
         tracer = tracers[i] if i < len(tracers) else None
-        if tracer is not None and tracer.events:
+        if tracer is not None and tracer.rows:
             tpath = os.path.join(directory, f"trace-{stem}.json")
             with open(tpath, "w") as f:
                 json.dump(tracer.to_chrome_trace(

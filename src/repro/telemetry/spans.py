@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from repro.gpu.trace import TraceEvent
+from repro.gpu.trace import TraceEvent, as_rows
 
 __all__ = [
     "RequestSummary",
@@ -125,19 +125,21 @@ def stage_percentiles(requests: list) -> dict:
     return out
 
 
-def spans_component(events: Iterable[TraceEvent]) -> dict:
-    """The ``components.spans`` section for one trace."""
+def spans_component(records: Iterable) -> dict:
+    """The ``components.spans`` section for one trace: its rows
+    (:attr:`Tracer.rows <repro.gpu.trace.Tracer.rows>`) or events."""
     requests = 0
     spans = 0
     span_cycles = 0.0
     seen: set[str] = set()
-    for e in events:
-        if not e.req:
+    for row in as_rows(records):
+        req = row[7]
+        if not req:
             continue
         spans += 1
-        span_cycles += e.duration
-        if e.req not in seen:
-            seen.add(e.req)
+        span_cycles += row[4] - row[3]
+        if req not in seen:
+            seen.add(req)
             requests += 1
     return {"requests": requests, "spans": spans,
             "span_cycles": span_cycles}

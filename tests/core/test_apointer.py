@@ -208,6 +208,37 @@ class TestFunctionalAccess:
         assert np.array_equal(seen[0], exp)
 
 
+class TestGvmunmap:
+    """``AVM.gvmunmap``, the unmap half of the paper's gvmmap API."""
+
+    def test_unmap_unlinks_and_drops_every_page_reference(self, device,
+                                                          gpufs):
+        avm = make_avm(gpufs)
+        fid = gpufs.open("data")
+        seen = {}
+
+        def refcounts():
+            return {e.fpn: e.refcount for e in gpufs.cache.table.entries()
+                    if e.file_id == fid}
+
+        def kern(ctx):
+            ptr = avm.gvmmap(ctx, 8 * PAGE, fid)
+            yield from ptr.seek(ctx, (ctx.lane % 4) * PAGE)
+            yield from ptr.read(ctx, "u4")
+            seen["mapped"] = ptr.state, refcounts()
+            yield from avm.gvmunmap(ctx, ptr)
+            seen["unmapped"] = ptr.state, refcounts(), ptr.valid.any()
+
+        launch(device, kern)
+        state, refs = seen["mapped"]
+        assert state is APtrState.LINKED
+        assert refs == {0: 8, 1: 8, 2: 8, 3: 8}    # 8 lanes per page
+        state, refs, any_valid = seen["unmapped"]
+        assert state is APtrState.UNLINKED and not any_valid
+        assert refs == {0: 0, 1: 0, 2: 0, 3: 0}
+        assert avm.stats.unlinks == 32
+
+
 class TestAggregation:
     def test_one_fault_group_per_distinct_page(self, device, gpufs):
         avm = make_avm(gpufs)

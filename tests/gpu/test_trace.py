@@ -1,11 +1,18 @@
 """Tests for the execution tracer and timeline renderer."""
 
+import dataclasses
+
 import pytest
 
 from repro.gpu import Device
-from repro.gpu.trace import COUNTER_KIND, Tracer, render_timeline
+from repro.gpu.trace import (
+    COUNTER_KIND,
+    TraceEvent,
+    Tracer,
+    render_timeline,
+)
 from repro.telemetry import capture
-from repro.workloads import run_memcpy
+from repro.workloads import run_kvstore, run_memcpy
 
 #: Window wider than the small memcpy launch, so its only counter
 #: samples lie past the launch end.
@@ -85,6 +92,25 @@ class TestTracer:
         assert len(t.events) == 1
         assert t.dropped == 1
 
+    def test_events_are_a_view_of_the_rows(self, traced):
+        assert all(type(row) is tuple for row in traced.rows)
+        assert traced.events == [TraceEvent(*row) for row in traced.rows]
+        assert list(dataclasses.asdict(traced.events[0])) == [
+            "warp", "block", "kind", "start", "end", "detail", "sm", "req"]
+
+    def test_events_view_is_rebuilt_after_later_records(self):
+        t = Tracer()
+        t.record(0, 0, "compute", 0.0, 1.0)
+        view = t.events
+        assert t.events is view                 # built once, then kept
+        t.record(1, 0, "memaccess", 1.0, 5.0, "d", sm=2, req="0:1:0")
+        assert t.events == [TraceEvent(*row) for row in t.rows]
+        t.record_counter("timeseries.dram_bytes", 5.0, 128)
+        assert t.events == [TraceEvent(*row) for row in t.rows]
+        assert t.events[-1] == TraceEvent(
+            0, -1, COUNTER_KIND, 5.0, 5.0, "timeseries.dram_bytes=128")
+        assert all(type(row) is tuple for row in t.rows)
+
     def test_untraced_launch_records_nothing(self):
         device = Device(memory_bytes=8 * 1024 * 1024)
 
@@ -93,6 +119,39 @@ class TestTracer:
 
         result = device.launch(kern, grid=1, block_threads=32)
         assert result.cycles > 0  # simply must not blow up
+
+
+def _tiny_memcpy():
+    run_memcpy(Device(), use_apointers=True, width=4, nblocks=2,
+               warps_per_block=4, iters_per_thread=4)
+
+
+def _tiny_kvstore():
+    run_kvstore(nwarps=2, records_per_warp=64, ops_per_warp=4,
+                num_frames=6)
+
+
+def _observed_trace(run, max_trace_events: int = 200_000) -> Tracer:
+    with capture(trace=True, timeseries=True, window_cycles=2000.0,
+                 max_trace_events=max_trace_events) as prof:
+        run()
+    (tracer,) = prof.traces
+    return tracer
+
+
+class TestCap:
+    @pytest.mark.parametrize("run", [_tiny_memcpy, _tiny_kvstore])
+    def test_capped_trace_is_the_uncapped_prefix(self, run):
+        # Every cap, across the engine's per-request rows, the layers'
+        # spans and the sampler's counter rows: the first k rows are
+        # kept and every later one is dropped and counted.
+        full = _observed_trace(run)
+        total = len(full.rows)
+        assert full.dropped == 0 and total > 100
+        for k in range(1, total + 3):
+            capped = _observed_trace(run, k)
+            assert capped.rows == full.rows[:k], k
+            assert capped.dropped == max(total - k, 0), k
 
 
 class TestTimeline:
