@@ -306,13 +306,19 @@ class SanitizedWarpContext(WarpContext):
         self._san_pins: dict = {}
         self._san_aptrs: list = []
 
-    # Both stores record the materialised lanes, affine ones included,
-    # and hand the accessor's own address form on unchanged.
+    # The stores record the materialised lanes, affine ones included
+    # (the leader's scalar store is one lane), and hand the accessor's
+    # own address form on unchanged.
     def store(self, addrs, values, dtype="f4", mask=None):
         vec = self._addr_vec(addrs)
         self.sanitizer.note_store(
             self, np.asarray(vec), int(np.dtype(dtype).itemsize), mask)
         return (yield from super().store(vec, values, dtype, mask=mask))
+
+    def store_scalar(self, addr, value, dtype="u8"):
+        self.sanitizer.note_store(self, np.full(1, addr, np.int64),
+                                  int(np.dtype(dtype).itemsize), None)
+        return (yield from super().store_scalar(addr, value, dtype))
 
     def store_wide(self, addrs, values, dtype="f4", mask=None):
         vec = self._addr_vec(addrs)

@@ -100,9 +100,11 @@ class WarpContext:
         # Attribution state, only maintained while a tracer is attached
         # (the stall-interval recording of ``repro.telemetry.attribution``):
         # ``_activity`` is a stack of activity tags ("translation",
-        # "fault_wait", ...) and ``_pending_tags`` splits the pending
-        # charge per tag so the engine can decompose it later.
+        # "fault_wait", ...), ``activity`` its innermost tag ('' when
+        # empty), and ``_pending_tags`` splits the pending charge per
+        # tag so the engine can decompose it later.
         self._activity: list[str] = []
+        self.activity = ""
         self._pending_tags: dict[str, list] = {}
         # Causal request spans: ``begin_request`` mints a deterministic
         # id at warp fault / syscall entry; every span recorded until
@@ -179,15 +181,13 @@ class WarpContext:
         without a tracer — attribution is zero-cost when off."""
         if self.tracer is not None:
             self._activity.append(tag)
+            self.activity = tag
 
     def pop_activity(self) -> None:
-        if self.tracer is not None and self._activity:
-            self._activity.pop()
-
-    @property
-    def activity(self) -> str:
-        """The innermost active attribution tag ('' when none)."""
-        return self._activity[-1] if self._activity else ""
+        stack = self._activity
+        if self.tracer is not None and stack:
+            stack.pop()
+            self.activity = stack[-1] if stack else ""
 
     # ------------------------------------------------------------------
     # Instruction cost accounting
@@ -352,19 +352,46 @@ class WarpContext:
     def load_scalar(self, addr: int, dtype: str = "u8") -> Iterator[Request]:
         """Single-address load performed by the warp leader.
 
-        The one lane reaches memory as ``AffineLanes(addr, itemsize, 1)``,
-        so it takes the closed-form count, bounds check and slice."""
-        lane = AffineLanes(int(addr), DTYPES[dtype].itemsize, 1)
-        vals = yield from self.load(lane, dtype)
-        return vals[0]
+        The request is the one-lane :meth:`load` of
+        ``AffineLanes(addr, itemsize, 1)``: the same closed-form count,
+        charge and tags.  One lane is one contiguous span, so the word
+        is read as one slice after the yield, behind the same bounds
+        check and message as the vector path."""
+        dt = DTYPES[dtype]
+        w = dt.itemsize
+        addr = int(addr)
+        memory = self.memory
+        req = MemAccess(
+            memory.transactions_for(AffineLanes(addr, w, 1), w),
+            False, self._pending_count, self._pending_chain)
+        self._pending_count = self._pending_chain = 0.0
+        if self.tracer is not None:
+            tags, self._pending_tags = self._pending_tags, {}
+            self._tagged(req, tags)
+        self.now = yield req
+        if addr < 0 or addr + w > memory.size:
+            raise memory._span_error(addr, addr + w)
+        return memory.data[addr:addr + w].view(dt)[0]
 
     def store_scalar(self, addr: int, value, dtype: str = "u8"
                      ) -> Iterator[Request]:
-        """Single-address store performed by the warp leader, carried
-        to memory as one affine lane like :meth:`load_scalar`."""
+        """Single-address store performed by the warp leader: the
+        one-lane :meth:`store` of ``AffineLanes(addr, itemsize, 1)``,
+        written as one slice like :meth:`load_scalar` reads."""
         dt = DTYPES[dtype]
-        yield from self.store(AffineLanes(int(addr), dt.itemsize, 1),
-                              np.array([value], dtype=dt), dtype)
+        w = dt.itemsize
+        addr = int(addr)
+        memory = self.memory
+        tx = memory.transactions_for(AffineLanes(addr, w, 1), w)
+        if addr < 0 or addr + w > memory.size:
+            raise memory._span_error(addr, addr + w)
+        memory.data[addr:addr + w].view(dt)[0] = value
+        req = MemAccess(tx, True, self._pending_count, self._pending_chain)
+        self._pending_count = self._pending_chain = 0.0
+        if self.tracer is not None:
+            tags, self._pending_tags = self._pending_tags, {}
+            self._tagged(req, tags)
+        self.now = yield req
 
     def copy(self, src: int, dst: int, nbytes: int) -> Iterator[Request]:
         """Warp-wide timed copy of ``nbytes`` from ``src`` to ``dst``,
@@ -420,13 +447,27 @@ class WarpContext:
 
     def atomic_add(self, addr: int, value: int = 1,
                    dtype: str = "i8") -> Iterator[Request]:
-        """Scalar atomic add at a global address; returns the old value."""
+        """Scalar atomic add at a global address; returns the old value
+        (a Python int, or a float for a float dtype).
+
+        An integer sum wraps two's-complement at the dtype's width, as
+        CUDA ``atomicAdd`` does."""
         dt = DTYPES[dtype]
-        word = self.memory.read(int(addr), dt.itemsize)
-        old = int(word.view(dt)[0])
-        word[:] = np.asarray(np.array([old + value]), dtype=dt).view(
-            np.uint8)
-        self.now = yield self._tagged(AtomicOp(address=int(addr)), None)
+        addr = int(addr)
+        word = self.memory.read(addr, dt.itemsize).view(dt)
+        old = word.item()
+        if dt.kind == "f":
+            word[0] = old + value
+        else:
+            bits = 8 * dt.itemsize
+            new = (old + int(value)) & ((1 << bits) - 1)
+            if dt.kind == "i" and new >> (bits - 1):
+                new -= 1 << bits
+            word[0] = new
+        req = AtomicOp(addr)
+        if self.tracer is not None:
+            self._tagged(req, None)
+        self.now = yield req
         return old
 
     # ------------------------------------------------------------------

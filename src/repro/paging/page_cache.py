@@ -203,6 +203,11 @@ class PageCache:
         """
         if self._free:
             return self._free.pop()
+        if not self.policy.low_priority:
+            # Every resident speculative page's frame is low priority
+            # (``mark_speculative`` until promoted or retired), so no
+            # candidate below could be reclaimed.
+            return None
         for frame in self.policy.candidates():
             entry = self._owner[frame]
             if (entry is None or not entry.speculative

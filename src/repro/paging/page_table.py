@@ -204,16 +204,21 @@ class PageTable:
         """Lock-free timed lookup; returns the entry or ``None``."""
         ctx.charge(HASH_COST_INSTRS, chain=HASH_COST_INSTRS)
         self.lookups += 1
-        for slot in self._probe_chain(file_id, fpn):
+        # The probe chain of :meth:`_probe_chain`, walked inline.
+        slots, nslots, base = self._slots, self.nslots, self.base
+        slot = self._hash(file_id, fpn)
+        for _ in range(nslots):
             self.probes += 1
-            yield from ctx.load_scalar(self._slot_addr(slot), "u8")
-            entry = self._slots[slot]
+            yield from ctx.load_scalar(base + slot * ENTRY_BYTES, "u8")
+            entry = slots[slot]
             if entry is None:
                 return None
-            if entry is TOMBSTONE:
-                continue
-            if entry.key == (file_id, fpn):
+            if (entry is not TOMBSTONE and entry.fpn == fpn
+                    and entry.file_id == file_id):
                 return entry
+            slot += 1
+            if slot == nslots:
+                slot = 0
         return None
 
     def insert(self, ctx: WarpContext, entry: PageTableEntry):
@@ -227,24 +232,29 @@ class PageTable:
         lock = self._lock_for(home)
         yield from ctx.lock(lock)
         ctx.charge(HASH_COST_INSTRS)
+        file_id, fpn = entry.file_id, entry.fpn
+        slots, nslots, base = self._slots, self.nslots, self.base
         while True:
             winner = None
             free_slot = None
-            for slot in self._probe_chain(entry.file_id, entry.fpn):
+            slot = home
+            for _ in range(nslots):
                 self.probes += 1
-                yield from ctx.load_scalar(self._slot_addr(slot), "u8")
-                existing = self._slots[slot]
-                if existing is TOMBSTONE:
-                    if free_slot is None:
-                        free_slot = slot
-                    continue
+                yield from ctx.load_scalar(base + slot * ENTRY_BYTES, "u8")
+                existing = slots[slot]
                 if existing is None:
                     if free_slot is None:
                         free_slot = slot
                     break
-                if existing.key == entry.key:
+                if existing is TOMBSTONE:
+                    if free_slot is None:
+                        free_slot = slot
+                elif existing.fpn == fpn and existing.file_id == file_id:
                     winner = existing
                     break
+                slot += 1
+                if slot == nslots:
+                    slot = 0
             if winner is not None:
                 yield from ctx.unlock(lock)
                 return winner
@@ -256,10 +266,10 @@ class PageTable:
             # while our lock is held, but a *different* key's chain can
             # land in the slot we picked — re-validate before
             # publishing and rescan if it was taken.
-            if self._slots[free_slot] is not None \
-                    and self._slots[free_slot] is not TOMBSTONE:
+            if slots[free_slot] is not None \
+                    and slots[free_slot] is not TOMBSTONE:
                 continue
-            self._slots[free_slot] = entry
+            slots[free_slot] = entry
             self._index[entry.key] = free_slot
             self.inserts += 1
             yield from ctx.store_scalar(

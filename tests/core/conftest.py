@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import settings
 
 from repro.core import APConfig, AVM
 from repro.gpu import Device
@@ -12,25 +11,6 @@ from repro.paging import GPUfs, GPUfsConfig
 
 PAGE = 4096
 FILE_PAGES = 32
-
-# Hypothesis profiles.  The differential property tests of
-# ``test_apointer.py`` take their example budgets from the active
-# profile through :func:`budget`: tier-1 runs under hypothesis' own
-# default profile, and ``deep`` runs ten times as many examples:
-#
-#     PYTHONPATH=src python -m pytest tests/core/test_apointer.py \
-#         --hypothesis-profile deep -k "AgainstLaneArrays or AgainstBallotLoop"
-#
-# A run that names a path under ``tests/core`` (as above) imports this
-# file before hypothesis loads the profile ``--hypothesis-profile``
-# names, so ``deep`` is registered by then.
-TIER1_EXAMPLES = settings.get_profile("default").max_examples
-settings.register_profile("deep", max_examples=10 * TIER1_EXAMPLES)
-
-
-def budget(examples: int) -> int:
-    """A test's tier-1 example budget, scaled by the active profile."""
-    return examples * settings.default.max_examples // TIER1_EXAMPLES
 
 
 @pytest.fixture

@@ -21,7 +21,8 @@ from repro.host import HostFileSystem
 from repro.host.filesys import O_RDWR
 from repro.host.ramfs import RamFS
 from repro.paging import GPUfs, GPUfsConfig
-from tests.core.conftest import PAGE, budget, launch, make_avm
+from tests.conftest import budget
+from tests.core.conftest import PAGE, launch, make_avm
 from tests.gpu.test_engine_golden import CASES as GOLDEN_CASES
 from tests.gpu.test_engine_golden import GOLDEN as GOLDEN_ENGINE
 from tests.gpu.test_engine_golden import capture as capture_golden_case

@@ -24,15 +24,17 @@ PAGE = 4096
 
 #: The accessors a producer reaches ``transactions_for`` through.
 ACCESSORS = {"load", "store", "load_wide", "store_wide"}
-#: ``WarpContext.copy`` (the staging copy) counts its steps itself.
-PRODUCERS = {"copy", "_warp_copy", "load_scalar", "store_scalar"}
+#: ``WarpContext.copy`` (the staging copy) and the leader's scalar
+#: accessors count their own steps.
+DIRECT = {"copy", "load_scalar", "store_scalar"}
+PRODUCERS = DIRECT | {"_warp_copy"}
 
 
 @pytest.fixture
 def spy(monkeypatch):
     """Record ``(producer, addrs, mask, transactions)`` for every warp
     access: the producer is the function that called the accessor, or
-    ``copy``, which counts its own steps."""
+    one of ``DIRECT``, which count their own steps."""
     calls = []
     count = GlobalMemory.transactions_for
 
@@ -40,7 +42,7 @@ def spy(monkeypatch):
         tx = count(self, addrs, width, mask)
         caller = sys._getframe(1)
         name = caller.f_code.co_name
-        if name != "copy":
+        if name not in DIRECT:
             assert name in ACCESSORS
             name = caller.f_back.f_code.co_name
         calls.append((name, addrs, mask, tx))

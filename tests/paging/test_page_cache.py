@@ -117,3 +117,70 @@ class TestEviction:
         assert cache.pinned_frames() == 1
         entry.refcount = 0
         assert cache.pinned_frames() == 0
+
+
+def _scan_every_candidate(cache, protect=frozenset()):
+    """``PageCache.allocate_speculative`` without its early return when
+    no frame is low priority: every policy candidate is examined."""
+    if cache._free:
+        return cache._free.pop()
+    for frame in cache.policy.candidates():
+        entry = cache._owner[frame]
+        if (entry is None or not entry.speculative
+                or entry.refcount > 0 or not entry.ready
+                or entry.key in protect):
+            continue
+        if not cache.table.host_remove(entry):
+            continue
+        cache._retire(entry, frame)
+        return frame
+    return None
+
+
+class TestAllocateSpeculative:
+    """With no free frame and no low-priority frame, the readahead
+    daemon's frame grab returns ``None`` without scanning.  That is
+    exact while every resident speculative page's frame is marked low
+    priority; both are checked on every call of the readahead
+    workloads."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = {"scanned": 0, "short": 0}
+        allocate = PageCache.allocate_speculative
+
+        def checked(self, protect=frozenset()):
+            speculative = {frame for frame, entry in enumerate(self._owner)
+                           if entry is not None and entry.speculative}
+            assert speculative <= self.policy.low_priority
+            if self._free or self.policy.low_priority:
+                calls["scanned"] += 1
+                return allocate(self, protect)
+            calls["short"] += 1
+            # With nothing speculative resident the full scan reclaims
+            # nothing, so running it first changes no state.
+            assert _scan_every_candidate(self, protect) is None
+            assert allocate(self, protect) is None
+            return None
+
+        monkeypatch.setattr(PageCache, "allocate_speculative", checked)
+        return calls
+
+    def test_filescan(self, calls):
+        from repro.workloads.filebench import run_sequential_file_read
+
+        # perfbench's tiny filescan: the working set is 4x the cache.
+        r = run_sequential_file_read(npages=64, warps=4, num_frames=16,
+                                     readahead=True, seed=3)
+        assert r.verified
+        assert calls["short"] and calls["scanned"]
+
+    @pytest.mark.parametrize("workload", ["seq-read", "file-memcpy"])
+    def test_ablation_readahead_quick_point(self, calls, workload):
+        import repro.harness.experiments  # noqa: F401 - registers
+        from repro.harness import REGISTRY
+
+        REGISTRY["ablation_readahead"].point(
+            scale="quick", workload=workload, readahead=True,
+            eviction_policy="clock")
+        assert calls["scanned"] + calls["short"]
