@@ -126,7 +126,7 @@ class _WarpRunner:
     """Engine-side handle for one executing warp coroutine."""
 
     __slots__ = ("gen", "block", "started", "outstanding", "warp_id",
-                 "io_stalled", "pending_req")
+                 "io_stalled", "pending_req", "run")
 
     def __init__(self, gen, block: BlockContext, warp_index: int = 0):
         self.gen = gen
@@ -135,9 +135,11 @@ class _WarpRunner:
         self.outstanding = 0.0   # completion time of in-flight async loads
         self.warp_id = block.warp_id(warp_index)
         self.io_stalled = False  # currently waiting on a host transfer
-        # Dispatched before the coroutine is resumed: a sliced request,
-        # the rest of a request run, or a spin awaiting its next poll.
+        # Dispatched before the coroutine is resumed: a sliced request
+        # or a spin awaiting its next poll, then the rest of a request
+        # run, reversed so each event pops its next request.
         self.pending_req = None
+        self.run: list = []
 
 
 class Engine:
@@ -324,23 +326,25 @@ class Engine:
             if type(req) is not Sleep or not req.until():
                 self._dispatch(req, runner, now)
                 return
-        try:
-            if runner.started:
-                req = runner.gen.send(now)
-            else:
-                runner.started = True
-                req = next(runner.gen)
-        except StopIteration:
-            self._finish_warp(runner, now)
-            return
+        run = runner.run
+        if run:
+            req = run.pop()
+        else:
+            try:
+                if runner.started:
+                    req = runner.gen.send(now)
+                else:
+                    runner.started = True
+                    req = next(runner.gen)
+            except StopIteration:
+                self._finish_warp(runner, now)
+                return
         self._dispatch(req, runner, now)
 
     def _slice_issue(self, req, runner: _WarpRunner, now: float,
-                     sm: int) -> bool:
-        """Issue one slice of an oversized instruction block; returns
-        True if the request was sliced (and re-queued)."""
-        if req.count <= self.ISSUE_SLICE:
-            return False
+                     sm: int) -> None:
+        """Issue one slice of an instruction block above
+        :attr:`ISSUE_SLICE` and re-queue the rest."""
         spec = self.spec
         start = max(now, self._issue_avail[sm])
         issue_time = self.ISSUE_SLICE / self._eff_ipc
@@ -364,7 +368,6 @@ class Engine:
                        start + issue_time, wake, 0.0)
         runner.pending_req = req
         self._schedule(runner, wake)
-        return True
 
     # -- dispatch ------------------------------------------------------
     def _dispatch(self, req, runner: _WarpRunner, now: float) -> None:
@@ -380,21 +383,29 @@ class Engine:
                 raise TypeError(f"unknown request {req!r}")
         handler(req, runner, now)
 
+    # The handlers below reserve with ``x = b if b > a else a`` in
+    # place of ``x = max(a, b)``: the same choice, ``a`` on a tie, so
+    # the result is the same float bit for bit.  (No engine time is
+    # ever -0.0 or NaN, so even the other operand would do.)
     def _h_compute(self, req: Compute, runner: _WarpRunner,
                    now: float) -> None:
         spec = self.spec
+        stats = self.stats
         sm = runner.block.sm_index
-        if self._slice_issue(req, runner, now, sm):
+        count = req.count
+        if count > self.ISSUE_SLICE:
+            self._slice_issue(req, runner, now, sm)
             return
-        start = max(now, self._issue_avail[sm])
-        issue_time = req.count / self._eff_ipc
+        avail = self._issue_avail[sm]
+        start = avail if avail > now else now
+        issue_time = count / self._eff_ipc
         issued = start + issue_time
         self._issue_avail[sm] = issued
-        self.stats.issue_busy += issue_time
+        stats.issue_busy += issue_time
         latency = (spec.macro_op_overhead_cycles
                    + req.chain_length() * spec.dependent_issue_cycles)
-        self.stats.instructions += req.count
-        done = start + max(issue_time, latency)
+        stats.instructions += count
+        done = start + (latency if latency > issue_time else issue_time)
         prof = self.profile
         if prof is not None:
             prof.compute(runner, req, sm, now, start, issue_time, issued,
@@ -403,14 +414,17 @@ class Engine:
 
     def _h_scratch(self, req: ScratchAccess, runner: _WarpRunner,
                    now: float) -> None:
-        spec = self.spec
+        stats = self.stats
         sm = runner.block.sm_index
-        start = max(now, self._issue_avail[sm])
-        issue_time = req.count / self._eff_ipc
+        count = req.count
+        avail = self._issue_avail[sm]
+        start = avail if avail > now else now
+        issue_time = count / self._eff_ipc
         self._issue_avail[sm] = start + issue_time
-        self.stats.instructions += req.count
-        self.stats.scratch_accesses += req.count
-        done = start + max(issue_time, spec.scratchpad_latency_cycles)
+        stats.instructions += count
+        stats.scratch_accesses += count
+        latency = self.spec.scratchpad_latency_cycles
+        done = start + (latency if latency > issue_time else issue_time)
         prof = self.profile
         if prof is not None:
             prof.op(runner, req, start, done)
@@ -531,15 +545,16 @@ class Engine:
 
     def _h_run(self, run: tuple, runner: _WarpRunner, now: float) -> None:
         """A run of requests yielded at once: dispatch the head now and
-        keep the rest pending, one request per event, so times, ``seq``
-        order and observer calls are those of yielding them one by one.
-        A sliced head stays at the front.  A run holds no spin
-        (``Sleep(until=...)``): a spin is yielded on its own."""
-        self._dispatch(run[0], runner, now)
-        if runner.pending_req is None:
-            run = run[1:]
-        if run:
-            runner.pending_req = run
+        keep the rest as the runner's cursor, which :meth:`_step` pops
+        one request per event, so times, ``seq`` order and observer
+        calls are those of yielding them one by one.  A sliced head
+        stays at the front: ``pending_req`` is dispatched before the
+        cursor.  A run holds no spin (``Sleep(until=...)``): a spin is
+        yielded on its own."""
+        cursor = list(run)
+        cursor.reverse()
+        runner.run = cursor
+        self._dispatch(cursor.pop(), runner, now)
 
     def _h_sleep(self, req: Sleep, runner: _WarpRunner,
                  now: float) -> None:
@@ -559,47 +574,50 @@ class Engine:
     def _h_mem(self, req: MemAccess, runner: _WarpRunner,
                now: float) -> None:
         sm = runner.block.sm_index
-        if self._slice_issue(req, runner, now, sm):
+        count = req.count
+        if count > self.ISSUE_SLICE:
+            self._slice_issue(req, runner, now, sm)
             return
-        self._dispatch_mem(req, runner, now, sm)
-
-    def _dispatch_mem(self, req: MemAccess, runner: _WarpRunner,
-                      now: float, sm: int) -> None:
         spec = self.spec
+        stats = self.stats
         dep = spec.dependent_issue_cycles
-        start = max(now, self._issue_avail[sm])
-        issue_time = (req.count + 1) / self._eff_ipc
+        avail = self._issue_avail[sm]
+        start = avail if avail > now else now
+        issue_time = (count + 1) / self._eff_ipc
         issued = start + issue_time
         self._issue_avail[sm] = issued
-        self.stats.issue_busy += issue_time
-        self.stats.instructions += req.count + 1
-        nbytes = req.transactions * spec.dram_transaction_bytes
-        self.stats.dram_bytes += nbytes
-        self.stats.dram_transactions += req.transactions
+        stats.issue_busy += issue_time
+        stats.instructions += count + 1
+        transactions = req.transactions
+        nbytes = transactions * spec.dram_transaction_bytes
+        stats.dram_bytes += nbytes
+        stats.dram_transactions += transactions
         # Serial chain before the access can be issued.
         pre_done = start + spec.macro_op_overhead_cycles + req.chain * dep
         dram_avail = self._dram_avail
-        dram_start = max(pre_done, dram_avail)
+        dram_start = dram_avail if dram_avail > pre_done else pre_done
         busy = nbytes / self._dram_bpc
         self._dram_avail = dram_start + busy
-        self.stats.dram_busy += busy
+        stats.dram_busy += busy
         if req.is_store:
-            self.stats.stores += 1
-            resume = max(pre_done, issued)
+            stats.stores += 1
+            resume = issued if issued > pre_done else pre_done
             data_ready = ready = overlap_done = None
         else:
-            self.stats.loads += 1
+            stats.loads += 1
             data_ready = dram_start + spec.dram_latency_cycles
             if not req.nonblocking:
                 overlap_done = pre_done + req.overlap_chain * dep
-                ready = max(data_ready, overlap_done)
+                ready = (overlap_done if overlap_done > data_ready
+                         else data_ready)
                 ready += req.post_chain * dep
-                resume = max(ready, issued)
+                resume = issued if issued > ready else ready
             else:
                 # Memory-level parallelism: the warp keeps issuing; a
                 # LoadFence later waits for the slowest outstanding load.
-                runner.outstanding = max(runner.outstanding, data_ready)
-                resume = max(pre_done, issued)
+                if data_ready > runner.outstanding:
+                    runner.outstanding = data_ready
+                resume = issued if issued > pre_done else pre_done
                 ready = overlap_done = None
         prof = self.profile
         if prof is not None:

@@ -398,40 +398,68 @@ class WarpContext:
         yielded to the engine as one run of requests.
 
         Each step is a load and a store of 8 bytes per lane, charged 4
-        instructions.  Full steps reach memory as
-        :class:`AffineLanes`; a partial last step masks off the lanes
-        past ``nbytes``; the last ``nbytes % 8`` bytes are an untimed
-        tail.  The bytes move as one slice before the run is yielded,
-        so a span out of bounds raises before any request.  That is
-        exact only while no other warp can observe either span between
-        the steps (see ``docs/engine.md``, "Request runs"); the spans
-        must not overlap."""
+        instructions.  A full step's counts come in closed form from
+        :meth:`GlobalMemory.span_transactions`, the formula of the
+        coalescer's affine branch; a partial last step masks off the
+        lanes past ``nbytes`` and is counted as lane vectors; the last
+        ``nbytes % 8`` bytes are an untimed tail.  The first load takes
+        the pending charge, and after it equal requests are one shared
+        object: the engine mutates only a request it slices, and no
+        later step carries more than ``Engine.ISSUE_SLICE``.  Under a
+        tracer each step carries the tags of its charge; under a
+        sanitizer each step records its store.
+
+        The bytes move as one slice before the run is yielded, so a
+        span out of bounds raises before any request.  That is exact
+        only while no other warp can observe either span between the
+        steps (see ``docs/engine.md``, "Request runs"); the spans must
+        not overlap."""
         mem = self.memory
         mem.write(dst, mem.read(src, nbytes).copy())
         width = 8
-        lanes = self.warp_size
-        step = width * lanes
+        lane = self.lane
+        step = width * self.warp_size
         san = self.sanitizer
+        tag = self.activity if self.tracer is not None else ""
+        # Lanes wider than a segment are counted per lane, as
+        # ``transactions_for`` counts them.
+        closed = width <= mem.transaction_bytes
+        span = mem.span_transactions
+        # The requests shared by equal steps, keyed by transactions.
+        loads: dict[int, MemAccess] = {}
+        stores: dict[int, MemAccess] = {}
         run = []
         for off in range(0, nbytes, step):
-            if off + step <= nbytes:
-                src_lanes = AffineLanes(src + off, width, lanes)
-                dst_lanes = AffineLanes(dst + off, width, lanes)
+            full = off + step <= nbytes
+            if full and closed:
                 mask = None
+                tx_src = span(src + off, step)
+                tx_dst = span(dst + off, step)
             else:
-                lane_off = off + self.lane * width
-                src_lanes, dst_lanes = src + lane_off, dst + lane_off
-                mask = lane_off + width <= nbytes
-            self.charge(4)
-            pc, pch, tags = self._take_pending()
-            run.append(self._tagged(MemAccess(
-                transactions=mem.transactions_for(src_lanes, width, mask),
-                count=pc, chain=pch), tags))
+                lane_off = off + lane * width
+                mask = None if full else lane_off + width <= nbytes
+                tx_src = mem.transactions_for(src + lane_off, width, mask)
+                tx_dst = mem.transactions_for(dst + lane_off, width, mask)
+            if run:
+                load = loads.get(tx_src)
+                if load is None:
+                    load = loads[tx_src] = MemAccess(tx_src, False, 4.0, 4.0)
+                    if tag:
+                        load.tag = tag
+                        load.tags = {tag: [4, 4]}
+            else:
+                self.charge(4)
+                pc, pch, tags = self._take_pending()
+                load = self._tagged(MemAccess(tx_src, False, pc, pch), tags)
+            store = stores.get(tx_dst)
+            if store is None:
+                store = stores[tx_dst] = MemAccess(tx_dst, True)
+                if tag:
+                    store.tag = tag
             if san is not None:
-                san.note_store(self, np.asarray(dst_lanes), width, mask)
-            run.append(self._tagged(MemAccess(
-                transactions=mem.transactions_for(dst_lanes, width, mask),
-                is_store=True), None))
+                san.note_store(self, dst + off + lane * width, width, mask)
+            run.append(load)
+            run.append(store)
         tail = nbytes % width
         if tail and san is not None:
             san.note_store(self, np.full(1, dst + nbytes - tail, np.int64),

@@ -151,8 +151,7 @@ class GlobalMemory:
         """DRAM transactions for a warp access (coalescer model)."""
         if (type(addrs) is AffineLanes and mask is None
                 and addrs.stride == width <= self.transaction_bytes):
-            tb, base = self.transaction_bytes, addrs.base
-            return (base + addrs.lanes * width - 1) // tb - base // tb + 1
+            return self.span_transactions(addrs.base, addrs.lanes * width)
         addrs = np.asarray(addrs, dtype=np.int64)
         if mask is not None:
             addrs = addrs[mask]
@@ -160,6 +159,13 @@ class GlobalMemory:
         tb, last = self.transaction_bytes, width - 1
         return len({a // tb for a in lanes} | {(a + last) // tb
                                                for a in lanes})
+
+    def span_transactions(self, base: int, nbytes: int) -> int:
+        """Transactions for lanes of at most ``transaction_bytes`` each
+        that tile ``[base, base + nbytes)``, ``nbytes >= 1``: every
+        segment the span touches, as the coalescer counts them."""
+        tb = self.transaction_bytes
+        return (base + nbytes - 1) // tb - base // tb + 1
 
     def _load(self, addrs, dt: np.dtype, elems: int, mask) -> np.ndarray:
         """``(lanes, elems)`` elements of ``dt`` from each lane's address;

@@ -203,12 +203,13 @@ class PageCache:
         """
         if self._free:
             return self._free.pop()
+        # Every resident speculative page's frame is low priority
+        # (``mark_speculative`` until promoted or retired), so no other
+        # frame could be reclaimed.  The set does not change during the
+        # walk: the walk ends at the one frame it retires.
         if not self.policy.low_priority:
-            # Every resident speculative page's frame is low priority
-            # (``mark_speculative`` until promoted or retired), so no
-            # candidate below could be reclaimed.
             return None
-        for frame in self.policy.candidates():
+        for frame in self.policy.low_priority_candidates():
             entry = self._owner[frame]
             if (entry is None or not entry.speculative
                     or entry.refcount > 0 or not entry.ready

@@ -42,6 +42,15 @@ class EvictionPolicy:
         """Yield frame indices in preferred eviction order."""
         raise NotImplementedError
 
+    def low_priority_candidates(self) -> Iterator[int]:
+        """The :attr:`low_priority` frames, in :meth:`candidates` order.
+
+        This default walks :meth:`candidates` once, so a policy that
+        draws randomness there draws it here too.  The set must not
+        change while the result is iterated."""
+        low = self.low_priority
+        return (frame for frame in self.candidates() if frame in low)
+
     def set_low_priority(self, frame: int, low: bool) -> None:
         """Mark/unmark ``frame`` as preferred for eviction."""
         if low:
@@ -74,6 +83,12 @@ class ClockPolicy(EvictionPolicy):
             frame = (self._hand + i) % n
             yield frame
         # advance the hand past the last candidate we proposed
+
+    def low_priority_candidates(self) -> Iterator[int]:
+        # The sweep's order is each frame's distance past the hand.
+        hand, n = self._hand, self.num_frames
+        return iter(sorted(self.low_priority,
+                           key=lambda frame: (frame - hand) % n))
 
     def on_bind(self, frame: int) -> None:
         self._hand = (frame + 1) % self.num_frames

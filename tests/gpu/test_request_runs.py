@@ -36,6 +36,7 @@ from repro.paging.gpufs import SPIN_WAIT_CYCLES, GPUfs
 from repro.paging.page_table import PageTableEntry
 from repro.telemetry import capture
 from repro.telemetry.hooks import EngineProfile
+from tests.conftest import budget
 
 SPEC = dataclasses.replace(K80_SPEC, num_sms=2)
 NUM_LOCKS = 2
@@ -118,7 +119,22 @@ def _warp(items, locks, as_runs: bool, seen: list):
         seen.append(now)
 
 
-def _drive(scripts, as_runs: bool, gated: bool, preempt: bool) -> dict:
+def _repeating_warp(items, locks, shared: bool, seen: list):
+    """Yield each item's requests three times over as one run: the same
+    objects each time when ``shared`` is set, fresh copies otherwise.
+    Record the time the warp resumes after each run, and check that the
+    engine left every shared request as it was built."""
+    for _, ops in items:
+        reqs = _requests(ops, locks)
+        built = [dataclasses.astuple(r) for r in reqs]
+        run = reqs * 3 if shared else [
+            r for _ in range(3) for r in _requests(ops, locks)]
+        seen.append((yield tuple(run)))
+        assert [dataclasses.astuple(r) for r in reqs] == built
+
+
+def _drive(scripts, as_runs: bool, gated: bool, preempt: bool,
+           warp=_warp) -> dict:
     spec = dataclasses.replace(SPEC, io_preemption=preempt)
     tracer = Tracer()
     profile = EngineProfile.for_sms(spec.num_sms, tracer=tracer)
@@ -133,7 +149,7 @@ def _drive(scripts, as_runs: bool, gated: bool, preempt: bool) -> dict:
                                  warps=WARPS_PER_BLOCK,
                                  scratchpad=Scratchpad(1))
             ws = range(b * WARPS_PER_BLOCK, (b + 1) * WARPS_PER_BLOCK)
-            return block, [_warp(scripts[w], locks, as_runs, seen[w])
+            return block, [warp(scripts[w], locks, as_runs, seen[w])
                            for w in ws]
         return make
 
@@ -158,8 +174,15 @@ def _drive(scripts, as_runs: bool, gated: bool, preempt: bool) -> dict:
             "trace": tracer.events, "resumes": seen}
 
 
+#: Requests the engine never slices: no count above the issue slice
+#: and no lock, so repeating one in a run cannot deadlock.
+unsliced_op = simple_op.filter(
+    lambda o: not (o[0] == "compute" and o[1] > Engine.ISSUE_SLICE)
+    and not (o[0] in ("load", "store") and o[2] > Engine.ISSUE_SLICE))
+
+
 class TestRunsAgainstOneByOne:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=budget(60), deadline=None)
     @given(scripts=st.lists(script, min_size=NUM_BLOCKS * WARPS_PER_BLOCK,
                             max_size=NUM_BLOCKS * WARPS_PER_BLOCK),
            gated=st.booleans(), preempt=st.booleans())
@@ -179,6 +202,25 @@ class TestRunsAgainstOneByOne:
         assert _drive(scripts, True, False, False) == one_by_one
         assert one_by_one["stats"]["instructions"] == \
             1500.0 * NUM_BLOCKS * WARPS_PER_BLOCK
+
+    @settings(max_examples=budget(30), deadline=None)
+    @given(scripts=st.lists(
+        st.lists(st.tuples(st.just(True),
+                           st.lists(unsliced_op, min_size=1, max_size=4)),
+                 max_size=3),
+        min_size=NUM_BLOCKS * WARPS_PER_BLOCK,
+        max_size=NUM_BLOCKS * WARPS_PER_BLOCK),
+        preempt=st.booleans())
+    def test_a_repeated_request_object_equals_fresh_copies(self, scripts,
+                                                            preempt):
+        """The engine does not mutate a request it does not slice, so
+        a run may yield one object several times (as
+        ``WarpContext.copy`` shares its equal steps)."""
+        fresh = _drive(scripts, False, False, preempt,
+                       warp=_repeating_warp)
+        shared = _drive(scripts, True, False, preempt,
+                        warp=_repeating_warp)
+        assert shared == fresh
 
 
 # ----------------------------------------------------------------------

@@ -184,3 +184,59 @@ class TestAllocateSpeculative:
             scale="quick", workload=workload, readahead=True,
             eviction_policy="clock")
         assert calls["scanned"] + calls["short"]
+
+
+def _full_walk(cache, protect=frozenset()):
+    """``PageCache.allocate_speculative`` walking every policy
+    candidate, not just the low-priority frames, behind the same early
+    return."""
+    if not cache._free and not cache.policy.low_priority:
+        return None
+    return _scan_every_candidate(cache, protect)
+
+
+#: Readahead file reads whose working set overflows the cache, so the
+#: daemon's frame grab walks the low-priority frames: perfbench's tiny
+#: ``filescan``, its copying form and a wider grid.
+PRESSURED_READS = {
+    "filescan": dict(npages=64, warps=4, num_frames=16),
+    "file-memcpy": dict(npages=64, warps=4, num_frames=16,
+                        copy_pages=True),
+    "wide": dict(npages=128, warps=8, num_frames=24),
+}
+
+
+class TestLowPriorityWalk:
+    """The readahead daemon's frame grab walks only the low-priority
+    frames, in the policy's candidate order.  On every call, under each
+    policy, it returns the frame the full candidate walk returns, and
+    the whole run, random draws included, is the same."""
+
+    def _run(self, monkeypatch, shape, policy, allocate):
+        from repro.workloads.filebench import run_sequential_file_read
+
+        frames, walked = [], [0]
+
+        def recorded(self, protect=frozenset()):
+            if not self._free and self.policy.low_priority:
+                walked[0] += 1
+            frames.append(allocate(self, protect))
+            return frames[-1]
+
+        monkeypatch.setattr(PageCache, "allocate_speculative", recorded)
+        r = run_sequential_file_read(readahead=True, eviction_policy=policy,
+                                     seed=3, **PRESSURED_READS[shape])
+        assert r.verified
+        return r, frames, walked[0]
+
+    @pytest.mark.parametrize("policy", ["clock", "fifo", "lru", "random"])
+    @pytest.mark.parametrize("shape", sorted(PRESSURED_READS))
+    def test_same_frame_as_the_full_walk(self, monkeypatch, policy, shape):
+        got = self._run(monkeypatch, shape, policy,
+                        PageCache.allocate_speculative)
+        want = self._run(monkeypatch, shape, policy, _full_walk)
+        assert got == want
+        # Walks both reclaimed a frame and found none to reclaim.
+        result, frames, walked = got
+        assert walked and None in frames
+        assert any(f is not None for f in frames)
