@@ -34,11 +34,13 @@ class Request:
     #
     # ``tag`` names the activity the request belongs to ("translation",
     # "tlb_miss", "fault_wait", ...) and refines the recorded stall
-    # reason; ``tags`` maps tag -> [count, chain] for charged work that
-    # was folded into this request; ``chain_tag`` marks a MemAccess's
-    # overlap/post chains as belonging to that activity.
+    # reason; ``translation_charge`` is the ``[count, chain]`` of the
+    # charged work tagged "translation" that was folded into this
+    # request (``None`` when there was none; the observer decomposes
+    # it, and no other tag's share is kept); ``chain_tag`` marks a
+    # MemAccess's overlap/post chains as belonging to that activity.
     tag = ""
-    tags = None
+    translation_charge = None
     chain_tag = ""
 
 

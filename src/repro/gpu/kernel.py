@@ -101,11 +101,12 @@ class WarpContext:
         # (the stall-interval recording of ``repro.telemetry.attribution``):
         # ``_activity`` is a stack of activity tags ("translation",
         # "fault_wait", ...), ``activity`` its innermost tag ('' when
-        # empty), and ``_pending_tags`` splits the pending charge per
-        # tag so the engine can decompose it later.
+        # empty), and ``_pending_translation`` the ``[count, chain]``
+        # share of the pending charge tagged "translation" (``None``
+        # until some is charged), which the observer decomposes.
         self._activity: list[str] = []
         self.activity = ""
-        self._pending_tags: dict[str, list] = {}
+        self._pending_translation: Optional[list] = None
         # Causal request spans: ``begin_request`` mints a deterministic
         # id at warp fault / syscall entry; every span recorded until
         # the matching ``end_request`` carries it, linking translation,
@@ -200,57 +201,57 @@ class WarpContext:
         exactly as real ALU instructions occupy issue slots between
         memory operations.  ``tag`` attributes the work to an activity
         ("translation", ...) for the stall recorder; it defaults to the
-        innermost :meth:`push_activity` tag and is only tracked while a
-        tracer is attached — timing is identical either way.
+        innermost :meth:`push_activity` tag.  Only while a tracer is
+        attached is work tagged "translation" summed into the pair the
+        next request carries (``Request.translation_charge``) — timing
+        is identical either way.
         """
         chain = count if chain is None else chain
         self._pending_count += count
         self._pending_chain += chain
-        if self.tracer is not None:
-            tag = tag or self.activity
-            if tag:
-                slot = self._pending_tags.get(tag)
-                if slot is None:
-                    self._pending_tags[tag] = [count, chain]
-                else:
-                    slot[0] += count
-                    slot[1] += chain
+        if self.tracer is not None and (tag or self.activity) \
+                == "translation":
+            pair = self._pending_translation
+            if pair is None:
+                self._pending_translation = [count, chain]
+            else:
+                pair[0] += count
+                pair[1] += chain
 
-    def _take_pending(self) -> tuple[float, float, Optional[dict]]:
+    def _take_pending(self) -> tuple[float, float, Optional[list]]:
         count, chain = self._pending_count, self._pending_chain
         self._pending_count = 0.0
         self._pending_chain = 0.0
-        tags = self._pending_tags or None
-        if tags is not None:
-            self._pending_tags = {}
-        return count, chain, tags
+        pair = self._pending_translation
+        self._pending_translation = None
+        return count, chain, pair
 
-    def _tagged(self, req: Request, tags: Optional[dict],
-                tag: str = "") -> Request:
+    def _tagged(self, req: Request, translation: Optional[list]) -> Request:
         """Attach attribution metadata to an outgoing request (only when
-        a tracer is attached; otherwise the class defaults stay)."""
+        a tracer is attached; otherwise the class defaults stay):
+        the activity tag and the ``translation`` charge pair."""
         if self.tracer is not None:
-            tag = tag or self.activity
+            tag = self.activity
             if tag:
                 req.tag = tag
-            if tags:
-                req.tags = tags
+            if translation is not None:
+                req.translation_charge = translation
         return req
 
     def compute(self, count: float, chain: Optional[float] = None
                 ) -> Iterator[Request]:
         """Explicitly execute a block of ALU work now."""
-        pc, pch, tags = self._take_pending()
+        pc, pch, pair = self._take_pending()
         chain = count if chain is None else chain
         self.now = yield self._tagged(
-            Compute(count=count + pc, chain=chain + pch), tags)
+            Compute(count=count + pc, chain=chain + pch), pair)
 
     def flush(self) -> Iterator[Request]:
         """Flush any pending charged instructions as a compute op."""
-        pc, pch, tags = self._take_pending()
+        pc, pch, pair = self._take_pending()
         if pc or pch:
             self.now = yield self._tagged(Compute(count=pc, chain=pch),
-                                          tags)
+                                          pair)
 
     # ------------------------------------------------------------------
     # Global memory
@@ -282,8 +283,8 @@ class WarpContext:
             overlap_chain, post_chain)
         self._pending_count = self._pending_chain = 0.0
         if self.tracer is not None:
-            tags, self._pending_tags = self._pending_tags, {}
-            self._tagged(req, tags)
+            self._tagged(req, self._pending_translation)
+            self._pending_translation = None
             if chain_tag:
                 req.chain_tag = chain_tag
         self.now = yield req
@@ -300,8 +301,8 @@ class WarpContext:
         req = MemAccess(tx, True, self._pending_count, self._pending_chain)
         self._pending_count = self._pending_chain = 0.0
         if self.tracer is not None:
-            tags, self._pending_tags = self._pending_tags, {}
-            self._tagged(req, tags)
+            self._tagged(req, self._pending_translation)
+            self._pending_translation = None
         self.now = yield req
 
     def load_wide(self, addrs, dtype: str = "f4", elems: int = 4,
@@ -319,14 +320,14 @@ class WarpContext:
         addrs = self._addr_vec(addrs)
         width = DTYPES[dtype].itemsize * elems
         tx = self.memory.transactions_for(addrs, width, mask=mask)
-        pc, pch, tags = self._take_pending()
+        pc, pch, pair = self._take_pending()
         req = MemAccess(transactions=tx, is_store=False, count=pc,
                         chain=pch, overlap_chain=overlap_chain,
                         post_chain=post_chain,
                         nonblocking=nonblocking)
         if chain_tag and self.tracer is not None:
             req.chain_tag = chain_tag
-        self.now = yield self._tagged(req, tags)
+        self.now = yield self._tagged(req, pair)
         return self.memory.load_vector_wide(addrs, dtype, elems, mask=mask)
 
     def fence(self) -> Iterator[Request]:
@@ -344,19 +345,19 @@ class WarpContext:
         width = DTYPES[dtype].itemsize
         tx = self.memory.transactions_for(addrs, width * elems, mask=mask)
         self.memory.store_vector_wide(addrs, values, dtype, mask=mask)
-        pc, pch, tags = self._take_pending()
+        pc, pch, pair = self._take_pending()
         self.now = yield self._tagged(
             MemAccess(transactions=tx, is_store=True, count=pc,
-                      chain=pch), tags)
+                      chain=pch), pair)
 
     def load_scalar(self, addr: int, dtype: str = "u8") -> Iterator[Request]:
         """Single-address load performed by the warp leader.
 
         The request is the one-lane :meth:`load` of
         ``AffineLanes(addr, itemsize, 1)``: the same closed-form count,
-        charge and tags.  One lane is one contiguous span, so the word
-        is read as one slice after the yield, behind the same bounds
-        check and message as the vector path."""
+        charge and attribution.  One lane is one contiguous span, so the
+        word is read as one slice after the yield, behind the same
+        bounds check and message as the vector path."""
         dt = DTYPES[dtype]
         w = dt.itemsize
         addr = int(addr)
@@ -366,8 +367,8 @@ class WarpContext:
             False, self._pending_count, self._pending_chain)
         self._pending_count = self._pending_chain = 0.0
         if self.tracer is not None:
-            tags, self._pending_tags = self._pending_tags, {}
-            self._tagged(req, tags)
+            self._tagged(req, self._pending_translation)
+            self._pending_translation = None
         self.now = yield req
         if addr < 0 or addr + w > memory.size:
             raise memory._span_error(addr, addr + w)
@@ -389,8 +390,8 @@ class WarpContext:
         req = MemAccess(tx, True, self._pending_count, self._pending_chain)
         self._pending_count = self._pending_chain = 0.0
         if self.tracer is not None:
-            tags, self._pending_tags = self._pending_tags, {}
-            self._tagged(req, tags)
+            self._tagged(req, self._pending_translation)
+            self._pending_translation = None
         self.now = yield req
 
     def copy(self, src: int, dst: int, nbytes: int) -> Iterator[Request]:
@@ -406,8 +407,8 @@ class WarpContext:
         the pending charge, and after it equal requests are one shared
         object: the engine mutates only a request it slices, and no
         later step carries more than ``Engine.ISSUE_SLICE``.  Under a
-        tracer each step carries the tags of its charge; under a
-        sanitizer each step records its store.
+        tracer each step carries the tag and translation charge pair of
+        its charge; under a sanitizer each step records its store.
 
         The bytes move as one slice before the run is yielded, so a
         span out of bounds raises before any request.  That is exact
@@ -446,11 +447,12 @@ class WarpContext:
                     load = loads[tx_src] = MemAccess(tx_src, False, 4.0, 4.0)
                     if tag:
                         load.tag = tag
-                        load.tags = {tag: [4, 4]}
+                        if tag == "translation":
+                            load.translation_charge = [4, 4]
             else:
                 self.charge(4)
-                pc, pch, tags = self._take_pending()
-                load = self._tagged(MemAccess(tx_src, False, pc, pch), tags)
+                pc, pch, pair = self._take_pending()
+                load = self._tagged(MemAccess(tx_src, False, pc, pch), pair)
             store = stores.get(tx_dst)
             if store is None:
                 store = stores[tx_dst] = MemAccess(tx_dst, True)
@@ -503,10 +505,10 @@ class WarpContext:
     # ------------------------------------------------------------------
     def scratch(self, count: float = 1.0) -> Iterator[Request]:
         """Charge a scratchpad access (data lives in ``block.scratchpad``)."""
-        pc, pch, tags = self._take_pending()
+        pc, pch, pair = self._take_pending()
         if pc or pch:
             self.now = yield self._tagged(Compute(count=pc, chain=pch),
-                                          tags)
+                                          pair)
         self.now = yield self._tagged(ScratchAccess(count=count), None)
 
     # ------------------------------------------------------------------

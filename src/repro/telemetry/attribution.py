@@ -37,6 +37,11 @@ much landed on the launch critical path?  Three views are produced:
   issue slots contended by other warps (their ``issue_queue`` stalls
   overlap the event) were not.
 
+A profiled launch stores only what its ``components.attribution``
+section holds, :func:`summarize_events`: the translation split and the
+critical path's length.  :func:`attribute_events` builds the full
+report on the same pass (index, gap sum and translation split).
+
 Traces truncated by the :class:`~repro.gpu.trace.Tracer` event cap are
 refused with :class:`TruncatedTraceError` — attribution over a partial
 timeline would silently produce wrong numbers.
@@ -47,7 +52,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Iterable, Optional
 
 from repro.gpu.trace import (
@@ -64,6 +68,7 @@ __all__ = [
     "attribute_chrome_trace",
     "attribute_events",
     "attribute_tracer",
+    "summarize_events",
 ]
 
 
@@ -85,28 +90,13 @@ _INF = float("inf")
 _NO_BREAKS = ((_INF,), (_INF,))
 
 
-class _Span(tuple):
-    """A bare interval laid out as the head of a trace row, ``(warp,
-    block, kind, start, end)``: what :meth:`_SMIntervals.add` holds and
-    a single :meth:`_SMIntervals.coverage` query asks about.  The
-    analyzer hands both the trace rows themselves."""
-
-    __slots__ = ()
-
-    def __new__(cls, start: float, end: float, warp: int = -1) -> "_Span":
-        return tuple.__new__(cls, (warp, -1, "", start, end))
-
-    warp = property(itemgetter(0))
-    start = property(itemgetter(3))
-    end = property(itemgetter(4))
-
-
 class _SMIntervals:
     """Per-SM interval set answering exclusion coverage queries.
 
     Holds intervals laid out as trace rows, ``warp`` at index 0 and
-    ``start``/``end`` at 3/4 (the rows themselves, or :class:`_Span`);
-    ``coverage(s, e, exclude)`` returns the measure
+    ``start``/``end`` at 3/4 (the analyzer's rows themselves, or the
+    row heads :meth:`add` builds); ``coverage(s, e, exclude)`` returns
+    the measure
     of ``[s, e)`` covered by the union of intervals belonging to any
     warp other than ``exclude``.
 
@@ -131,7 +121,7 @@ class _SMIntervals:
 
     def add(self, start: float, end: float, warp: int) -> None:
         if end > start:
-            self.items.append(_Span(start, end, warp))
+            self.items.append((warp, -1, "", start, end))
 
     def freeze(self) -> None:
         gaps, only = self._serial_breaks()
@@ -208,7 +198,7 @@ class _SMIntervals:
         return gaps, dict(only)
 
     def coverage(self, s: float, e: float, exclude: int = -1) -> float:
-        return self.coverages((_Span(s, e),), exclude)[0]
+        return self.coverages(((-1, -1, "", s, e),), exclude)[0]
 
     def coverages(self, spans, exclude: int = -1) -> list:
         """:meth:`coverage` of every ``[start, end)`` of the rows in
@@ -368,151 +358,20 @@ class AttributionReport:
 # ----------------------------------------------------------------------
 # Analyzer
 # ----------------------------------------------------------------------
-def attribute_events(events: Iterable, *,
-                     dropped: int = 0,
-                     launch_cycles: Optional[float] = None,
-                     ) -> AttributionReport:
-    """Attribute one launch's trace: its rows
-    (:attr:`Tracer.rows <repro.gpu.trace.Tracer.rows>`) or
-    :class:`~repro.gpu.trace.TraceEvent` objects, which become rows
-    once here.
+#: The index of an SM with no intervals: it covers nothing.
+_EMPTY = _SMIntervals()
 
-    ``dropped`` is the tracer's overflow count; a nonzero value raises
-    :class:`TruncatedTraceError`.  ``launch_cycles`` overrides the span
-    inferred from the events (useful when the caller knows the true
-    launch length).
-    """
-    if dropped:
-        raise TruncatedTraceError(
-            f"trace dropped {dropped} events at the Tracer cap; "
-            "attribution over a truncated timeline would be wrong — "
-            "raise Tracer(max_events=...) or shrink the launch")
-    rows = as_rows(events)
-    report = AttributionReport(dropped=0, events=len(rows))
 
-    # One pass buckets the rows and finds the span.  Time-series
-    # counter samples sit at their window's end, which may lie past
-    # the launch end: they are outside the attributed span.  The
-    # indexes hold the rows themselves, and, as ``add`` does, only
-    # those of positive length.
-    t0 = _INF
-    t1 = -_INF
-    issue_by_sm: dict = defaultdict(_SMIntervals)
-    queue_by_sm: dict = defaultdict(_SMIntervals)
-    stalls_by_sm: dict = defaultdict(list)
-    issue_by_warp: dict = defaultdict(float)
-    stalls_by_warp: dict = defaultdict(list)
-    translations: list = []
-    warp_sm: dict = {}
-    for row in rows:
-        warp, _, kind, start, end, detail, sm, _ = row
-        if kind == "stall":
-            if detail == "issue_queue" and end > start:
-                queue_by_sm[sm].items.append(row)
-            stalls_by_sm[sm].append(row)
-            stalls_by_warp[warp].append(row)
-        elif kind == "issue":
-            idx = issue_by_sm[sm]
-            if end > start:
-                idx.items.append(row)
-            issue_by_warp[warp] += end - start
-        elif kind == "translation":
-            translations.append(row)
-        elif kind == COUNTER_KIND:
-            continue
-        if start < t0:
-            t0 = start
-        if end > t1:
-            t1 = end
-        if warp not in warp_sm:
-            warp_sm[warp] = sm
-    if not warp_sm:
-        return report
-    if launch_cycles is not None:
-        t1 = max(t1, t0 + launch_cycles)
-    span = t1 - t0
-    report.launch_cycles = span
+def _translation_split(translations: list, issue_by_sm: dict,
+                       queue_by_sm: dict) -> TranslationSplit:
+    """Translation hidden-vs-exposed over the translation rows.
 
-    for idx in issue_by_sm.values():
-        idx.freeze()
-    for idx in queue_by_sm.values():
-        idx.freeze()
-
-    warps = sorted(issue_by_warp.keys() | stalls_by_warp.keys())
-    report.warps = len(warps)
-    report.sms = len({sm for sm in warp_sm.values()})
-
-    # -- per-warp accounting ------------------------------------------
-    stall_totals: dict = {}
-    empty = _SMIntervals()
-    for warp in warps:
-        sm = warp_sm.get(warp, -1)
-        issue = issue_by_warp.get(warp, 0.0)
-        stalls = stalls_by_warp.get(warp, ())
-        stall_total = 0.0
-        for row in stalls:
-            reason = row[5] or "unknown"
-            duration = row[4] - row[3]
-            stall_total += duration
-            stall_totals[reason] = (stall_totals.get(reason, 0.0)
-                                    + duration)
-        hidden_stall = 0.0
-        for cov in issue_by_sm.get(sm, empty).coverages(stalls, warp):
-            hidden_stall += cov
-        idle = max(0.0, span - issue - stall_total)
-        report.warp_rows.append({
-            "warp": warp,
-            "sm": sm,
-            "cycles": span,
-            "issue": issue,
-            "stall": stall_total,
-            "hidden": issue + hidden_stall,
-            "exposed": stall_total - hidden_stall,
-            "idle": idle,
-        })
-        report.issue_cycles += issue
-    report.stall_cycles = dict(sorted(stall_totals.items()))
-    report.idle_cycles = sum(r["idle"] for r in report.warp_rows)
-
-    # -- launch critical path -----------------------------------------
-    crit: dict = {}
-    crit_cycles = 0.0
-    for sm, idx in issue_by_sm.items():
-        gap_starts, gap_ends = idx.gaps(t0, t1)
-        if not gap_starts:
-            continue
-        n_gaps = len(gap_starts)
-        weights: list = [{} for _ in gap_starts]
-        for stall in stalls_by_sm.get(sm, ()):
-            s = stall[3]
-            e = stall[4]
-            gi = bisect_right(gap_ends, s)
-            while gi < n_gaps and gap_starts[gi] < e:
-                ov = min(e, gap_ends[gi]) - max(s, gap_starts[gi])
-                if ov > 0:
-                    w = weights[gi]
-                    reason = stall[5] or "unknown"
-                    w[reason] = w.get(reason, 0.0) + ov
-                gi += 1
-        for gs, ge, w in zip(gap_starts, gap_ends, weights):
-            dur = ge - gs
-            crit_cycles += dur
-            total_w = sum(w.values())
-            if total_w > 0:
-                for reason, ov in w.items():
-                    crit[reason] = (crit.get(reason, 0.0)
-                                    + dur * ov / total_w)
-            else:
-                crit["idle"] = crit.get("idle", 0.0) + dur
-    report.critical_path = dict(sorted(crit.items()))
-    report.critical_path_cycles = crit_cycles
-
-    # -- translation hidden-vs-exposed --------------------------------
-    # Each distinct detail parses once.  A coverage whose weight is
-    # zero is not asked for: ``lat * (1 - cov)`` with ``lat == 0`` and
-    # ``iss * cont`` with ``iss == 0`` are the same signed zero for
-    # every ``cov``/``cont`` in [0, 1].  Coverages are walked per
-    # (SM, warp), then folded in trace order.
+    Each distinct detail parses once.  A coverage whose weight is
+    zero is not asked for: ``lat * (1 - cov)`` with ``lat == 0`` and
+    ``iss * cont`` with ``iss == 0`` are the same signed zero for
+    every ``cov``/``cont`` in [0, 1].  Coverages are walked per
+    (SM, warp), then folded in trace order.  ``x = b if b < a else
+    a`` is ``min(a, b)``'s own choice, ``a`` on a tie."""
     parsed: dict = {}
     n = len(translations)
     vals_of: list = [None] * n
@@ -540,23 +399,209 @@ def attribute_events(events: Iterable, *,
     for (sm, warp), (cov_spans, cov_ks, cont_spans, cont_ks) \
             in groups.items():
         for out, idx, spans, ks in (
-                (cov_of, issue_by_sm.get(sm, empty), cov_spans, cov_ks),
-                (cont_of, queue_by_sm.get(sm, empty), cont_spans,
+                (cov_of, issue_by_sm.get(sm, _EMPTY), cov_spans, cov_ks),
+                (cont_of, queue_by_sm.get(sm, _EMPTY), cont_spans,
                  cont_ks)):
             for row, k, cov in zip(spans, ks,
                                    idx.coverages(spans, warp)):
-                out[k] = min(1.0, cov / (row[4] - row[3]))
-    split = report.translation
+                frac = cov / (row[4] - row[3])
+                out[k] = frac if frac < 1.0 else 1.0
+    split = TranslationSplit()
     for (iss, lat, total), cov, cont in zip(vals_of, cov_of, cont_of):
         if total <= 0:
             continue
         exposed = lat * (1.0 - cov) + iss * cont
-        exposed = min(exposed, total)
+        if total < exposed:
+            exposed = total
         split.total += total
         split.exposed += exposed
         split.hidden += total - exposed
         split.issue_slots += iss
         split.events += 1
+    return split
+
+
+def _summary(events: Iterable, dropped: int,
+             launch_cycles: Optional[float]) -> tuple:
+    """The launch-level report of one trace — its span, critical-path
+    length and translation split — from one pass over its rows.
+
+    Returns ``(rows, report, index)``: the trace as rows, the report,
+    and ``(t0, t1, issue_by_sm)``, the span (stretched to
+    ``launch_cycles``) and the frozen per-SM issue indexes, for the
+    per-warp sections (``None`` for a trace with no timed row).  A
+    truncated trace raises :class:`TruncatedTraceError`.
+
+    Counter samples sit at their window's end, which may lie past the
+    launch end: they are outside the span.  The indexes hold the rows
+    themselves, only those of positive length, but an empty issue row
+    still gives its SM an index (whose gaps are critical path).
+    """
+    if dropped:
+        raise TruncatedTraceError(
+            f"trace dropped {dropped} events at the Tracer cap; "
+            "attribution over a truncated timeline would be wrong — "
+            "raise Tracer(max_events=...) or shrink the launch")
+    rows = as_rows(events)
+    report = AttributionReport(events=len(rows))
+    t0 = _INF
+    t1 = -_INF
+    issue_by_sm: dict = defaultdict(_SMIntervals)
+    queue_by_sm: dict = defaultdict(_SMIntervals)
+    translations: list = []
+    for row in rows:
+        _, _, kind, start, end, detail, sm, _ = row
+        if kind == "stall":
+            if detail == "issue_queue" and end > start:
+                queue_by_sm[sm].items.append(row)
+        elif kind == "issue":
+            idx = issue_by_sm[sm]
+            if end > start:
+                idx.items.append(row)
+        elif kind == "translation":
+            translations.append(row)
+        elif kind == COUNTER_KIND:
+            continue
+        if start < t0:
+            t0 = start
+        if end > t1:
+            t1 = end
+    # A timed row leaves ``t0 <= t1`` unless its own end precedes its
+    # start; only then is the slower test needed.
+    if not (t0 <= t1 or any(row[2] != COUNTER_KIND for row in rows)):
+        return rows, report, None
+    if launch_cycles is not None:
+        t1 = max(t1, t0 + launch_cycles)
+    for idx in issue_by_sm.values():
+        idx.freeze()
+    for idx in queue_by_sm.values():
+        idx.freeze()
+    report.launch_cycles = t1 - t0
+    # The critical path's length: SM-cycles with no warp issuing.
+    crit = 0.0
+    for idx in issue_by_sm.values():
+        starts, ends = idx.gaps(t0, t1)
+        for s, e in zip(starts, ends):
+            crit += e - s
+    report.critical_path_cycles = crit
+    report.translation = _translation_split(translations, issue_by_sm,
+                                            queue_by_sm)
+    return rows, report, (t0, t1, issue_by_sm)
+
+
+def summarize_events(events: Iterable, *,
+                     launch_cycles: Optional[float] = None) -> dict:
+    """``attribute_events(...).to_component()``, the
+    ``components.attribution`` section a profiled launch stores,
+    without the per-warp rows and critical-path reasons it drops.  The
+    caller refuses a truncated trace, as the profiler does."""
+    return _summary(events, 0, launch_cycles)[1].to_component()
+
+
+def attribute_events(events: Iterable, *,
+                     dropped: int = 0,
+                     launch_cycles: Optional[float] = None,
+                     ) -> AttributionReport:
+    """Attribute one launch's trace: its rows
+    (:attr:`Tracer.rows <repro.gpu.trace.Tracer.rows>`) or
+    :class:`~repro.gpu.trace.TraceEvent` objects, which become rows
+    once here.
+
+    ``dropped`` is the tracer's overflow count; a nonzero value raises
+    :class:`TruncatedTraceError`.  ``launch_cycles`` overrides the span
+    inferred from the events (useful when the caller knows the true
+    launch length).  The report extends :func:`summarize_events`'s.
+    """
+    rows, report, index = _summary(events, dropped, launch_cycles)
+    if index is None:
+        return report
+    t0, t1, issue_by_sm = index
+    span = report.launch_cycles
+
+    # The per-warp sections bucket the stall and issue rows; a warp's
+    # SM is the SM of its first timed row.
+    stalls_by_sm: dict = defaultdict(list)
+    issue_by_warp: dict = defaultdict(float)
+    stalls_by_warp: dict = defaultdict(list)
+    warp_sm: dict = {}
+    for row in rows:
+        warp, _, kind, start, end, _, sm, _ = row
+        if kind == COUNTER_KIND:
+            continue
+        if kind == "stall":
+            stalls_by_sm[sm].append(row)
+            stalls_by_warp[warp].append(row)
+        elif kind == "issue":
+            issue_by_warp[warp] += end - start
+        warp_sm.setdefault(warp, sm)
+    warps = sorted(issue_by_warp.keys() | stalls_by_warp.keys())
+    report.warps = len(warps)
+    report.sms = len({sm for sm in warp_sm.values()})
+
+    # -- per-warp accounting ------------------------------------------
+    stall_totals: dict = {}
+    for warp in warps:
+        sm = warp_sm.get(warp, -1)
+        issue = issue_by_warp.get(warp, 0.0)
+        stalls = stalls_by_warp.get(warp, ())
+        stall_total = 0.0
+        for row in stalls:
+            reason = row[5] or "unknown"
+            duration = row[4] - row[3]
+            stall_total += duration
+            stall_totals[reason] = (stall_totals.get(reason, 0.0)
+                                    + duration)
+        hidden_stall = 0.0
+        for cov in issue_by_sm.get(sm, _EMPTY).coverages(stalls, warp):
+            hidden_stall += cov
+        idle = max(0.0, span - issue - stall_total)
+        report.warp_rows.append({
+            "warp": warp,
+            "sm": sm,
+            "cycles": span,
+            "issue": issue,
+            "stall": stall_total,
+            "hidden": issue + hidden_stall,
+            "exposed": stall_total - hidden_stall,
+            "idle": idle,
+        })
+        report.issue_cycles += issue
+    report.stall_cycles = dict(sorted(stall_totals.items()))
+    report.idle_cycles = sum(r["idle"] for r in report.warp_rows)
+
+    # -- critical-path reasons ----------------------------------------
+    # Each gap's cycles go to the stall reasons overlapping it, in
+    # proportion to the overlap.
+    crit: dict = {}
+    for sm, idx in issue_by_sm.items():
+        gap_starts, gap_ends = idx.gaps(t0, t1)
+        if not gap_starts:
+            continue
+        n_gaps = len(gap_starts)
+        weights: list = [{} for _ in gap_starts]
+        for stall in stalls_by_sm.get(sm, ()):
+            s = stall[3]
+            e = stall[4]
+            gi = bisect_right(gap_ends, s)
+            while gi < n_gaps and gap_starts[gi] < e:
+                ge = gap_ends[gi]
+                gs = gap_starts[gi]
+                ov = (ge if ge < e else e) - (gs if gs > s else s)
+                if ov > 0:
+                    w = weights[gi]
+                    reason = stall[5] or "unknown"
+                    w[reason] = w.get(reason, 0.0) + ov
+                gi += 1
+        for gs, ge, w in zip(gap_starts, gap_ends, weights):
+            dur = ge - gs
+            total_w = sum(w.values())
+            if total_w > 0:
+                for reason, ov in w.items():
+                    crit[reason] = (crit.get(reason, 0.0)
+                                    + dur * ov / total_w)
+            else:
+                crit["idle"] = crit.get("idle", 0.0) + dur
+    report.critical_path = dict(sorted(crit.items()))
     return report
 
 

@@ -54,6 +54,17 @@ def gauge(name: str, fn) -> None:
         register(name, fn)
 
 
+class _Kinds(dict):
+    """Request type -> trace kind, its lowercase name, made once."""
+
+    def __missing__(self, cls) -> str:
+        kind = self[cls] = cls.__name__.lower()
+        return kind
+
+
+_KINDS = _Kinds()
+
+
 @dataclass
 class EngineProfile:
     """The engine's one observer: deep per-launch counters, plus the
@@ -153,40 +164,47 @@ class EngineProfile:
         if issued > start:
             add((warp, block, "issue", start, issued, "", sm, ""))
         if data_ready is not None:
-            add((warp, block, type(req).__name__.lower(), start,
-                 data_ready, "", sm, ""))
+            add((warp, block, _KINDS[type(req)], start, data_ready, "",
+                 sm, ""))
         if resume > issued:
             add((warp, block, "stall", issued, resume,
                  req.tag or ("memory" if ready is not None
                              else "exec_dependency"), sm, ""))
-        tags = req.tags
-        tr = tags.get("translation") if tags is not None else None
+        tr = req.translation_charge
         chains = req.chain_tag == "translation"
         if tr is None and not chains:
             return
         # The translation counterfactual: where the access would have
         # started (blocking) or the warp resumed (otherwise) with the
         # translation pre-chain removed, still bounded by queueing.
+        # ``b if b < a else a`` is ``min(a, b)``'s own pick (``>`` for
+        # ``max``): docs/engine.md, "Fast paths".
         tr_cnt, tr_chain = tr if tr is not None else (0.0, 0.0)
         dep = self._dep
-        pre = min(tr_chain, req.chain) * dep
+        chain = req.chain
+        pre = (chain if chain < tr_chain else tr_chain) * dep
+        floor = pre_done - pre
         if ready is not None:
-            pre_x = dram_start - max(pre_done - pre, dram_avail)
+            pre_x = dram_start - (dram_avail if dram_avail > floor
+                                  else floor)
             if chains:
                 ov = req.overlap_chain * dep
-                ov_x = min(ov, max(0.0, overlap_done - data_ready))
+                late = overlap_done - data_ready
+                late = late if late > 0.0 else 0.0
+                ov_x = late if late < ov else ov
                 post_x = req.post_chain * dep
             else:
                 ov = ov_x = post_x = 0.0
             lat = pre_x + ov_x + post_x
             hid = (pre - pre_x) + (ov - ov_x)
         else:
-            pre_x = resume - max(pre_done - pre, issued)
+            pre_x = resume - (issued if issued > floor else floor)
             lat, hid = pre_x, pre - pre_x
         iss = tr_cnt / self._issue_rate
         if iss > 0 or lat > 0 or hid > 0:
             key = (iss, lat, hid)
-            add((warp, block, "translation", start, max(resume, start),
+            add((warp, block, "translation", start,
+                 start if start > resume else resume,
                  self._details.get(key) or self._detail(key), sm, ""))
 
     def compute(self, runner, req, sm: int, now: float, start: float,
@@ -209,8 +227,7 @@ class EngineProfile:
                else lambda row: tracer.record(*row))
         warp = runner.warp_id
         block = runner.block.block_id
-        add((warp, block, type(req).__name__.lower(), start,
-             done, "", sm, ""))
+        add((warp, block, _KINDS[type(req)], start, done, "", sm, ""))
         if start > now:
             add((warp, block, "stall", now, start, "issue_queue", sm, ""))
         if issued > start:
@@ -218,18 +235,21 @@ class EngineProfile:
         if done > issued:
             add((warp, block, "stall", issued, done,
                  req.tag or "exec_dependency", sm, ""))
-        # Requests carry tags only while a trace is recorded.
-        tags = req.tags
-        tr = tags.get("translation") if tags is not None else None
+        # Requests carry the pair only while a trace is recorded.
+        tr = req.translation_charge
         if tr is not None:
             # Where the block would end with the translation chain
-            # removed from its latency.
-            pre = min(tr[1], req.chain_length()) * self._dep
-            pre_x = done - (start + max(issue_time, latency - pre))
+            # removed from its latency (picks as in :meth:`mem`).
+            chain = req.chain_length()
+            pre = (chain if chain < tr[1] else tr[1]) * self._dep
+            busy = latency - pre
+            busy = busy if busy > issue_time else issue_time
+            pre_x = done - (start + busy)
             iss = tr[0] / self._issue_rate
             if iss > 0 or pre_x > 0 or pre - pre_x > 0:
                 key = (iss, pre_x, pre - pre_x)
-                add((warp, block, "translation", start, max(done, start),
+                add((warp, block, "translation", start,
+                     start if start > done else done,
                      self._details.get(key) or self._detail(key), sm,
                      ""))
 
@@ -237,7 +257,7 @@ class EngineProfile:
         """Macro-op ``req`` of warp ``runner`` ran ``start``→``end``
         (traced only)."""
         if self.tracer is not None:
-            self._record(runner, type(req).__name__.lower(), start, end)
+            self._record(runner, _KINDS[type(req)], start, end)
 
     def issue(self, runner, sm: int, now: float, start: float,
               cycles: float, count: float) -> None:

@@ -38,9 +38,9 @@ class Profiler:
         self.trace = trace
         self.max_traces = max_traces
         self.max_trace_events = max_trace_events
-        # Run the cycle-attribution analyzer per traced launch and
-        # store its report in ``components.attribution``.  Off by
-        # default: the analyzer walks the whole event list.
+        # Summarise cycle attribution per traced launch in
+        # ``components.attribution``.  Off by default: the summary
+        # walks the whole event list.
         self.attribution = attribution
         # Cycle-window sampling (repro.telemetry.timeseries).  Off by
         # default: launches get a plain profile and pay only the
@@ -175,11 +175,13 @@ class Profiler:
             profile.components["spans"] = spans_component(tracer.rows)
         if self.attribution and tracer is not None \
                 and not tracer.dropped:
-            # A truncated trace is refused by the analyzer; the profile
-            # then keeps the zeroed section with ``attributed == 0``.
-            from repro.telemetry.attribution import attribute_tracer
-            report = attribute_tracer(tracer, launch_cycles=cycles)
-            profile.components["attribution"] = report.to_component()
+            # A truncated trace is not attributed: the profile keeps
+            # the zeroed section with ``attributed == 0``.  The profile
+            # stores only the summary; ``repro-obs attr`` computes the
+            # full report from the trace.
+            from repro.telemetry.attribution import summarize_events
+            profile.components["attribution"] = summarize_events(
+                tracer.rows, launch_cycles=cycles)
         self.profiles.append(profile)
         self.traces.append(tracer)
         return profile
@@ -249,6 +251,7 @@ def _merge_components(collected: dict) -> dict:
     from repro.paging.gpufs import PagingStats
     from repro.readahead import ReadaheadStats
     from repro.syscalls import SyscallStats
+    from repro.telemetry.attribution import AttributionReport
     from repro.telemetry.profile import _numeric_fields
 
     components = {
@@ -259,14 +262,8 @@ def _merge_components(collected: dict) -> dict:
         "readahead": dict(_numeric_fields(ReadaheadStats()),
                           hit_rate=0.0),
         "sanitizer": _numeric_fields(SanitizerStats()),
-        "attribution": {
-            "translation_cycles": 0.0,
-            "translation_hidden": 0.0,
-            "translation_exposed": 0.0,
-            "hidden_fraction": 0.0,
-            "critical_path_cycles": 0.0,
-            "attributed": 0,
-        },
+        "attribution": dict(AttributionReport().to_component(),
+                            attributed=0),
         "timeseries": {
             "enabled": 0,
             "window_cycles": 0.0,

@@ -8,8 +8,10 @@ and activity tags from the translation / paging layers reach the
 stall reasons.
 """
 
+import copy
 from functools import partial
 
+import numpy as np
 import pytest
 
 from repro.core import APConfig, AVM
@@ -214,3 +216,118 @@ class TestApointerTranslationEvents:
         for e in trans:
             iss, lat, hid = _parse_translation_detail(e.detail)
             assert lat >= 0 and hid >= 0 and iss >= 0
+
+
+# ----------------------------------------------------------------------
+# The translation charge pair a request carries
+# ----------------------------------------------------------------------
+def _charge_pairs(body, traced: bool = True):
+    """Run ``body(ctx, buf)`` as one warp, under a tracing
+    ``capture()`` when ``traced``; return ``(kind, translation_charge)``
+    of every request it yields, in order, as the request was yielded."""
+    device = Device(memory_bytes=1 << 20)
+    buf = device.alloc(4096)
+    seen = []
+
+    def kern(ctx):
+        gen = body(ctx, buf)
+        try:
+            req = next(gen)
+            while True:
+                for r in req if type(req) is tuple else (req,):
+                    seen.append((type(r).__name__.lower(),
+                                 copy.deepcopy(r.translation_charge)))
+                req = gen.send((yield req))
+        except StopIteration:
+            return
+
+    if traced:
+        _traced_launch(device, kern, grid=1, block_threads=32)
+    else:
+        device.launch(kern, grid=1, block_threads=32)
+    return seen
+
+
+#: Every way a warp takes its pending charge into a request, each
+#: called ``(ctx, buf)``.
+TAKERS = {
+    "load": lambda ctx, buf: ctx.load(buf + ctx.lane * 4, "f4"),
+    "store": lambda ctx, buf: ctx.store(buf + ctx.lane * 4,
+                                        ctx.lane, "f4"),
+    "load_scalar": lambda ctx, buf: ctx.load_scalar(buf, "u8"),
+    "store_scalar": lambda ctx, buf: ctx.store_scalar(buf, 7, "u8"),
+    "load_wide": lambda ctx, buf: ctx.load_wide(buf + ctx.lane * 16,
+                                                "f4", 4),
+    "store_wide": lambda ctx, buf: ctx.store_wide(
+        buf + ctx.lane * 16, np.zeros((32, 4), "f4"), "f4"),
+    "compute": lambda ctx, buf: ctx.compute(1),
+    "flush": lambda ctx, buf: ctx.flush(),
+    "copy": lambda ctx, buf: ctx.copy(buf, buf + 2048, 512),
+}
+
+
+class TestTranslationChargePair:
+    @pytest.mark.parametrize("activity",
+                             ["fault_wait", "syscall", "tlb_miss"])
+    def test_other_work_leaves_no_pair(self, activity):
+        def body(ctx, buf):
+            ctx.push_activity(activity)
+            ctx.charge(3)
+            ctx.charge(2, tag="fault_wait")
+            yield from ctx.load(buf + ctx.lane * 4, "f4")
+            ctx.charge(4, chain=1)
+            yield from ctx.copy(buf, buf + 2048, 512)
+            ctx.pop_activity()
+            ctx.charge(5, tag="tlb_miss")
+            yield from ctx.compute(1)
+
+        pairs = _charge_pairs(body)
+        assert len(pairs) == 1 + 4 + 1
+        assert all(pair is None for _, pair in pairs)
+
+    @pytest.mark.parametrize("taker", sorted(TAKERS))
+    def test_translation_charges_add_up_into_the_next_request(self,
+                                                               taker):
+        # 0.1 + 0.2 + 0.3 rounds differently from 0.1 + (0.2 + 0.3):
+        # the pair sums in call order.
+        def body(ctx, buf):
+            ctx.charge(0.1, chain=1.0, tag="translation")
+            ctx.charge(9.0, tag="fault_wait")
+            ctx.push_activity("translation")
+            ctx.charge(0.2, chain=2.0)
+            ctx.charge(9.0, tag="tlb_miss")     # an explicit tag wins
+            ctx.pop_activity()
+            ctx.charge(0.3, chain=4.0, tag="translation")
+            yield from TAKERS[taker](ctx, buf)
+            yield from ctx.compute(1)
+
+        pairs = _charge_pairs(body)
+        assert pairs[0][1] == [0.1 + 0.2 + 0.3, 7.0]
+        assert all(pair is None for _, pair in pairs[1:])
+
+    def test_copy_steps_carry_their_translation_charge(self):
+        def body(ctx, buf):
+            ctx.push_activity("translation")
+            ctx.charge(2, tag="syscall")
+            yield from ctx.copy(buf, buf + 2048, 768)
+            ctx.pop_activity()
+
+        pairs = _charge_pairs(body)
+        assert pairs == [("memaccess", [4, 4]), ("memaccess", None)] * 3
+
+    def test_untraced_context_never_creates_a_pair(self):
+        pending = []
+
+        def body(ctx, buf):
+            ctx.push_activity("translation")
+            ctx.charge(3, tag="translation")
+            ctx.charge(1)
+            pending.append(ctx._pending_translation)
+            yield from ctx.load(buf + ctx.lane * 4, "f4")
+            yield from ctx.copy(buf, buf + 2048, 512)
+            ctx.pop_activity()
+
+        pairs = _charge_pairs(body, traced=False)
+        assert pending == [None]
+        assert len(pairs) == 1 + 4
+        assert all(pair is None for _, pair in pairs)

@@ -274,8 +274,8 @@ def copies(draw):
         # first warp's, for the sanitizer to report.
         gap=draw(st.sampled_from([0, 100, 2 * PAGE + 1024])),
         charge=draw(st.sampled_from(CHARGES)),
-        charge_tag=draw(st.sampled_from(["", "tlb_miss"])),
-        activity=draw(st.sampled_from(["", "staging"])),
+        charge_tag=draw(st.sampled_from(["", "tlb_miss", "translation"])),
+        activity=draw(st.sampled_from(["", "staging", "translation"])),
         trace=draw(st.booleans()),
         sanitize=draw(st.booleans()),
     )
@@ -309,9 +309,9 @@ def launch_copy(form, case):
         dev.sanitizer = san = Sanitizer()
     with capture(trace=case["trace"]) as prof:
         res = dev.launch(kern, grid=1, block_threads=64)
-    out = {"requests": [[repr((type(r).__name__, vars(r), r.tag, r.tags,
-                                r.chain_tag)) for r in warp]
-                        for warp in seen],
+    out = {"requests": [[repr((type(r).__name__, vars(r), r.tag,
+                                r.translation_charge, r.chain_tag))
+                          for r in warp] for warp in seen],
            "cycles": res.cycles, "stats": vars(res.stats),
            "memory": dev.memory.data.tobytes()}
     if case["trace"]:

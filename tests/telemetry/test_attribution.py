@@ -11,6 +11,9 @@ reference: every query must return the same float, not a close one.
 :class:`TestPassAgainstReference` holds the one-pass analyzer to the
 query-per-event analyzer it replaced (``_reference_attribute_events``,
 over that merge): every report must be equal, float for float.
+:class:`TestSummaryAgainstReport` holds the summary a profiled launch
+stores (``summarize_events``) to the full report's section, bit for
+bit.
 """
 
 import json
@@ -19,7 +22,7 @@ from bisect import bisect_left, bisect_right
 from collections import defaultdict
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.gpu.trace import (
@@ -35,7 +38,9 @@ from repro.telemetry.attribution import (
     attribute_chrome_trace,
     attribute_events,
     attribute_tracer,
+    summarize_events,
 )
+from tests.conftest import budget
 
 
 def ev(warp, kind, start, end, detail="", sm=0, block=0):
@@ -537,8 +542,8 @@ class TestIndexAgainstMerge:
             assert index._serial_breaks() == (None, None)
         # One overlap sends the set to the sweep.
         if index.items:
-            last = index.items[-1]
-            index.add(last.start, last.end + 1.0, last.warp + 1)
+            warp, _, _, start, end = index.items[-1]
+            index.add(start, end + 1.0, warp + 1)
             assert index._serial_breaks() == (None, None)
 
     def test_unfrozen_empty_index_covers_nothing(self):
@@ -807,3 +812,72 @@ class TestPassAgainstReference:
         assert _bits(attribute_tracer(tracer, launch_cycles=cycles)) \
             == _bits(_reference_attribute_events(
                 tracer.events, launch_cycles=cycles))
+
+
+# ----------------------------------------------------------------------
+# Differential: the launch profile's summary == the report's section
+# ----------------------------------------------------------------------
+@st.composite
+def summary_traces(draw):
+    """A :func:`launch_traces` case or the empty trace, now and then
+    with one more warp that stalls but never issues."""
+    if draw(st.integers(0, 9)) == 0:
+        tracer = Tracer()
+        launch_cycles = draw(st.one_of(st.none(), _POINTS))
+    else:
+        tracer, launch_cycles = draw(launch_traces())
+    if draw(st.booleans()):
+        start = draw(_POINTS)
+        tracer.record(99, 0, "stall", start, start + draw(_POINTS),
+                      draw(st.sampled_from(
+                          ["memory", "issue_queue", "translation"])),
+                      draw(st.integers(min_value=0, max_value=2)))
+    return tracer, launch_cycles
+
+
+class TestSummaryAgainstReport:
+    """Sections compare as JSON text, as :func:`_bits` compares
+    reports: ``-0.0`` must not pass for ``0.0``."""
+
+    @settings(max_examples=budget(200), deadline=None)
+    @given(summary_traces())
+    @example((Tracer(), None))
+    @example((Tracer(), 12.0))
+    def test_summary_is_the_reports_section(self, case):
+        tracer, launch_cycles = case
+        assert json.dumps(summarize_events(
+            tracer.rows, launch_cycles=launch_cycles)) \
+            == json.dumps(attribute_events(
+                tracer.rows, launch_cycles=launch_cycles).to_component())
+
+    @pytest.mark.parametrize("workload", ["memcpy", "graphwalk",
+                                          "kv-writeback"])
+    def test_profiled_launches_store_the_reports_section(self, workload):
+        # perfbench's tiny sizes: every launch traced in full.
+        from repro.gpu import Device
+        from repro.telemetry import capture
+        from repro.workloads import run_graphwalk, run_kvstore, run_memcpy
+
+        run = {
+            "memcpy": lambda: run_memcpy(
+                Device(), use_apointers=True, width=4, nblocks=2,
+                warps_per_block=4, iters_per_thread=4),
+            "graphwalk": lambda: run_graphwalk(
+                nwarps=4, steps=2, nnodes=8 * 1024, use_tlb=True),
+            "kv-writeback": lambda: run_kvstore(
+                nwarps=4, records_per_warp=64, ops_per_warp=8,
+                num_frames=6),
+        }[workload]
+        with capture(trace=True, attribution=True) as prof:
+            run()
+        assert prof.profiles
+        for profile, tracer in zip(prof.profiles, prof.traces):
+            section = profile.components["attribution"]
+            assert section["attributed"] == 1
+            assert json.dumps(section) == json.dumps(
+                attribute_tracer(tracer, launch_cycles=profile.cycles)
+                .to_component())
+        # Not a trace of zeros: kv-writeback translates nothing, but
+        # every workload leaves SM-cycles with no warp issuing.
+        assert any(p.components["attribution"]["critical_path_cycles"]
+                   > 0 for p in prof.profiles)
