@@ -161,7 +161,7 @@ class TimedLock:
     """
 
     __slots__ = ("name", "holder", "waiters", "acquisitions", "contended",
-                 "latency")
+                 "latency", "acquire", "release")
 
     def __init__(self, name: str = "lock", latency: float | None = None):
         self.name = name
@@ -172,6 +172,12 @@ class TimedLock:
         # Acquire cost in cycles; None means the device atomic latency
         # (global-memory lock).  Scratchpad locks set a smaller value.
         self.latency = latency
+        # The lock's two requests, built once: the engine never mutates
+        # either, so an untraced warp yields these objects on every
+        # acquire and release (a traced acquire is built fresh, to
+        # carry its warp's activity tag).
+        self.acquire = AcquireLock(self)
+        self.release = ReleaseLock(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "held" if self.holder is not None else "free"

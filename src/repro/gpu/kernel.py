@@ -17,6 +17,7 @@ same way real instructions fill issue slots between memory accesses.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
@@ -32,7 +33,6 @@ from repro.gpu.instructions import (
     LoadFence,
     MemAccess,
     PcieTransfer,
-    ReleaseLock,
     Request,
     ScratchAccess,
     Sleep,
@@ -40,6 +40,28 @@ from repro.gpu.instructions import (
 )
 from repro.gpu.memory import DTYPES, AffineLanes, GlobalMemory, Scratchpad
 from repro.gpu.specs import GPUSpec
+
+
+class _Word(struct.Struct):
+    """One integer dtype's word: its packer, in native byte order at
+    the standard size (the layout ``GlobalMemory.data`` holds a word
+    in), and the dtype's value range, ``lo`` to ``hi``."""
+
+    __slots__ = ("lo", "hi")
+
+    def __init__(self, code: str, dtype: str):
+        super().__init__("=" + code)
+        info = np.iinfo(DTYPES[dtype])
+        self.lo = int(info.min)
+        self.hi = int(info.max)
+
+
+#: The integer dtypes' words, by dtype name.  The leader's scalar
+#: accesses move an integer word with these instead of a typed view of
+#: a slice; a float word keeps the numpy form.
+_WORDS = {name: _Word(code, name) for name, code in (
+    ("u1", "B"), ("i1", "b"), ("u2", "H"), ("i2", "h"),
+    ("u4", "I"), ("i4", "i"), ("u8", "Q"), ("i8", "q"))}
 
 
 @dataclass
@@ -97,6 +119,11 @@ class WarpContext:
         self.block_tid = warp_in_block * spec.warp_size + self.lane
         self._pending_count = 0.0
         self._pending_chain = 0.0
+        # The untraced warp's ``ScratchAccess`` of each count, keyed by
+        # the count's exact type and value (``1`` and ``1.0`` stay
+        # apart).  A zero, whose sign the key cannot tell, and NaN are
+        # built fresh every time.
+        self._scratch: dict[tuple[type, float], ScratchAccess] = {}
         # Attribution state, only maintained while a tracer is attached
         # (the stall-interval recording of ``repro.telemetry.attribution``):
         # ``_activity`` is a stack of activity tags ("translation",
@@ -218,6 +245,17 @@ class WarpContext:
                 pair[0] += count
                 pair[1] += chain
 
+    def _flush_request(self) -> Optional[Compute]:
+        """The pending charge, taken by :meth:`_take_pending`, as one
+        ``Compute`` (tagged under a tracer), or ``None`` when none was
+        pending.  A primitive that flushes before its own request
+        yields this first when it is not ``None``, without the nested
+        generator of :meth:`flush`."""
+        pc, pch, pair = self._take_pending()
+        if pc or pch:
+            return self._tagged(Compute(pc, pch), pair)
+        return None
+
     def _take_pending(self) -> tuple[float, float, Optional[list]]:
         count, chain = self._pending_count, self._pending_chain
         self._pending_count = 0.0
@@ -248,10 +286,9 @@ class WarpContext:
 
     def flush(self) -> Iterator[Request]:
         """Flush any pending charged instructions as a compute op."""
-        pc, pch, pair = self._take_pending()
-        if pc or pch:
-            self.now = yield self._tagged(Compute(count=pc, chain=pch),
-                                          pair)
+        req = self._flush_request()
+        if req is not None:
+            self.now = yield req
 
     # ------------------------------------------------------------------
     # Global memory
@@ -332,7 +369,9 @@ class WarpContext:
 
     def fence(self) -> Iterator[Request]:
         """Wait for all outstanding non-blocking loads to arrive."""
-        yield from self.flush()
+        req = self._flush_request()
+        if req is not None:
+            self.now = yield req
         self.now = yield LoadFence()
 
     def store_wide(self, addrs, values, dtype: str = "f4",
@@ -354,17 +393,24 @@ class WarpContext:
         """Single-address load performed by the warp leader.
 
         The request is the one-lane :meth:`load` of
-        ``AffineLanes(addr, itemsize, 1)``: the same closed-form count,
-        charge and attribution.  One lane is one contiguous span, so the
-        word is read as one slice after the yield, behind the same
-        bounds check and message as the vector path."""
+        ``AffineLanes(addr, itemsize, 1)``: the same count, charge and
+        attribution.  One lane is one contiguous span, so a word no
+        wider than a segment is counted by
+        :meth:`GlobalMemory.span_transactions`, the closed form
+        ``transactions_for`` would apply to that lane, and the word is
+        read after the yield, behind the same bounds check and
+        message as the vector path: an integer word by its packer in
+        ``_WORDS``, returned as the dtype's scalar type, a float word as
+        one slice."""
         dt = DTYPES[dtype]
         w = dt.itemsize
         addr = int(addr)
         memory = self.memory
-        req = MemAccess(
-            memory.transactions_for(AffineLanes(addr, w, 1), w),
-            False, self._pending_count, self._pending_chain)
+        tx = (memory.span_transactions(addr, w)
+              if w <= memory.transaction_bytes
+              else memory.transactions_for(AffineLanes(addr, w, 1), w))
+        req = MemAccess(tx, False, self._pending_count,
+                        self._pending_chain)
         self._pending_count = self._pending_chain = 0.0
         if self.tracer is not None:
             self._tagged(req, self._pending_translation)
@@ -372,21 +418,38 @@ class WarpContext:
         self.now = yield req
         if addr < 0 or addr + w > memory.size:
             raise memory._span_error(addr, addr + w)
-        return memory.data[addr:addr + w].view(dt)[0]
+        word = _WORDS.get(dtype)
+        if word is None:
+            return memory.data[addr:addr + w].view(dt)[0]
+        return dt.type(word.unpack_from(memory.data, addr)[0])
 
     def store_scalar(self, addr: int, value, dtype: str = "u8"
                      ) -> Iterator[Request]:
         """Single-address store performed by the warp leader: the
         one-lane :meth:`store` of ``AffineLanes(addr, itemsize, 1)``,
-        written as one slice like :meth:`load_scalar` reads."""
+        counted as :meth:`load_scalar` counts.
+
+        A Python ``int`` in an integer dtype's range is packed as
+        :meth:`load_scalar` reads; any other value (a float, a bool, a
+        numpy scalar, an int out of range) is assigned through a typed
+        view of one slice, with numpy's conversions and errors."""
         dt = DTYPES[dtype]
         w = dt.itemsize
         addr = int(addr)
         memory = self.memory
-        tx = memory.transactions_for(AffineLanes(addr, w, 1), w)
+        tx = (memory.span_transactions(addr, w)
+              if w <= memory.transaction_bytes
+              else memory.transactions_for(AffineLanes(addr, w, 1), w))
         if addr < 0 or addr + w > memory.size:
             raise memory._span_error(addr, addr + w)
-        memory.data[addr:addr + w].view(dt)[0] = value
+        # The range is tested first: ``pack_into`` zeroes the word
+        # before it refuses a value.
+        word = _WORDS.get(dtype)
+        if word is not None and type(value) is int \
+                and word.lo <= value <= word.hi:
+            word.pack_into(memory.data, addr, value)
+        else:
+            memory.data[addr:addr + w].view(dt)[0] = value
         req = MemAccess(tx, True, self._pending_count, self._pending_chain)
         self._pending_count = self._pending_chain = 0.0
         if self.tracer is not None:
@@ -481,19 +544,25 @@ class WarpContext:
         (a Python int, or a float for a float dtype).
 
         An integer sum wraps two's-complement at the dtype's width, as
-        CUDA ``atomicAdd`` does."""
+        CUDA ``atomicAdd`` does, and its word moves by its packer in
+        ``_WORDS``; a float word moves through a typed view."""
         dt = DTYPES[dtype]
         addr = int(addr)
-        word = self.memory.read(addr, dt.itemsize).view(dt)
-        old = word.item()
-        if dt.kind == "f":
-            word[0] = old + value
+        memory = self.memory
+        word = _WORDS.get(dtype)
+        if word is None:
+            view = memory.read(addr, dt.itemsize).view(dt)
+            old = view.item()
+            view[0] = old + value
         else:
+            memory._check(addr, dt.itemsize)
+            data = memory.data
+            old = word.unpack_from(data, addr)[0]
             bits = 8 * dt.itemsize
             new = (old + int(value)) & ((1 << bits) - 1)
             if dt.kind == "i" and new >> (bits - 1):
                 new -= 1 << bits
-            word[0] = new
+            word.pack_into(data, addr, new)
         req = AtomicOp(addr)
         if self.tracer is not None:
             self._tagged(req, None)
@@ -504,12 +573,24 @@ class WarpContext:
     # Scratchpad
     # ------------------------------------------------------------------
     def scratch(self, count: float = 1.0) -> Iterator[Request]:
-        """Charge a scratchpad access (data lives in ``block.scratchpad``)."""
-        pc, pch, pair = self._take_pending()
-        if pc or pch:
-            self.now = yield self._tagged(Compute(count=pc, chain=pch),
-                                          pair)
-        self.now = yield self._tagged(ScratchAccess(count=count), None)
+        """Charge a scratchpad access (data lives in ``block.scratchpad``).
+
+        An untraced warp yields its one shared request of each
+        ``count`` (``_scratch``); a traced one builds it fresh, to carry
+        the activity tag."""
+        req = self._flush_request()
+        if req is not None:
+            self.now = yield req
+        if self.tracer is not None:
+            req = self._tagged(ScratchAccess(count), None)
+        else:
+            key = (type(count), count)
+            req = self._scratch.get(key)
+            if req is None:
+                req = ScratchAccess(count)
+                if count and count == count:
+                    self._scratch[key] = req
+        self.now = yield req
 
     # ------------------------------------------------------------------
     # Warp intrinsics (single-instruction cost, charged lazily)
@@ -550,22 +631,32 @@ class WarpContext:
     # Synchronisation
     # ------------------------------------------------------------------
     def syncthreads(self) -> Iterator[Request]:
-        yield from self.flush()
+        req = self._flush_request()
+        if req is not None:
+            self.now = yield req
         self.now = yield Barrier()
 
     def lock(self, lock: TimedLock) -> Iterator[Request]:
-        yield from self.flush()
-        self.now = yield self._tagged(AcquireLock(lock), None)
+        """Acquire ``lock``: an untraced warp yields the lock's own
+        ``AcquireLock``, a traced one a fresh request with its tag."""
+        req = self._flush_request()
+        if req is not None:
+            self.now = yield req
+        self.now = yield (lock.acquire if self.tracer is None
+                          else self._tagged(AcquireLock(lock), None))
 
     def unlock(self, lock: TimedLock) -> Iterator[Request]:
-        self.now = yield ReleaseLock(lock)
+        """Release ``lock`` with its own ``ReleaseLock``, never tagged."""
+        self.now = yield lock.release
 
     # ------------------------------------------------------------------
     # Host interaction (used by the paging layer)
     # ------------------------------------------------------------------
     def pcie(self, nbytes: int, to_device: bool = True,
              latency_free: bool = False) -> Iterator[Request]:
-        yield from self.flush()
+        req = self._flush_request()
+        if req is not None:
+            self.now = yield req
         self.now = yield self._tagged(
             PcieTransfer(nbytes=int(nbytes), to_device=to_device,
                          latency_free=latency_free), None)
@@ -590,7 +681,9 @@ class WarpContext:
         Flushes charged-but-pending instructions first, so a timed
         region includes the cost of the arithmetic inside it.
         """
-        yield from self.flush()
+        req = self._flush_request()
+        if req is not None:
+            self.now = yield req
         self.now = yield Sleep(cycles=0.0)
         return self.now
 

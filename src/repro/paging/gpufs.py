@@ -230,7 +230,8 @@ class GPUfs:
             entry = yield from self.cache.table.lookup(ctx, file_id, fpn)
             if entry is not None:
                 was_inflight = entry.speculative and not entry.ready
-                yield from self._wait_ready(ctx, entry)
+                if not entry.ready:
+                    yield from self._wait_ready(ctx, entry)
                 yield from self.cache.table.add_refs(ctx, entry, refs)
                 if entry.removed:
                     # Eviction won the race for this page: undo and
@@ -266,7 +267,8 @@ class GPUfs:
             winner = yield from self.cache.table.insert(ctx, fresh)
             if winner is not fresh:
                 was_inflight = winner.speculative and not winner.ready
-                yield from self._wait_ready(ctx, winner)
+                if not winner.ready:
+                    yield from self._wait_ready(ctx, winner)
                 yield from self.cache.table.add_refs(ctx, winner, refs)
                 if winner.removed:
                     yield from self.cache.table.add_refs(
@@ -375,6 +377,9 @@ class GPUfs:
             ctx.trace_span(kind, start, ctx.now, f"fpn={fpn}")
 
     def _wait_ready(self, ctx: WarpContext, entry: PageTableEntry):
+        """Wait for ``entry``'s page-in to land.  For a ready entry this
+        yields nothing and counts no busy wait, so callers on the fault
+        path test ``entry.ready`` first and skip the call."""
         if not entry.ready and entry.ready_at is not None:
             # In-flight readahead transfer: wait only for the remaining
             # time on the daemon timeline, not a whole page-in.

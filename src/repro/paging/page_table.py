@@ -329,9 +329,9 @@ class PageTable:
 
     def add_refs(self, ctx: WarpContext, entry: PageTableEntry, refs: int):
         """Timed atomic refcount adjustment (may be negative)."""
-        slot = self._index.get(entry.key)
-        addr = self._slot_addr(slot if slot is not None else 0) + 8
-        yield from ctx.atomic_add(addr, refs)
+        slot = self._index.get((entry.file_id, entry.fpn))
+        addr = self.base + (slot if slot is not None else 0) * ENTRY_BYTES
+        yield from ctx.atomic_add(addr + 8, refs)
         entry.refcount += refs
         if entry.refcount < 0:
             raise RuntimeError(

@@ -299,7 +299,8 @@ class TestEffectsExport:
             [sys.executable, "-m", "repro.analysis",
              "src/repro/syscalls", "--effects", str(out)],
             capture_output=True, text=True,
-            env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"})
+            env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin",
+                 "PYTHONDONTWRITEBYTECODE": "1"})
         doc = json.loads(out.read_text())
         assert doc["version"] == 1
         functions = doc["functions"]

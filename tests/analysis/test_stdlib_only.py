@@ -34,6 +34,7 @@ def test_lint_path_is_stdlib_only():
     proc = subprocess.run(
         [sys.executable, "-c", _PROBE],
         capture_output=True, text=True,
-        env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"})
+        env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin",
+             "PYTHONDONTWRITEBYTECODE": "1"})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "ok"

@@ -248,6 +248,10 @@ def _charge_pairs(body, traced: bool = True):
     return seen
 
 
+#: A synthetic charge of other work between translation charges, named
+#: so the calibration linter can see it is a deliberate test load.
+OTHER_WORK = 9.0
+
 #: Every way a warp takes its pending charge into a request, each
 #: called ``(ctx, buf)``.
 TAKERS = {
@@ -292,10 +296,10 @@ class TestTranslationChargePair:
         # the pair sums in call order.
         def body(ctx, buf):
             ctx.charge(0.1, chain=1.0, tag="translation")
-            ctx.charge(9.0, tag="fault_wait")
+            ctx.charge(OTHER_WORK, tag="fault_wait")
             ctx.push_activity("translation")
             ctx.charge(0.2, chain=2.0)
-            ctx.charge(9.0, tag="tlb_miss")     # an explicit tag wins
+            ctx.charge(OTHER_WORK, tag="tlb_miss")  # an explicit tag wins
             ctx.pop_activity()
             ctx.charge(0.3, chain=4.0, tag="translation")
             yield from TAKERS[taker](ctx, buf)

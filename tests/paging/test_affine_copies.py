@@ -47,7 +47,8 @@ def spy(monkeypatch):
     access: the producer is the function that called the accessor, or
     one of ``DIRECT``, which count their own steps.  A full staging
     step priced by ``span_transactions`` is recorded as the 8-byte
-    lanes that tile its span."""
+    lanes that tile its span, and a leader's word priced by it as its
+    one lane."""
     calls = []
     count = GlobalMemory.transactions_for
     span = GlobalMemory.span_transactions
@@ -64,9 +65,12 @@ def spy(monkeypatch):
 
     def span_transactions(self, base, nbytes):
         tx = span(self, base, nbytes)
-        if sys._getframe(1).f_code.co_name == "copy":
+        name = sys._getframe(1).f_code.co_name
+        if name == "copy":
             calls.append(("copy", AffineLanes(base, 8, nbytes // 8), None,
                           tx))
+        elif name in DIRECT:
+            calls.append((name, AffineLanes(base, nbytes, 1), None, tx))
         return tx
 
     monkeypatch.setattr(GlobalMemory, "transactions_for", transactions_for)
