@@ -5,7 +5,7 @@ pre-existing cost — that total is reported as ``extra_info`` for the
 trend file but not gated here.  What this benchmark gates is the
 marginal price of the *request-span* machinery layered onto the traced
 path: minting a request id at fault/syscall entry
-(:meth:`WarpContext.begin_request`) and stamping it onto every span.
+(:meth:`TracedWarpContext.begin_request`) and stamping it onto every span.
 
 Two claims:
 
@@ -27,7 +27,7 @@ import time
 import pytest
 
 from benchmarks.conftest import REGISTRY
-from repro.gpu.kernel import WarpContext
+from repro.gpu.kernel import TracedWarpContext
 from repro.harness.runner import Instrumentation, run_experiment
 
 ROUNDS = 3
@@ -45,7 +45,7 @@ def _run_table2(traced: bool):
     return elapsed, report
 
 
-def _run_traced_without_minting(monkeypatch_cls=WarpContext):
+def _run_traced_without_minting(monkeypatch_cls=TracedWarpContext):
     """The traced run as it was before request spans existed."""
     saved = (monkeypatch_cls.begin_request, monkeypatch_cls.end_request)
     monkeypatch_cls.begin_request = lambda self: None

@@ -4,13 +4,14 @@ The static linter (:mod:`repro.analysis.linter`) proves what it can
 from source; this module checks the rest while a kernel actually runs.
 Enabled via ``GPUfsConfig(sanitize=True)``: the owning
 :class:`~repro.paging.gpufs.GPUfs` installs a :class:`Sanitizer` on its
-device, and every subsequent launch builds
-:class:`SanitizedWarpContext` objects and drives each warp through
-:meth:`Sanitizer.watch`.  When the flag is off nothing here is even
-imported - instrumentation sites in the device, the apointer layer and
-the paging layer guard on a single attribute test
-(``ctx.sanitizer is not None``), the same zero-cost-when-off discipline
-as the telemetry hooks.
+device, and every subsequent launch composes its warp context class
+with the :class:`Sanitized` mixin (:class:`SanitizedWarpContext`, or
+:class:`SanitizedTracedWarpContext` under a tracer) and drives each
+warp through :meth:`Sanitizer.watch`.  When the flag is off nothing
+here is even imported - instrumentation sites in the device, the
+apointer layer and the paging layer guard on a single attribute test
+(``ctx.sanitizer is not None``), the same zero-cost-when-off
+discipline as the telemetry hooks.
 
 Checked invariants, one :class:`Violation` record per break:
 
@@ -46,7 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.gpu.kernel import WarpContext
+from repro.gpu.kernel import TracedWarpContext, WarpContext
 
 #: Bound on the torn-write history; beyond it the oldest records are
 #: dropped (and counted), trading completeness for memory.
@@ -129,30 +130,27 @@ class Sanitizer:
         self._writes.clear()
         self._exit_barriers.clear()
 
-    def make_context(self, spec, memory, block, warp_in_block,
-                     tracer=None) -> "SanitizedWarpContext":
-        ctx = SanitizedWarpContext(spec, memory, block, warp_in_block,
-                                   tracer=tracer)
+    def make_context(self, base: type, *args) -> "Sanitized":
+        """A warp context of class ``base`` (:class:`WarpContext` or
+        :class:`TracedWarpContext`, built from ``args``) composed with
+        the :class:`Sanitized` mixin, reporting here."""
+        ctx = (SanitizedWarpContext if base is WarpContext
+               else SanitizedTracedWarpContext)(*args)
         ctx.sanitizer = self
         return ctx
 
-    def watch(self, gen, ctx: "SanitizedWarpContext"):
+    def watch(self, gen, ctx: "Sanitized"):
         """Pass-through driver: forwards every request and return value
         untouched, then runs the warp's exit checks."""
         self.stats.warps_watched += 1
-        value = None
-        while True:
-            try:
-                request = gen.send(value)
-            except StopIteration as stop:
-                self._on_exit(ctx)
-                return stop.value
-            value = yield request
+        result = yield from gen
+        self._on_exit(ctx)
+        return result
 
     # ------------------------------------------------------------------
-    # Hooks from SanitizedWarpContext / APtr / GPUfs
+    # Hooks from Sanitized contexts / APtr / GPUfs
     # ------------------------------------------------------------------
-    def note_store(self, ctx: "SanitizedWarpContext", addrs: np.ndarray,
+    def note_store(self, ctx: "Sanitized", addrs: np.ndarray,
                    width: int, mask) -> None:
         # Scalar ops (store_scalar, copy_bytes) issue a length-1
         # address vector that does not line up with the 32-lane masks;
@@ -203,14 +201,14 @@ class Sanitizer:
             self.stats.dropped_writes += 1
         self._writes.append(rec)
 
-    def note_barrier(self, ctx: "SanitizedWarpContext") -> None:
+    def note_barrier(self, ctx: "Sanitized") -> None:
         self.stats.barriers_observed += 1
         ctx._san_epoch += 1
 
-    def note_lock(self, ctx: "SanitizedWarpContext", lock) -> None:
+    def note_lock(self, ctx: "Sanitized", lock) -> None:
         ctx._san_held.add(id(lock))
 
-    def note_unlock(self, ctx: "SanitizedWarpContext", lock) -> None:
+    def note_unlock(self, ctx: "Sanitized", lock) -> None:
         ctx._san_held.discard(id(lock))
 
     def note_page_ready(self, ctx, frame_addr: int, nbytes: int) -> None:
@@ -240,7 +238,7 @@ class Sanitizer:
     # ------------------------------------------------------------------
     # Exit checks
     # ------------------------------------------------------------------
-    def _on_exit(self, ctx: "SanitizedWarpContext") -> None:
+    def _on_exit(self, ctx: "Sanitized") -> None:
         # Lockstep: all warps of a block pass the same barrier count.
         _, expected = self._exit_barriers.setdefault(
             id(ctx.block), (ctx.block, ctx._san_epoch))
@@ -291,16 +289,17 @@ def _byte_overlap(a: _Write, b: _Write) -> bool:
                        & (starts_b < starts_a + a.width)))
 
 
-class SanitizedWarpContext(WarpContext):
-    """A :class:`WarpContext` that reports to a :class:`Sanitizer`.
+class Sanitized:
+    """Mixin over a warp context class that reports to a
+    :class:`Sanitizer`.
 
     Only observation points are overridden; every operation delegates
-    to the base class unchanged, so timing is identical to an
+    to the context class unchanged, so timing is identical to an
     unsanitized run.
     """
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+    def __init__(self, *args):
+        super().__init__(*args)
         self._san_epoch = 0
         self._san_held: set[int] = set()
         self._san_pins: dict = {}
@@ -334,16 +333,21 @@ class SanitizedWarpContext(WarpContext):
         super().copy_bytes(src, dst, nbytes)
 
     def syncthreads(self):
-        result = yield from super().syncthreads()
+        yield from super().syncthreads()
         self.sanitizer.note_barrier(self)
-        return result
 
     def lock(self, lock):
-        result = yield from super().lock(lock)
+        yield from super().lock(lock)
         self.sanitizer.note_lock(self, lock)
-        return result
 
     def unlock(self, lock):
-        result = yield from super().unlock(lock)
+        yield from super().unlock(lock)
         self.sanitizer.note_unlock(self, lock)
-        return result
+
+
+class SanitizedWarpContext(Sanitized, WarpContext):
+    """An untraced warp context under a sanitizer."""
+
+
+class SanitizedTracedWarpContext(Sanitized, TracedWarpContext):
+    """A traced warp context under a sanitizer."""

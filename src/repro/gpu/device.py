@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from repro.gpu.engine import Engine, EngineStats
-from repro.gpu.kernel import BlockContext, KernelFn, WarpContext
+from repro.gpu.kernel import (BlockContext, KernelFn, TracedWarpContext,
+                              WarpContext)
 from repro.gpu.memory import GlobalMemory, Scratchpad
 from repro.gpu.occupancy import OccupancyLimits, occupancy_limits
 from repro.gpu.specs import GPUSpec, K80_SPEC
@@ -99,13 +100,16 @@ class Device:
     def block_factories(self, cfg: KernelLaunch, observer=None) -> list:
         """Start one launch of ``cfg`` on this device: one zero-argument
         factory per threadblock, each returning ``(BlockContext, [warp
-        generators])``.  Warps record layer spans into the
-        ``observer``'s tracer, and run under :attr:`sanitizer` when one
-        is installed (its per-launch state resets here).  Device and
+        generators])``.  The warp context class is picked once:
+        :class:`TracedWarpContext` under the ``observer``'s tracer, else
+        :class:`WarpContext`, composed by :attr:`sanitizer` when one is
+        installed (its per-launch state resets here).  Device and
         cluster-shard launches both build their grids here."""
         spec = self.spec
         warps_per_block = -(-cfg.block_threads // spec.warp_size)
         tracer = observer.tracer if observer is not None else None
+        cls, extra = ((WarpContext, ()) if tracer is None
+                      else (TracedWarpContext, (tracer,)))
         san = self.sanitizer
 
         def make_block(block_id: int):
@@ -121,12 +125,11 @@ class Device:
                 gens = []
                 for w in range(warps_per_block):
                     if san is None:
-                        ctx = WarpContext(spec, self.memory, block, w,
-                                          tracer=tracer)
+                        ctx = cls(spec, self.memory, block, w, *extra)
                         gens.append(cfg.kernel(ctx, *cfg.args))
                     else:
-                        ctx = san.make_context(spec, self.memory,
-                                               block, w, tracer=tracer)
+                        ctx = san.make_context(cls, spec, self.memory,
+                                               block, w, *extra)
                         gens.append(san.watch(
                             cfg.kernel(ctx, *cfg.args), ctx))
                 return block, gens

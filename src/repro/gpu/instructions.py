@@ -27,8 +27,9 @@ from typing import Callable, Optional
 class Request:
     """Base class for timed requests."""
 
-    # Attribution metadata, set by :class:`~repro.gpu.kernel.WarpContext`
-    # only while a tracer is recording stall intervals.  Plain class
+    # Attribution metadata, set only by
+    # :class:`~repro.gpu.kernel.TracedWarpContext`, the context of a
+    # launch whose tracer records stall intervals.  Plain class
     # attributes (not dataclass fields) so subclass constructors keep
     # their positional signatures and an untagged request costs nothing.
     #

@@ -57,8 +57,8 @@ class _Word(struct.Struct):
 
 
 #: The integer dtypes' words, by dtype name.  The leader's scalar
-#: accesses move an integer word with these instead of a typed view of
-#: a slice; a float word keeps the numpy form.
+#: accesses move an integer word with these; a float word, and a stored
+#: value a word's packer does not take, keep the numpy form.
 _WORDS = {name: _Word(code, name) for name, code in (
     ("u1", "B"), ("i1", "b"), ("u2", "H"), ("i2", "h"),
     ("u4", "I"), ("i4", "i"), ("u8", "Q"), ("i8", "q"))}
@@ -94,22 +94,30 @@ class WarpContext:
 
     Exposes lane identity, global memory access, scratchpad access, warp
     intrinsics, locks, barriers, and the raw ``charge``/``compute`` cost
-    hooks used by the ActivePointers layer.
+    hooks used by the ActivePointers layer.  It records nothing for
+    telemetry: a launch under a tracer runs :class:`TracedWarpContext`,
+    which adds the attribution tags and request spans.
     """
 
     #: Runtime sanitizer (``repro.analysis.sanitizer``) observing this
-    #: warp, or ``None``.  A class attribute so instrumentation sites
-    #: (``APtr.__init__``, ``GPUfs.gmmap``, :meth:`copy`) pay one
-    #: attribute test when sanitization is off, mirroring the ``tracer
-    #: is None`` guard.
+    #: warp, and tracer recording its spans, or ``None``.  Class
+    #: attributes, so instrumentation sites (``APtr.__init__``,
+    #: ``GPUfs.gmmap``, :meth:`copy`, the layers' spans) pay one
+    #: attribute test when either is off.
     sanitizer = None
+    tracer = None
+    #: The constructors ``store``, the leader's accessors and
+    #: ``atomic_add`` build their request with: the request classes, so
+    #: an untraced access calls nothing more.  TracedWarpContext's
+    #: methods of these names tag what they build.
+    _access = MemAccess
+    _atomic = AtomicOp
 
     def __init__(self, spec: GPUSpec, memory: GlobalMemory,
-                 block: BlockContext, warp_in_block: int, tracer=None):
+                 block: BlockContext, warp_in_block: int):
         self.spec = spec
         self.memory = memory
         self.block = block
-        self.tracer = tracer
         self.warp_in_block = warp_in_block
         self.warp_size = spec.warp_size
         self.lane = wp.lane_ids(spec.warp_size)
@@ -119,32 +127,15 @@ class WarpContext:
         self.block_tid = warp_in_block * spec.warp_size + self.lane
         self._pending_count = 0.0
         self._pending_chain = 0.0
-        # The untraced warp's ``ScratchAccess`` of each count, keyed by
-        # the count's exact type and value (``1`` and ``1.0`` stay
-        # apart).  A zero, whose sign the key cannot tell, and NaN are
-        # built fresh every time.
+        # The warp's ``ScratchAccess`` of each count, keyed by the
+        # count's exact type and value (``1`` and ``1.0`` stay apart).
+        # A zero, whose sign the key cannot tell, and NaN are built
+        # fresh every time.
         self._scratch: dict[tuple[type, float], ScratchAccess] = {}
-        # Attribution state, only maintained while a tracer is attached
-        # (the stall-interval recording of ``repro.telemetry.attribution``):
-        # ``_activity`` is a stack of activity tags ("translation",
-        # "fault_wait", ...), ``activity`` its innermost tag ('' when
-        # empty), and ``_pending_translation`` the ``[count, chain]``
-        # share of the pending charge tagged "translation" (``None``
-        # until some is charged), which the observer decomposes.
-        self._activity: list[str] = []
-        self.activity = ""
-        self._pending_translation: Optional[list] = None
-        # Causal request spans: ``begin_request`` mints a deterministic
-        # id at warp fault / syscall entry; every span recorded until
-        # the matching ``end_request`` carries it, linking translation,
-        # fault handling, readahead and staging for one logical request.
-        self._request_depth = 0
-        self._request_seq = 0
-        self._request_id = ""
         self.now = 0.0
 
     # ------------------------------------------------------------------
-    # Identity helpers
+    # Identity helpers and telemetry
     # ------------------------------------------------------------------
     @property
     def block_id(self) -> int:
@@ -154,68 +145,13 @@ class WarpContext:
     def warp_id(self) -> int:
         return self.block.warp_id(self.warp_in_block)
 
-    # ------------------------------------------------------------------
-    # Telemetry
-    # ------------------------------------------------------------------
-    def trace_span(self, kind: str, start: float, end: float,
-                   detail: str = "") -> None:
-        """Record a layer-level span (fault handling, page-in, ...).
+    def _untraced(self, *args, **kwargs) -> None:
+        """What an untraced warp does to record telemetry: nothing."""
 
-        No-op without an attached tracer; call sites on hot paths should
-        still guard with ``if ctx.tracer is not None`` so they do not
-        pay for building ``detail`` strings when tracing is off.
-        """
-        if self.tracer is None:
-            return
-        self.tracer.record(self.warp_id, self.block_id, kind, start, end,
-                           detail, sm=self.block.sm_index,
-                           req=self._request_id)
-
-    def begin_request(self) -> None:
-        """Open a causal request scope (pair with :meth:`end_request`,
-        ideally via ``try/finally``).
-
-        At the outermost entry a request id ``"<device>:<warp>:<seq>"``
-        is minted from simulated state only — deterministic across
-        reruns.  Nested begins (a syscall whose page loop faults, a
-        fault whose handler issues readahead) reuse the outer id, so
-        every span a warp records until the matching end shares one
-        request.  No-op without a tracer — zero-cost when tracing is
-        off.
-        """
-        if self.tracer is None:
-            return
-        if self._request_depth == 0:
-            # One engine runs one device, so the device prefix is 0;
-            # a cluster merge rebases it to the shard's device index.
-            self._request_id = f"0:{self.warp_id}:{self._request_seq}"
-            self._request_seq += 1
-        self._request_depth += 1
-
-    def end_request(self) -> None:
-        """Close the innermost causal request scope."""
-        if self.tracer is None:
-            return
-        if self._request_depth > 0:
-            self._request_depth -= 1
-            if self._request_depth == 0:
-                self._request_id = ""
-
-    def push_activity(self, tag: str) -> None:
-        """Enter an attribution activity (pair with :meth:`pop_activity`,
-        ideally via ``try/finally``).  While active, charged work and
-        yielded requests are tagged ``tag`` so the stall-interval
-        recorder can name the reason a warp was not issuing.  No-op
-        without a tracer — attribution is zero-cost when off."""
-        if self.tracer is not None:
-            self._activity.append(tag)
-            self.activity = tag
-
-    def pop_activity(self) -> None:
-        stack = self._activity
-        if self.tracer is not None and stack:
-            stack.pop()
-            self.activity = stack[-1] if stack else ""
+    # Spans, causal request scopes and attribution activities, which
+    # only TracedWarpContext records.
+    trace_span = begin_request = end_request = push_activity = \
+        pop_activity = _untraced
 
     # ------------------------------------------------------------------
     # Instruction cost accounting
@@ -227,53 +163,23 @@ class WarpContext:
         The cost is folded into the next timed request the warp issues,
         exactly as real ALU instructions occupy issue slots between
         memory operations.  ``tag`` attributes the work to an activity
-        ("translation", ...) for the stall recorder; it defaults to the
-        innermost :meth:`push_activity` tag.  Only while a tracer is
-        attached is work tagged "translation" summed into the pair the
-        next request carries (``Request.translation_charge``) — timing
-        is identical either way.
+        ("translation", ...) for the stall recorder, which only a traced
+        warp keeps (:meth:`TracedWarpContext.charge`).
         """
-        chain = count if chain is None else chain
         self._pending_count += count
-        self._pending_chain += chain
-        if self.tracer is not None and (tag or self.activity) \
-                == "translation":
-            pair = self._pending_translation
-            if pair is None:
-                self._pending_translation = [count, chain]
-            else:
-                pair[0] += count
-                pair[1] += chain
-
-    def _flush_request(self) -> Optional[Compute]:
-        """The pending charge, taken by :meth:`_take_pending`, as one
-        ``Compute`` (tagged under a tracer), or ``None`` when none was
-        pending.  A primitive that flushes before its own request
-        yields this first when it is not ``None``, without the nested
-        generator of :meth:`flush`."""
-        pc, pch, pair = self._take_pending()
-        if pc or pch:
-            return self._tagged(Compute(pc, pch), pair)
-        return None
+        self._pending_chain += count if chain is None else chain
 
     def _take_pending(self) -> tuple[float, float, Optional[list]]:
+        """Take the pending charge: its count, chain and translation
+        pair, which only a traced warp keeps."""
         count, chain = self._pending_count, self._pending_chain
-        self._pending_count = 0.0
-        self._pending_chain = 0.0
-        pair = self._pending_translation
-        self._pending_translation = None
-        return count, chain, pair
+        self._pending_count = self._pending_chain = 0.0
+        return count, chain, None
 
-    def _tagged(self, req: Request, translation: Optional[list]) -> Request:
-        """Attach attribution metadata to an outgoing request (only when
-        a tracer is attached; otherwise the class defaults stay):
-        the activity tag and the ``translation`` charge pair."""
-        if self.tracer is not None:
-            tag = self.activity
-            if tag:
-                req.tag = tag
-            if translation is not None:
-                req.translation_charge = translation
+    def _tagged(self, req: Request, translation: Optional[list],
+                chain_tag: str = "") -> Request:
+        """``req`` with its attribution metadata, which only a traced
+        warp attaches (:meth:`TracedWarpContext._tagged`)."""
         return req
 
     def compute(self, count: float, chain: Optional[float] = None
@@ -286,13 +192,23 @@ class WarpContext:
 
     def flush(self) -> Iterator[Request]:
         """Flush any pending charged instructions as a compute op."""
-        req = self._flush_request()
+        return self._after_flush(None)
+
+    def _after_flush(self, req: Optional[Request]) -> Iterator[Request]:
+        """Yield the pending charge, taken by :meth:`_take_pending`, as
+        one ``Compute`` when any is pending, then ``req`` unless it is
+        ``None``: every primitive that flushes first returns this."""
+        pc, pch, pair = self._take_pending()
+        if pc or pch:
+            self.now = yield self._tagged(Compute(pc, pch), pair)
         if req is not None:
             self.now = yield req
 
     # ------------------------------------------------------------------
     # Global memory
     # ------------------------------------------------------------------
+    # ``load``, ``store`` and the leader's accessors take the pending
+    # charge inline (as in ``_take_pending``), one per access.
     def load(self, addrs, dtype: str = "f4", mask=None,
              overlap_chain: float = 0.0, post_chain: float = 0.0,
              chain_tag: str = "") -> Iterator[Request]:
@@ -308,9 +224,6 @@ class WarpContext:
         ``chain_tag`` attributes those chains to an activity for the
         stall recorder (the translation layer passes ``"translation"``).
         """
-        # The pending charge is taken inline (as in :meth:`_take_pending`)
-        # and the request tagged only under a tracer: the apointer layer
-        # issues one of these per dereference.
         if type(addrs) is not AffineLanes:
             addrs = self._addr_vec(addrs)
         memory = self.memory
@@ -319,11 +232,6 @@ class WarpContext:
             False, self._pending_count, self._pending_chain,
             overlap_chain, post_chain)
         self._pending_count = self._pending_chain = 0.0
-        if self.tracer is not None:
-            self._tagged(req, self._pending_translation)
-            self._pending_translation = None
-            if chain_tag:
-                req.chain_tag = chain_tag
         self.now = yield req
         return memory.load_vector(addrs, dtype, mask)
 
@@ -335,11 +243,9 @@ class WarpContext:
         memory = self.memory
         tx = memory.transactions_for(addrs, DTYPES[dtype].itemsize, mask)
         memory.store_vector(addrs, values, dtype, mask)
-        req = MemAccess(tx, True, self._pending_count, self._pending_chain)
+        req = self._access(tx, True, self._pending_count,
+                           self._pending_chain)
         self._pending_count = self._pending_chain = 0.0
-        if self.tracer is not None:
-            self._tagged(req, self._pending_translation)
-            self._pending_translation = None
         self.now = yield req
 
     def load_wide(self, addrs, dtype: str = "f4", elems: int = 4,
@@ -358,21 +264,14 @@ class WarpContext:
         width = DTYPES[dtype].itemsize * elems
         tx = self.memory.transactions_for(addrs, width, mask=mask)
         pc, pch, pair = self._take_pending()
-        req = MemAccess(transactions=tx, is_store=False, count=pc,
-                        chain=pch, overlap_chain=overlap_chain,
-                        post_chain=post_chain,
-                        nonblocking=nonblocking)
-        if chain_tag and self.tracer is not None:
-            req.chain_tag = chain_tag
-        self.now = yield self._tagged(req, pair)
+        self.now = yield self._tagged(
+            MemAccess(tx, False, pc, pch, overlap_chain, post_chain,
+                      nonblocking), pair, chain_tag)
         return self.memory.load_vector_wide(addrs, dtype, elems, mask=mask)
 
     def fence(self) -> Iterator[Request]:
         """Wait for all outstanding non-blocking loads to arrive."""
-        req = self._flush_request()
-        if req is not None:
-            self.now = yield req
-        self.now = yield LoadFence()
+        return self._after_flush(LoadFence())
 
     def store_wide(self, addrs, values, dtype: str = "f4",
                    mask=None) -> Iterator[Request]:
@@ -409,12 +308,9 @@ class WarpContext:
         tx = (memory.span_transactions(addr, w)
               if w <= memory.transaction_bytes
               else memory.transactions_for(AffineLanes(addr, w, 1), w))
-        req = MemAccess(tx, False, self._pending_count,
-                        self._pending_chain)
+        req = self._access(tx, False, self._pending_count,
+                           self._pending_chain)
         self._pending_count = self._pending_chain = 0.0
-        if self.tracer is not None:
-            self._tagged(req, self._pending_translation)
-            self._pending_translation = None
         self.now = yield req
         if addr < 0 or addr + w > memory.size:
             raise memory._span_error(addr, addr + w)
@@ -427,12 +323,10 @@ class WarpContext:
                      ) -> Iterator[Request]:
         """Single-address store performed by the warp leader: the
         one-lane :meth:`store` of ``AffineLanes(addr, itemsize, 1)``,
-        counted as :meth:`load_scalar` counts.
-
-        A Python ``int`` in an integer dtype's range is packed as
-        :meth:`load_scalar` reads; any other value (a float, a bool, a
-        numpy scalar, an int out of range) is assigned through a typed
-        view of one slice, with numpy's conversions and errors."""
+        counted as :meth:`load_scalar` counts.  A Python ``int`` in an
+        integer dtype's range is packed as :meth:`load_scalar` reads;
+        any other value takes that one-lane store's own path, which
+        converts the value before it checks the address."""
         dt = DTYPES[dtype]
         w = dt.itemsize
         addr = int(addr)
@@ -440,38 +334,35 @@ class WarpContext:
         tx = (memory.span_transactions(addr, w)
               if w <= memory.transaction_bytes
               else memory.transactions_for(AffineLanes(addr, w, 1), w))
-        if addr < 0 or addr + w > memory.size:
-            raise memory._span_error(addr, addr + w)
         # The range is tested first: ``pack_into`` zeroes the word
         # before it refuses a value.
         word = _WORDS.get(dtype)
         if word is not None and type(value) is int \
                 and word.lo <= value <= word.hi:
+            if addr < 0 or addr + w > memory.size:
+                raise memory._span_error(addr, addr + w)
             word.pack_into(memory.data, addr, value)
         else:
-            memory.data[addr:addr + w].view(dt)[0] = value
-        req = MemAccess(tx, True, self._pending_count, self._pending_chain)
+            memory.store_vector(AffineLanes(addr, w, 1), [value], dtype)
+        req = self._access(tx, True, self._pending_count,
+                           self._pending_chain)
         self._pending_count = self._pending_chain = 0.0
-        if self.tracer is not None:
-            self._tagged(req, self._pending_translation)
-            self._pending_translation = None
         self.now = yield req
 
     def copy(self, src: int, dst: int, nbytes: int) -> Iterator[Request]:
         """Warp-wide timed copy of ``nbytes`` from ``src`` to ``dst``,
-        yielded to the engine as one run of requests.
-
-        Each step is a load and a store of 8 bytes per lane, charged 4
-        instructions.  A full step's counts come in closed form from
+        yielded to the engine as one run of requests.  Each step is a
+        load and a store of 8 bytes per lane, charged 4 instructions.  A
+        full step's counts come in closed form from
         :meth:`GlobalMemory.span_transactions`, the formula of the
         coalescer's affine branch; a partial last step masks off the
         lanes past ``nbytes`` and is counted as lane vectors; the last
         ``nbytes % 8`` bytes are an untimed tail.  The first load takes
-        the pending charge, and after it equal requests are one shared
-        object: the engine mutates only a request it slices, and no
-        later step carries more than ``Engine.ISSUE_SLICE``.  Under a
-        tracer each step carries the tag and translation charge pair of
-        its charge; under a sanitizer each step records its store.
+        the pending charge, and after it equal requests are one object,
+        built (and tagged) once per copy: the engine mutates only a
+        request it slices, and no later step carries more than
+        ``Engine.ISSUE_SLICE``.  Under a sanitizer each step records its
+        store.
 
         The bytes move as one slice before the run is yielded, so a
         span out of bounds raises before any request.  That is exact
@@ -484,7 +375,6 @@ class WarpContext:
         lane = self.lane
         step = width * self.warp_size
         san = self.sanitizer
-        tag = self.activity if self.tracer is not None else ""
         # Lanes wider than a segment are counted per lane, as
         # ``transactions_for`` counts them.
         closed = width <= mem.transaction_bytes
@@ -504,23 +394,17 @@ class WarpContext:
                 mask = None if full else lane_off + width <= nbytes
                 tx_src = mem.transactions_for(src + lane_off, width, mask)
                 tx_dst = mem.transactions_for(dst + lane_off, width, mask)
-            if run:
-                load = loads.get(tx_src)
-                if load is None:
-                    load = loads[tx_src] = MemAccess(tx_src, False, 4.0, 4.0)
-                    if tag:
-                        load.tag = tag
-                        if tag == "translation":
-                            load.translation_charge = [4, 4]
-            else:
+            load = loads.get(tx_src) if run else None
+            if load is None:
                 self.charge(4)
                 pc, pch, pair = self._take_pending()
                 load = self._tagged(MemAccess(tx_src, False, pc, pch), pair)
+                if run:
+                    loads[tx_src] = load
             store = stores.get(tx_dst)
             if store is None:
-                store = stores[tx_dst] = MemAccess(tx_dst, True)
-                if tag:
-                    store.tag = tag
+                store = stores[tx_dst] = self._tagged(
+                    MemAccess(tx_dst, True), None)
             if san is not None:
                 san.note_store(self, dst + off + lane * width, width, mask)
             run.append(load)
@@ -563,34 +447,23 @@ class WarpContext:
             if dt.kind == "i" and new >> (bits - 1):
                 new -= 1 << bits
             word.pack_into(data, addr, new)
-        req = AtomicOp(addr)
-        if self.tracer is not None:
-            self._tagged(req, None)
-        self.now = yield req
+        self.now = yield self._atomic(addr)
         return old
 
     # ------------------------------------------------------------------
     # Scratchpad
     # ------------------------------------------------------------------
     def scratch(self, count: float = 1.0) -> Iterator[Request]:
-        """Charge a scratchpad access (data lives in ``block.scratchpad``).
-
-        An untraced warp yields its one shared request of each
-        ``count`` (``_scratch``); a traced one builds it fresh, to carry
-        the activity tag."""
-        req = self._flush_request()
-        if req is not None:
-            self.now = yield req
-        if self.tracer is not None:
-            req = self._tagged(ScratchAccess(count), None)
-        else:
-            key = (type(count), count)
-            req = self._scratch.get(key)
-            if req is None:
-                req = ScratchAccess(count)
-                if count and count == count:
-                    self._scratch[key] = req
-        self.now = yield req
+        """Charge a scratchpad access (data lives in ``block.scratchpad``)
+        with the warp's one shared request of this ``count``
+        (``_scratch``)."""
+        key = (type(count), count)
+        req = self._scratch.get(key)
+        if req is None:
+            req = ScratchAccess(count)
+            if count and count == count:
+                self._scratch[key] = req
+        return self._after_flush(req)
 
     # ------------------------------------------------------------------
     # Warp intrinsics (single-instruction cost, charged lazily)
@@ -631,19 +504,11 @@ class WarpContext:
     # Synchronisation
     # ------------------------------------------------------------------
     def syncthreads(self) -> Iterator[Request]:
-        req = self._flush_request()
-        if req is not None:
-            self.now = yield req
-        self.now = yield Barrier()
+        return self._after_flush(Barrier())
 
     def lock(self, lock: TimedLock) -> Iterator[Request]:
-        """Acquire ``lock``: an untraced warp yields the lock's own
-        ``AcquireLock``, a traced one a fresh request with its tag."""
-        req = self._flush_request()
-        if req is not None:
-            self.now = yield req
-        self.now = yield (lock.acquire if self.tracer is None
-                          else self._tagged(AcquireLock(lock), None))
+        """Acquire ``lock`` with its own ``AcquireLock``."""
+        return self._after_flush(lock.acquire)
 
     def unlock(self, lock: TimedLock) -> Iterator[Request]:
         """Release ``lock`` with its own ``ReleaseLock``, never tagged."""
@@ -654,12 +519,9 @@ class WarpContext:
     # ------------------------------------------------------------------
     def pcie(self, nbytes: int, to_device: bool = True,
              latency_free: bool = False) -> Iterator[Request]:
-        req = self._flush_request()
-        if req is not None:
-            self.now = yield req
-        self.now = yield self._tagged(
+        return self._after_flush(self._tagged(
             PcieTransfer(nbytes=int(nbytes), to_device=to_device,
-                         latency_free=latency_free), None)
+                         latency_free=latency_free), None))
 
     def host_compute(self, seconds: float) -> Iterator[Request]:
         self.now = yield self._tagged(
@@ -681,10 +543,7 @@ class WarpContext:
         Flushes charged-but-pending instructions first, so a timed
         region includes the cost of the arithmetic inside it.
         """
-        req = self._flush_request()
-        if req is not None:
-            self.now = yield req
-        self.now = yield Sleep(cycles=0.0)
+        yield from self._after_flush(Sleep(cycles=0.0))
         return self.now
 
     # ------------------------------------------------------------------
@@ -698,6 +557,135 @@ class WarpContext:
         if addrs.ndim == 0:
             addrs = np.full(self.warp_size, int(addrs), dtype=np.int64)
         return addrs
+
+
+class TracedWarpContext(WarpContext):
+    """A :class:`WarpContext` under a tracer, with the same timing: it
+    records layer spans, mints causal request ids and tags its requests
+    for the stall-interval recorder (``repro.telemetry.attribution``).
+    Only this class tags, and only requests built fresh: its own
+    scratchpad and lock requests, and those the base class builds
+    through :meth:`_tagged` and the constructor hooks ``_access`` and
+    ``_atomic``."""
+
+    def __init__(self, spec: GPUSpec, memory: GlobalMemory,
+                 block: BlockContext, warp_in_block: int, tracer):
+        super().__init__(spec, memory, block, warp_in_block)
+        self.tracer = tracer
+        # The activity tags' stack and its innermost tag ('' when empty),
+        # and the ``[count, chain]`` share of the pending charge tagged
+        # "translation" (``None`` until some is charged).
+        self._activity: list[str] = []
+        self.activity = ""
+        self._pending_translation: Optional[list] = None
+        # The causal request scope's depth, its id and the next id's seq.
+        self._request_depth = 0
+        self._request_seq = 0
+        self._request_id = ""
+
+    def trace_span(self, kind: str, start: float, end: float,
+                   detail: str = "") -> None:
+        """Record a layer-level span (fault handling, page-in, ...); hot
+        call sites test ``ctx.tracer`` first, to build no ``detail``."""
+        self.tracer.record(self.warp_id, self.block_id, kind, start, end,
+                           detail, sm=self.block.sm_index,
+                           req=self._request_id)
+
+    def begin_request(self) -> None:
+        """Open a causal request scope (pair with :meth:`end_request`,
+        ideally via ``try/finally``): every span the warp records until
+        the matching end carries its id, ``"<device>:<warp>:<seq>"``,
+        minted from simulated state by the outermost begin and shared by
+        nested ones (a syscall whose page loop faults, a fault whose
+        handler issues readahead)."""
+        if self._request_depth == 0:
+            # One engine runs one device, so the device prefix is 0;
+            # a cluster merge rebases it to the shard's device index.
+            self._request_id = f"0:{self.warp_id}:{self._request_seq}"
+            self._request_seq += 1
+        self._request_depth += 1
+
+    def end_request(self) -> None:
+        if self._request_depth > 0:
+            self._request_depth -= 1
+            if self._request_depth == 0:
+                self._request_id = ""
+
+    def push_activity(self, tag: str) -> None:
+        """Enter an attribution activity (pair with :meth:`pop_activity`,
+        ideally via ``try/finally``): charged work and yielded requests
+        are tagged ``tag``, the reason a stalled warp is not issuing."""
+        self._activity.append(tag)
+        self.activity = tag
+
+    def pop_activity(self) -> None:
+        stack = self._activity
+        if stack:
+            stack.pop()
+            self.activity = stack[-1] if stack else ""
+
+    def charge(self, count: float, chain: Optional[float] = None,
+               tag: str = "") -> None:
+        """:meth:`WarpContext.charge`, with work tagged "translation"
+        (``tag``, else the innermost activity) summed into the pair the
+        next request carries (``Request.translation_charge``)."""
+        chain = count if chain is None else chain
+        self._pending_count += count
+        self._pending_chain += chain
+        if (tag or self.activity) == "translation":
+            pair = self._pending_translation
+            if pair is None:
+                self._pending_translation = [count, chain]
+            else:
+                pair[0] += count
+                pair[1] += chain
+
+    def _take_pending(self) -> tuple[float, float, Optional[list]]:
+        count, chain, _ = super()._take_pending()
+        pair, self._pending_translation = self._pending_translation, None
+        return count, chain, pair
+
+    def _tagged(self, req: Request, translation: Optional[list],
+                chain_tag: str = "") -> Request:
+        tag = self.activity
+        if tag:
+            req.tag = tag
+        if translation is not None:
+            req.translation_charge = translation
+        if chain_tag:
+            req.chain_tag = chain_tag
+        return req
+
+    def _access(self, *fields) -> MemAccess:
+        pair, self._pending_translation = self._pending_translation, None
+        return self._tagged(MemAccess(*fields), pair)
+
+    def _atomic(self, addr: int) -> AtomicOp:
+        return self._tagged(AtomicOp(addr), None)
+
+    def load(self, addrs, dtype: str = "f4", mask=None,
+             overlap_chain: float = 0.0, post_chain: float = 0.0,
+             chain_tag: str = "") -> Iterator[Request]:
+        # The base ``load`` with a tagged request: the one accessor with
+        # a ``chain_tag``, which the constructor hook cannot take.
+        if type(addrs) is not AffineLanes:
+            addrs = self._addr_vec(addrs)
+        memory = self.memory
+        req = self._access(
+            memory.transactions_for(addrs, DTYPES[dtype].itemsize, mask),
+            False, self._pending_count, self._pending_chain,
+            overlap_chain, post_chain)
+        self._pending_count = self._pending_chain = 0.0
+        if chain_tag:
+            req.chain_tag = chain_tag
+        self.now = yield req
+        return memory.load_vector(addrs, dtype, mask)
+
+    def scratch(self, count: float = 1.0) -> Iterator[Request]:
+        return self._after_flush(self._tagged(ScratchAccess(count), None))
+
+    def lock(self, lock: TimedLock) -> Iterator[Request]:
+        return self._after_flush(self._tagged(AcquireLock(lock), None))
 
 
 KernelFn = Callable[..., Iterator[Request]]

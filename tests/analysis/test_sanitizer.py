@@ -10,10 +10,10 @@ bit-identical cycle counts.
 import numpy as np
 import pytest
 
-from repro.analysis.sanitizer import SanitizedWarpContext
+from repro.analysis import sanitizer as sanitizers
 from repro.gpu import Device
 from repro.gpu.instructions import TimedLock
-from repro.gpu.kernel import WarpContext
+from repro.gpu.kernel import TracedWarpContext, WarpContext
 from repro.host import HostFileSystem
 from repro.host.ramfs import RamFS
 from repro.paging import GPUfs, GPUfsConfig
@@ -264,20 +264,72 @@ class TestTornWrite:
         assert gpufs.sanitizer.violations == []
 
 
+#: The attribution and request-scope state only a traced context keeps.
+TRACED_STATE = {"_activity", "activity", "_pending_translation",
+                "_request_depth", "_request_seq", "_request_id"}
+
+
+def observed_launch(traced: bool, sanitize: bool):
+    """One launch of a kernel that tags, locks, spans and syncs: its
+    first warp context, gpufs, cycles and trace rows (``None`` when
+    untraced)."""
+    device, gpufs, _ = make_env(sanitize=sanitize)
+    buf = device.alloc(PAGE * 2)
+    lock = TimedLock("l")
+    seen = []
+
+    def kernel(ctx, buf):
+        seen.append(ctx)
+        ctx.begin_request()
+        ctx.push_activity("translation")
+        ctx.charge(3)
+        v = yield from ctx.load(buf + ctx.global_tid * 4, "f4",
+                                chain_tag="translation")
+        yield from ctx.scratch(2)
+        ctx.pop_activity()
+        yield from ctx.lock(lock)
+        yield from ctx.store(buf + ctx.global_tid * 4, v + 1, "f4")
+        yield from ctx.unlock(lock)
+        ctx.trace_span("page_in", 0.0, ctx.now, "x")
+        ctx.end_request()
+        yield from ctx.syncthreads()
+
+    with capture(trace=traced) as prof:
+        result = device.launch(kernel, grid=2, block_threads=64,
+                               args=(buf,))
+    rows = list(prof.traces[0].rows) if traced else None
+    return seen[0], gpufs, result.cycles, rows
+
+
 class TestZeroCostWhenOff:
-    def test_off_mode_installs_nothing(self):
-        device, gpufs, _ = make_env(sanitize=False)
-        assert gpufs.sanitizer is None
-        assert device.sanitizer is None
-        seen = []
+    """Each launch picks its warp context class once: traced only under
+    a tracer, sanitized only under a sanitizer, and a sanitizer moves no
+    cycle or trace row."""
 
-        def kernel(ctx):
-            seen.append(ctx)
-            yield from ctx.syncthreads()
-
-        device.launch(kernel, grid=1, block_threads=32)
-        assert type(seen[0]) is WarpContext
-        assert seen[0].sanitizer is None
+    @pytest.mark.parametrize("sanitize", [False, True],
+                             ids=["unsanitized", "sanitized"])
+    @pytest.mark.parametrize("traced", [False, True],
+                             ids=["untraced", "traced"])
+    def test_launch_runs_its_context_class(self, traced, sanitize):
+        ctx, gpufs, cycles, rows = observed_launch(traced, sanitize)
+        assert type(ctx) is {
+            (False, False): WarpContext,
+            (False, True): sanitizers.SanitizedWarpContext,
+            (True, False): TracedWarpContext,
+            (True, True): sanitizers.SanitizedTracedWarpContext,
+        }[traced, sanitize]
+        assert ctx.sanitizer is gpufs.sanitizer
+        assert (gpufs.sanitizer is not None) == sanitize
+        if traced:
+            assert ctx.tracer is not None and ctx._request_seq == 1
+            assert any(row[2] == "page_in" for row in rows)
+        else:
+            assert ctx.tracer is None
+            assert not TRACED_STATE & vars(ctx).keys()
+        if sanitize:
+            assert gpufs.sanitizer.stats.stores_checked
+            _, _, plain_cycles, plain_rows = observed_launch(traced, False)
+            assert (cycles, rows) == (plain_cycles, plain_rows)
 
     def test_on_mode_wraps_contexts(self, env):
         device, gpufs, _ = env
@@ -288,7 +340,7 @@ class TestZeroCostWhenOff:
             yield from ctx.syncthreads()
 
         device.launch(kernel, grid=1, block_threads=32)
-        assert type(seen[0]) is SanitizedWarpContext
+        assert type(seen[0]) is sanitizers.SanitizedWarpContext
         assert seen[0].sanitizer is gpufs.sanitizer
 
     def test_sanitizer_is_timing_neutral(self):

@@ -7,6 +7,7 @@ import pytest
 
 from repro.analysis.sanitizer import Sanitizer
 from repro.gpu import Device
+from repro.gpu import warp_primitives as wp
 from repro.gpu.memory import AffineLanes, MemoryError_
 
 
@@ -76,15 +77,25 @@ class TestCharging:
         assert res.cycles == 0
 
     def test_intrinsics_charge_one_instruction(self, dev):
+        """Each shuffle and vote charges one instruction, and returns
+        what its ``warp_primitives`` form does; the bit scans ``ffs``
+        and ``popc`` charge nothing."""
+        got = []
+
         def kern(ctx):
             ctx.ballot(ctx.lane < 16)
             ctx.all(ctx.lane >= 0)
             ctx.any(ctx.lane == 0)
             ctx.shfl(ctx.lane, 0)
+            got.append(ctx.shfl_down(ctx.lane * 3, 5))
+            got.append([ctx.ffs(0b10100), ctx.ffs(0), ctx.popc(0b10110)])
             yield from ctx.flush()
 
         res = dev.launch(kern, grid=1, block_threads=32)
-        assert res.stats.instructions == pytest.approx(4)
+        assert res.stats.instructions == pytest.approx(5)
+        assert np.array_equal(got[0], wp.shfl_down(np.arange(32) * 3, 5))
+        assert (got[0][0], got[0][31]) == (15, 93)    # clamped at lane 31
+        assert got[1] == [3, 0, 3]
 
 
 class TestScalarAccess:

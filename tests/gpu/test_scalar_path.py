@@ -1,16 +1,18 @@
 """The warp leader's one-word accesses against the forms they replace.
 
 ``WarpContext.load_scalar``, ``store_scalar`` and ``atomic_add`` move
-an integer word with a ``struct`` packer and any other word through a
-typed view of one slice.  The references below are the one-lane vector
-forms they stand for: a ``load``/``store`` of
+an integer word with a ``struct`` packer, and any other word through a
+typed view of one slice or, for a stored value the packer does not
+take, the one-lane vector store.  The references below are the
+one-lane vector forms they stand for: a ``load``/``store`` of
 ``AffineLanes(addr, itemsize, 1)``, and an atomic add that reads and
 writes its word through those vector accessors and wraps an integer sum
 at the dtype's width.  Stored values include the packer's edge cases:
 Python ints at and past each integer dtype's limits, negative ints into
 unsigned dtypes, numpy scalars, floats and bools, which must write the
-same bytes or raise numpy's error.  Each case runs both forms on fresh
-devices and compares what a caller or observer can see: the request
+same bytes or raise numpy's error, at any address: both forms convert
+a value before they check its address.  Each case runs both forms on
+fresh devices and compares what a caller or observer can see: the request
 yielded, the value returned and its dtype, the bytes written, the
 launch's cycles and ``dram_transactions``, the trace rows, the
 sanitizer's store records, and the error type, message and point of an
@@ -200,9 +202,7 @@ def accesses(draw):
         # dtype's limits in both directions.
         span = 1 << (8 * DTYPES[dtype].itemsize)
         value = draw(st.integers(-span, span))
-    elif op == "store" and 0 <= addr <= SIZE - DTYPES[dtype].itemsize:
-        # Only in bounds: with a bad address as well, the scalar form
-        # reports the address and the vector form the value.
+    elif op == "store":
         value = draw(st.one_of(values_for(dtype),
                                st.sampled_from(edge_values(dtype))))
     else:
@@ -248,6 +248,10 @@ class TestScalarPathAgainstVectorForms:
     @example(("atomic", "i8", 120, -(1 << 64), 2, 3.0, "translation"))
     @example(("atomic", "f4", 120, 0.25, 2, 0.0, ""))
     @example(("store", "u1", 8, -1, 1, 0.0, ""))
+    # A value the dtype refuses at an address out of bounds: both forms
+    # raise the conversion's error.
+    @example(("store", "f4", -1, 1 << 1024, 1, 0.0, ""))
+    @example(("store", "u8", SIZE - 4, -1, 1, 0.0, ""))
     def test_scalar_access_equals_its_one_lane_vector_form(self, case):
         check_against_vector_form(case)
 

@@ -3,20 +3,24 @@
 An untraced warp yields one ``ScratchAccess`` per exact count, and each
 ``TimedLock`` its own ``AcquireLock``/``ReleaseLock``, instead of
 building a request per call; every primitive that flushes the pending
-charge first takes it from ``WarpContext._flush_request``; the leader's
+charge first returns ``WarpContext._after_flush``; the leader's
 integer words move by ``struct`` packers and are counted by
 ``GlobalMemory.span_transactions``; and ``PageTable.add_refs`` builds
 its key and address inline.  The ``ref_*`` functions below are
-those primitives as they were before, a fresh request on every call.
-Each case runs with them patched in and without, and requires the same
-cycles, every ``EngineStats`` field, device memory, the
-``capture(trace=False)`` profile documents and the trace rows.  A
+those primitives as they were before, a fresh request on every call;
+each is patched onto every warp context class that defines the
+primitive, so that traced warps (``TracedWarpContext``) run the old
+forms too.  Each case runs with them patched in and without, and
+requires the same cycles, every ``EngineStats`` field, device memory,
+the ``capture(trace=False)`` profile documents and the trace rows.  A
 shared request must also still equal a freshly built one after a
-traced launch: tags are set only on a traced warp's fresh requests.
+traced launch: only ``TracedWarpContext`` tags, and only the requests
+it builds fresh.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -25,7 +29,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.gpu import Device
+from repro.gpu import Device, kernel
 from repro.gpu.device import Device as _Device
 from repro.gpu.engine import Engine
 from repro.gpu.instructions import (
@@ -41,7 +45,7 @@ from repro.gpu.instructions import (
     Sleep,
     TimedLock,
 )
-from repro.gpu.kernel import WarpContext
+from repro.gpu.kernel import TracedWarpContext, WarpContext
 from repro.gpu.memory import DTYPES, AffineLanes
 from repro.paging.page_table import PageTable
 from repro.telemetry import capture
@@ -166,35 +170,52 @@ def ref_add_refs(self, ctx, entry, refs):
     return entry.refcount
 
 
-REFERENCES = {
-    (WarpContext, "flush"): ref_flush,
-    (WarpContext, "scratch"): ref_scratch,
-    (WarpContext, "fence"): ref_fence,
-    (WarpContext, "syncthreads"): ref_syncthreads,
-    (WarpContext, "lock"): ref_lock,
-    (WarpContext, "unlock"): ref_unlock,
-    (WarpContext, "pcie"): ref_pcie,
-    (WarpContext, "clock"): ref_clock,
-    (WarpContext, "load_scalar"): ref_load_scalar,
-    (WarpContext, "store_scalar"): ref_store_scalar,
-    (WarpContext, "atomic_add"): ref_atomic_add,
-    (PageTable, "add_refs"): ref_add_refs,
+PRIMITIVES = {
+    "flush": ref_flush, "scratch": ref_scratch, "fence": ref_fence,
+    "syncthreads": ref_syncthreads, "lock": ref_lock,
+    "unlock": ref_unlock, "pcie": ref_pcie, "clock": ref_clock,
+    "load_scalar": ref_load_scalar, "store_scalar": ref_store_scalar,
+    "atomic_add": ref_atomic_add,
 }
+#: The warp context classes of ``repro.gpu.kernel``.
+CONTEXTS = [c for c in vars(kernel).values()
+            if isinstance(c, type) and issubclass(c, WarpContext)]
+#: Each reference on every context class that defines its primitive.
+REFERENCES = {(cls, name): ref for name, ref in PRIMITIVES.items()
+              for cls in CONTEXTS if name in vars(cls)}
+REFERENCES[PageTable, "add_refs"] = ref_add_refs
 
 
-def both_ways(run):
-    """``run()`` with the current primitives, then with the references
-    patched in (and taken out again)."""
-    current = run()
+@contextlib.contextmanager
+def patched():
+    """The references patched in, and taken out again on exit."""
     saved = {key: key[0].__dict__[key[1]] for key in REFERENCES}
     try:
         for (cls, name), ref in REFERENCES.items():
             setattr(cls, name, ref)
-        reference = run()
+        yield
     finally:
         for (cls, name), fn in saved.items():
             setattr(cls, name, fn)
-    return current, reference
+
+
+def both_ways(run):
+    """``run()`` with the current primitives, then with the references
+    patched in."""
+    current = run()
+    with patched():
+        return current, run()
+
+
+def test_every_context_class_runs_the_references_when_patched():
+    """A traced warp runs the old forms too, its own scratchpad and lock
+    overrides included, so its cases do not compare a fast path with
+    itself."""
+    assert TracedWarpContext in CONTEXTS
+    with patched():
+        for cls in CONTEXTS:
+            for name, ref in PRIMITIVES.items():
+                assert getattr(cls, name) is ref, (cls, name)
 
 
 # ----------------------------------------------------------------------
