@@ -71,7 +71,7 @@ BLOCKING_SYSCALLS = frozenset({
 #: so barriers under a block-id branch are safe.
 WARP_VARYING_ATTRS = frozenset({"warp_id", "warp_in_block"})
 
-#: Methods of APtr / AVM / GPUfs / TLB / page-table / DSM objects that
+#: Methods of APtr / AVM / GPUfs / TLB / page-table objects that
 #: take the context as first argument and return timed generators.
 #: Matching requires *both* the name and a context first argument, so
 #: unrelated APIs (``set.add``, ``np.add``) never collide.
@@ -112,7 +112,7 @@ UNIFORM_ATTRS = frozenset({"size", "shape", "ndim", "dtype", "itemsize"})
 
 #: Calls that create an APtr (lifecycle rule).  ``clone`` additionally
 #: requires a context first argument.
-APTR_CREATORS = frozenset({"gvmmap", "gvmmap_device", "map_backend"})
+APTR_CREATORS = frozenset({"gvmmap", "gvmmap_device"})
 
 
 def _annotation_name(node: Optional[ast.expr]) -> str:

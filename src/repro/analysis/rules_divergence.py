@@ -154,7 +154,7 @@ class _Checker:
                     function=self.kernel.qualname,
                     message=(
                         "yield guarded by lane-divergent condition "
-                        f"'{ast.unparse(test)}' (line {test.lineno}) - "
+                        f"'{ast.unparse(test)}' - "
                         "lanes would leave lockstep; reduce with "
                         "ctx.any/ctx.all/ctx.ballot or use a masked "
                         "access"),
@@ -188,7 +188,7 @@ class _Checker:
             function=self.kernel.qualname,
             message=(
                 f"barrier{how} is guarded by warp-varying condition "
-                f"'{ast.unparse(test)}' (line {test.lineno}) - warps "
+                f"'{ast.unparse(test)}' - warps "
                 f"of the block disagree about reaching syncthreads "
                 f"and the block hangs; hoist the barrier out of the "
                 f"branch"),

@@ -8,8 +8,8 @@ Conversely a dereference *after* destroy re-faults pages the kernel
 will never release.
 
 Per kernel function the rule tracks names bound by creator calls
-(``avm.gvmmap(...)``, ``gvmmap_device``, ``map_backend``,
-``ptr.clone(ctx)``) and reports:
+(``avm.gvmmap(...)``, ``gvmmap_device``, ``ptr.clone(ctx)``) and
+reports:
 
 * **missing destroy** - the pointer is created but no
   ``destroy``/``gvmunmap`` call for it exists in the function;

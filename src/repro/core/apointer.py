@@ -103,7 +103,7 @@ class APtr:
         self._vote_chain = (0 if avm.config.variant is ImplVariant.PREFETCH
                             else 1)
         # The page cache whose entries a write marks dirty, or ``None``
-        # (device memory, DSM): then a write marks nothing.
+        # (device memory): then a write marks nothing.
         self._gpufs = getattr(backend, "gpufs", None)
         n = ctx.warp_size
         # -- per-lane translation state (hardware registers) --
@@ -113,8 +113,8 @@ class APtr:
         self.linked_xpage = np.full(n, -1, dtype=np.int64)
         self.tlb_backed = np.zeros(n, dtype=bool)
         # Whether each lane's link was established by a write fault; a
-        # write through a read-only link must re-fault (the upgrade
-        # fault that lets paging backends observe S->M transitions).
+        # write through a read-only link must re-fault (§IV-A's
+        # permission upgrade, which lets the backend see the write).
         self.linked_write = np.zeros(n, dtype=bool)
         self._summarize()
         if ctx.sanitizer is not None:
@@ -321,7 +321,7 @@ class APtr:
             raise ProtectionError("write through a read-only apointer")
         if write and not self._all_write:
             # Upgrade fault: lanes linked read-only must re-fault so the
-            # paging backend sees the write (dirty marking, coherence).
+            # paging backend sees the write (dirty marking).
             upgrade = self.valid & ~self.linked_write & active
             if upgrade.any():
                 yield from self._unlink(ctx, upgrade)

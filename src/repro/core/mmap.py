@@ -128,18 +128,6 @@ class AVM:
         return APtr(ctx, self, backend, base_offset=0, size=size,
                     write=write)
 
-    def map_backend(self, ctx: WarpContext, backend, size: int,
-                    foffset: int = 0, write: bool = False) -> APtr:
-        """Map through an arbitrary paging backend (e.g. DSM).
-
-        The backend must provide ``page_size``, ``file_id``, and the
-        timed ``fault``/``release`` generators.
-        """
-        if foffset % backend.page_size:
-            raise ValueError("mapping offset must be page-aligned")
-        return APtr(ctx, self, backend, base_offset=foffset, size=size,
-                    write=write)
-
     def gvmunmap(self, ctx: WarpContext, aptr: APtr):
         """Timed: unlink the pointer and drop its references."""
         yield from aptr.destroy(ctx)

@@ -59,13 +59,10 @@ class LaunchResult:
     stats: EngineStats
     occupancy: OccupancyLimits
     #: The :class:`~repro.telemetry.profile.LaunchProfile` the ambient
-    #: profiler (``repro.telemetry.capture``) recorded for this device
-    #: or cluster launch, else ``None``.  Its trace is the profiler's
-    #: matching ``traces`` entry.
+    #: profiler (``repro.telemetry.capture``) recorded for this
+    #: launch, else ``None``.  Its trace is the profiler's matching
+    #: ``traces`` entry.
     profile: Optional[Any] = None
-
-    def dram_bandwidth(self, spec: GPUSpec) -> float:
-        return self.stats.dram_bandwidth(spec)
 
 
 class Device:
@@ -103,8 +100,7 @@ class Device:
         generators])``.  The warp context class is picked once:
         :class:`TracedWarpContext` under the ``observer``'s tracer, else
         :class:`WarpContext`, composed by :attr:`sanitizer` when one is
-        installed (its per-launch state resets here).  Device and
-        cluster-shard launches both build their grids here."""
+        installed (its per-launch state resets here)."""
         spec = self.spec
         warps_per_block = -(-cfg.block_threads // spec.warp_size)
         tracer = observer.tracer if observer is not None else None

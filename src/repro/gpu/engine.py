@@ -42,23 +42,15 @@ launch totals, cycle windows, trace rows, the translation
 decomposition — is its own business; the engine only tests it
 against ``None``, once per handler site, so observed runs stay
 cycle-bit-identical to unobserved ones.  :meth:`Engine.launch` takes
-the grid's block factories and is the single entry point.
-
-One engine simulates one device.  A multi-GPU cluster runs one engine
-per device (:mod:`repro.gpu.multigpu`), so the loop is also exposed
-incrementally: :meth:`Engine.begin` seeds the launch wave,
-:meth:`Engine.advance` drains events up to an epoch horizon, and
-host-compute requests can be *parked* (:meth:`Engine.gate_host`) so the
-cluster coordinator can serialise the shared host server
-deterministically.
+the grid's block factories and is the single entry point: one engine
+simulates one device, one launch at a time.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from repro.gpu.instructions import (
     AcquireLock,
@@ -75,9 +67,6 @@ from repro.gpu.instructions import (
 )
 from repro.gpu.kernel import BlockContext
 from repro.gpu.specs import GPUSpec
-
-_INF = math.inf
-
 
 @dataclass
 class EngineStats:
@@ -109,17 +98,6 @@ class EngineStats:
         if self.cycles <= 0:
             return 0.0
         return self.dram_bytes / spec.cycles_to_seconds(self.cycles)
-
-    @classmethod
-    def merged(cls, parts: list["EngineStats"]) -> "EngineStats":
-        """Merge per-shard stats: counters sum, cycles is the makespan."""
-        out = cls()
-        for part in parts:
-            for f in fields(cls):
-                setattr(out, f.name,
-                        getattr(out, f.name) + getattr(part, f.name))
-        out.cycles = max((p.cycles for p in parts), default=0.0)
-        return out
 
 
 class _WarpRunner:
@@ -171,8 +149,6 @@ class Engine:
         self._dram_bpc = spec.dram_bytes_per_cycle()
         self._pcie_bpc = spec.pcie_bytes_per_cycle()
         self._end_time = 0.0
-        self._host_gated = False
-        self._parked = None      # (req, runner, arrival) awaiting grant
         self._handlers = {
             Compute: self._h_compute,
             MemAccess: self._h_mem,
@@ -188,55 +164,26 @@ class Engine:
             tuple: self._h_run,
         }
 
-    # -- entry points --------------------------------------------------
+    # -- entry point ---------------------------------------------------
     def launch(self, factories: list) -> float:
         """Run a grid to completion; ``factories`` holds one zero-argument
         callable per threadblock, returning ``(BlockContext, [warp
         generators])``.
 
-        Returns total elapsed cycles.
+        Returns total elapsed cycles; the observer closes its remaining
+        windows.
         """
-        self.begin(factories)
-        self.advance()
-        return self.finish()
-
-    # -- incremental interface (used by launch() and repro.gpu.multigpu)
-    def begin(self, factories: list) -> None:
-        """Seed the launch with the grid's block factories.
-
-        Breadth-first initial wave: one block per SM, then a second
-        round, as the hardware block scheduler does.
-        """
+        # Breadth-first initial wave: one block per SM, then a second
+        # round, as the hardware block scheduler does.
         self._pending = list(factories)
         for _ in range(self.blocks_per_sm):
             for sm in range(self.spec.num_sms):
-                if not self._pending:
-                    return
                 self._start_next_block(sm, 0.0)
-
-    def advance(self, horizon: float = _INF) -> float:
-        """Drain events with time ≤ ``horizon`` (all of them by default).
-
-        Stops early when a host-compute request parks (see
-        :meth:`gate_host`).  Returns the next pending event time, or
-        ``inf`` when the launch has fully drained.
-        """
         heap = self._heap
         step = self._step
-        while heap and heap[0][0] <= horizon:
+        while heap:
             time, _, runner = heapq.heappop(heap)
             step(runner, time)
-            if self._parked is not None:
-                break
-        return self.peek()
-
-    def peek(self) -> float:
-        """Next pending event time (``inf`` when drained)."""
-        return self._heap[0][0] if self._heap else _INF
-
-    def finish(self) -> float:
-        """Record and return total elapsed cycles; the observer closes
-        its remaining windows."""
         self.stats.cycles = self._end_time
         if self.profile is not None:
             self.profile.finish(self._end_time)
@@ -271,33 +218,6 @@ class Engine:
             sm = block.sm_index
             self._resident[sm] -= 1
             self._start_next_block(sm, time)
-
-    # -- cluster host serialisation ------------------------------------
-    def gate_host(self) -> None:
-        """Park host-compute requests instead of serving them locally.
-
-        In a cluster the host server is owned by the coordinator:
-        a gated engine stops draining the moment a warp yields
-        :class:`HostCompute` (strict stop), exposes the request via
-        :meth:`parked_host`, and resumes on :meth:`grant_host`.
-        """
-        self._host_gated = True
-
-    @property
-    def parked(self) -> bool:
-        return self._parked is not None
-
-    def parked_host(self) -> tuple[float, float]:
-        """(arrival cycle, host seconds) of the parked request."""
-        req, _, now = self._parked
-        return now, req.seconds
-
-    def grant_host(self, start: float, done: float) -> None:
-        """Serve the parked host request with parent-assigned timing."""
-        req, runner, now = self._parked
-        self._parked = None
-        self._host_avail = done
-        self._complete_host(req, runner, now, start, done)
 
     # ------------------------------------------------------------------
     #: Issue-slice size (warp-instructions).  Large instruction blocks
@@ -522,19 +442,9 @@ class Engine:
 
     def _h_host(self, req: HostCompute, runner: _WarpRunner,
                 now: float) -> None:
-        if self._host_gated:
-            # Sharded execution: the parent owns the host server.
-            # Park and strict-stop; grant_host() replays completion
-            # with the parent's serialised timing.
-            self._parked = (req, runner, now)
-            return
         start = max(now, self._host_avail)
         done = start + req.seconds * self.spec.clock_hz
         self._host_avail = done
-        self._complete_host(req, runner, now, start, done)
-
-    def _complete_host(self, req: HostCompute, runner: _WarpRunner,
-                       now: float, start: float, done: float) -> None:
         self.stats.host_seconds += req.seconds
         prof = self.profile
         if prof is not None:

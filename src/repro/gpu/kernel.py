@@ -599,8 +599,8 @@ class TracedWarpContext(WarpContext):
         nested ones (a syscall whose page loop faults, a fault whose
         handler issues readahead)."""
         if self._request_depth == 0:
-            # One engine runs one device, so the device prefix is 0;
-            # a cluster merge rebases it to the shard's device index.
+            # One engine runs one device, so the device prefix is
+            # always 0; golden traces pin the id format.
             self._request_id = f"0:{self.warp_id}:{self._request_seq}"
             self._request_seq += 1
         self._request_depth += 1

@@ -91,9 +91,9 @@ class Tracer:
 
     The store is :attr:`rows`: plain tuples in :class:`TraceEvent`
     field order ``(warp, block, kind, start, end, detail, sm, req)``.
-    The reducers (launch profile, spans, attribution, cluster merge)
-    read the rows; :attr:`events` is the same trace as
-    :class:`TraceEvent` objects, for reports, exports and tests.
+    The reducers (launch profile, spans, attribution) read the rows;
+    :attr:`events` is the same trace as :class:`TraceEvent` objects,
+    for reports, exports and tests.
 
     At most ``max_events`` rows are kept; every record past the cap is
     dropped and counted in :attr:`dropped`, one at a time.

@@ -2,12 +2,11 @@
 and the engine's one observer.
 
 The harness cannot thread a profiler argument through every experiment,
-workload, and runner, so instrumented constructors (``AVM``, ``GPUfs``),
-:meth:`Device.launch_cfg` and :func:`~repro.gpu.multigpu.launch_cluster`
-ask this module for the *current* profiler instead.  It is the only way
-a launch is observed.  When none is active — the default — ``current()``
-returns ``None`` and every instrumentation site is a single pointer
-test.
+workload, and runner, so instrumented constructors (``AVM``, ``GPUfs``)
+and :meth:`Device.launch_cfg` ask this module for the *current*
+profiler instead.  It is the only way a launch is observed.  When none
+is active — the default — ``current()`` returns ``None`` and every
+instrumentation site is a single pointer test.
 
 The stack discipline supports nesting (a profiled experiment launching
 a sub-profiled region); :func:`repro.telemetry.capture` is the public
@@ -15,9 +14,9 @@ entry point.
 
 :class:`EngineProfile` is the one instrumentation hook of
 :class:`repro.gpu.engine.Engine`; :meth:`ObserverPlan.of` is the one
-rule deciding, from a profiler, what every device launch and cluster
-shard records.  The module imports nothing from the simulator at load
-time, so the GPU layer can import it freely.
+rule deciding, from a profiler, what every launch records.  The module
+imports nothing from the simulator at load time, so the GPU layer can
+import it freely.
 """
 
 from __future__ import annotations
@@ -342,20 +341,6 @@ class EngineProfile:
         detail = self._details[key] = "iss=%.6g;lat=%.6g;hid=%.6g" % key
         return detail
 
-    @classmethod
-    def merged(cls, parts: list["EngineProfile"]) -> "EngineProfile":
-        """Merge per-shard profiles: ``sm_busy`` concatenates in shard
-        order (shard *i* owns device *i*'s SMs), stall buckets and DRAM
-        queue counters sum."""
-        out = cls()
-        for part in parts:
-            out.sm_busy.extend(part.sm_busy)
-            for reason, cycles in part.stalls.items():
-                out.stalls[reason] = out.stalls.get(reason, 0.0) + cycles
-            out.dram_queue_cycles += part.dram_queue_cycles
-            out.dram_queued_accesses += part.dram_queued_accesses
-        return out
-
 
 @dataclass(frozen=True)
 class ObserverPlan:
@@ -364,8 +349,7 @@ class ObserverPlan:
     :meth:`of` is the one rule turning a profiler into these settings:
     every launch is profiled, a launch gets a new tracer of
     ``trace_events`` events while the profiler holds fewer than
-    ``max_traces`` traces, and sampling follows ``timeseries``.  A
-    cluster decides it once and hands it to every shard.
+    ``max_traces`` traces, and sampling follows ``timeseries``.
     """
 
     trace_events: int
@@ -379,12 +363,11 @@ class ObserverPlan:
                    timeseries=profiler.timeseries,
                    window_cycles=profiler.window_cycles)
 
-    def observer(self, num_sms: int, profiler=None):
+    def observer(self, num_sms: int, profiler):
         """A :class:`~repro.telemetry.timeseries.TimeseriesSampler` when
         sampling, else a plain :class:`EngineProfile`; either carries a
-        new tracer when the plan traces.  A live ``profiler`` lends the
-        sampler its sink, probes and gauges; a cluster shard gets
-        none."""
+        new tracer when the plan traces.  The ``profiler`` lends the
+        sampler its sink, probes and gauges."""
         tracer = None
         if self.trace_events:
             from repro.gpu.trace import Tracer
@@ -395,11 +378,8 @@ class ObserverPlan:
             DEFAULT_WINDOW_CYCLES,
             TimeseriesSampler,
         )
-        sink = probes = gauges = None
-        if profiler is not None:
-            sink, probes = profiler.series_sink, profiler.registry
-            gauges = profiler.gauges
         return TimeseriesSampler(
             num_sms=num_sms,
             window_cycles=self.window_cycles or DEFAULT_WINDOW_CYCLES,
-            sink=sink, tracer=tracer, probes=probes, gauges=gauges)
+            sink=profiler.series_sink, tracer=tracer,
+            probes=profiler.registry, gauges=profiler.gauges)

@@ -1,10 +1,10 @@
 """The per-launch profiler and its activation context.
 
 ``with capture() as prof:`` activates a :class:`Profiler` for every
-launch in the block, device and cluster alike, and instrumented
-constructors (``AVM``, ``GPUfs``) register their counters with it
-automatically.  It is the only way to observe a launch, and what
-``repro-experiments --profile-dir`` uses: experiments need no changes.
+launch in the block, and instrumented constructors (``AVM``,
+``GPUfs``) register their counters with it automatically.  It is the
+only way to observe a launch, and what ``repro-experiments
+--profile-dir`` uses: experiments need no changes.
 
 Each launch appends one :class:`~repro.telemetry.profile.LaunchProfile`
 to ``prof.profiles`` and (up to ``max_traces``) one execution trace to
@@ -68,47 +68,14 @@ class Profiler:
     # ------------------------------------------------------------------
     def record_launch(self, *, device, cfg, occ,
                       engine) -> LaunchProfile:
-        """Reduce one finished launch to a :class:`LaunchProfile`; the
-        engine's observer came from this profiler's
-        :meth:`~repro.telemetry.hooks.ObserverPlan.of`."""
+        """Reduce one finished launch to a :class:`LaunchProfile`, keep
+        it and return it; the engine's observer came from this
+        profiler's :meth:`~repro.telemetry.hooks.ObserverPlan.of`."""
+        spec = device.spec
+        stats = engine.stats
+        cycles = stats.cycles
         prof = engine.profile
-        return self._record(
-            name=getattr(cfg.kernel, "__name__", "kernel"),
-            spec=device.spec, grid=cfg.grid,
-            block_threads=cfg.block_threads, occ=occ,
-            cycles=engine.stats.cycles, stats=engine.stats,
-            prof=prof, tracer=prof.tracer,
-            series=(prof.to_component()
-                    if isinstance(prof, TimeseriesSampler) else None))
-
-    def record_cluster(self, *, spec, launches, occ, cycles, stats,
-                       engine_profile, tracer=None,
-                       series=None) -> LaunchProfile:
-        """Reduce one merged cluster launch to a :class:`LaunchProfile`.
-
-        :func:`repro.gpu.multigpu.launch_cluster` calls this with
-        already-merged engine stats/profile totals, the merged tracer,
-        and the merged ``components.timeseries`` section — ambient
-        profiling (:func:`capture`) is how a cluster is observed.
-        ``sms`` spans every shard's SM range in shard order.
-        """
-        name = getattr(launches[0].kernel, "__name__", "kernel")
-        if len(launches) > 1:
-            name = f"{name}+{len(launches) - 1}"
-        return self._record(
-            name=name, spec=spec,
-            grid=sum(launch.grid for launch in launches),
-            block_threads=max(launch.block_threads
-                              for launch in launches),
-            occ=occ, cycles=cycles, stats=stats,
-            prof=engine_profile, tracer=tracer, series=series)
-
-    def _record(self, *, name, spec, grid, block_threads, occ, cycles,
-                stats, prof, tracer, series) -> LaunchProfile:
-        """Build, keep and return one :class:`LaunchProfile` from engine
-        stats, the engine profile totals ``prof``, the tracer and the
-        ``components.timeseries`` section (``None`` when sampling was
-        off)."""
+        tracer = prof.tracer
         seconds = spec.cycles_to_seconds(cycles)
         sms = [{
             "sm": sm,
@@ -120,7 +87,7 @@ class Profiler:
         dram_accesses = prof.dram_queued_accesses
         profile = LaunchProfile(
             index=len(self.profiles),
-            name=name,
+            name=getattr(cfg.kernel, "__name__", "kernel"),
             spec={
                 "name": spec.name,
                 "num_sms": spec.num_sms,
@@ -128,8 +95,8 @@ class Profiler:
                 "warp_size": spec.warp_size,
             },
             launch={
-                "grid": grid,
-                "block_threads": block_threads,
+                "grid": cfg.grid,
+                "block_threads": cfg.block_threads,
                 "blocks_per_sm": occ.blocks_per_sm,
                 "cycles": cycles,
                 "seconds": seconds,
@@ -168,8 +135,8 @@ class Profiler:
                     "dropped": tracer.dropped}
                    if tracer is not None else None),
         )
-        if series is not None:
-            profile.components["timeseries"] = series
+        if isinstance(prof, TimeseriesSampler):
+            profile.components["timeseries"] = prof.to_component()
         if tracer is not None:
             from repro.telemetry.spans import spans_component
             profile.components["spans"] = spans_component(tracer.rows)

@@ -13,9 +13,7 @@ module groups them back into per-request summaries and reports:
 * fan-out per request (child spans under the minting span).
 
 Inputs are the ``trace-*.json`` files written by ``repro-experiments
---profile-dir`` or :meth:`Profiler.write` — including merged cluster
-traces, whose request ids are rebased per device and therefore stay
-distinct.
+--profile-dir`` or :meth:`Profiler.write`.
 """
 
 from __future__ import annotations

@@ -3,8 +3,10 @@
 import json
 import subprocess
 import sys
+import textwrap
 
 from repro.analysis import baseline, sarif
+from repro.analysis.linter import lint_source
 from repro.analysis.model import Finding
 
 
@@ -21,6 +23,24 @@ class TestFingerprint:
         a = finding(line=10, col=4)
         b = finding(line=99, col=0)
         assert baseline.fingerprint(a) == baseline.fingerprint(b)
+
+    def test_divergence_messages_survive_lines_added_above(self):
+        # A guard's absolute line in the message would re-fingerprint
+        # the finding whenever code above it moves.
+        kernel = textwrap.dedent("""
+            def kernel(ctx, addr):
+                if ctx.warp_in_block == 0:
+                    yield from ctx.syncthreads()
+                if ctx.lane == 0:
+                    yield from ctx.load(addr, "f4")
+        """)
+        before = lint_source("k.py", kernel)
+        after = lint_source("k.py", "\n" * 7 + kernel)
+        assert {f.rule for f in before} \
+            == {"barrier-divergence", "divergent-yield"}
+        assert [f.line for f in after] == [f.line + 7 for f in before]
+        assert [baseline.fingerprint(f) for f in after] \
+            == [baseline.fingerprint(f) for f in before]
 
     def test_sensitive_to_rule_path_function_message(self):
         base = baseline.fingerprint(finding())

@@ -133,8 +133,7 @@ def _repeating_warp(items, locks, shared: bool, seen: list):
         assert [dataclasses.astuple(r) for r in reqs] == built
 
 
-def _drive(scripts, as_runs: bool, gated: bool, preempt: bool,
-           warp=_warp) -> dict:
+def _drive(scripts, as_runs: bool, preempt: bool, warp=_warp) -> dict:
     spec = dataclasses.replace(SPEC, io_preemption=preempt)
     tracer = Tracer()
     profile = EngineProfile.for_sms(spec.num_sms, tracer=tracer)
@@ -153,20 +152,7 @@ def _drive(scripts, as_runs: bool, gated: bool, preempt: bool,
                            for w in ws]
         return make
 
-    if gated:
-        engine.gate_host()
-    engine.begin([factory(b) for b in range(NUM_BLOCKS)])
-    host_free = 0.0
-    while True:
-        engine.advance()
-        if not engine.parked:
-            break
-        # The parent's serialised host server, as a cluster runs it.
-        arrival, seconds = engine.parked_host()
-        start = max(arrival, host_free)
-        host_free = start + seconds * spec.clock_hz
-        engine.grant_host(start, host_free)
-    cycles = engine.finish()
+    cycles = engine.launch([factory(b) for b in range(NUM_BLOCKS)])
     return {"cycles": cycles, "stats": vars(engine.stats),
             "sm_busy": profile.sm_busy, "stalls": profile.stalls,
             "dram_queue": (profile.dram_queue_cycles,
@@ -185,11 +171,10 @@ class TestRunsAgainstOneByOne:
     @settings(max_examples=budget(60), deadline=None)
     @given(scripts=st.lists(script, min_size=NUM_BLOCKS * WARPS_PER_BLOCK,
                             max_size=NUM_BLOCKS * WARPS_PER_BLOCK),
-           gated=st.booleans(), preempt=st.booleans())
-    def test_same_cycles_stats_profile_and_trace(self, scripts, gated,
-                                                 preempt):
-        one_by_one = _drive(scripts, False, gated, preempt)
-        as_runs = _drive(scripts, True, gated, preempt)
+           preempt=st.booleans())
+    def test_same_cycles_stats_profile_and_trace(self, scripts, preempt):
+        one_by_one = _drive(scripts, False, preempt)
+        as_runs = _drive(scripts, True, preempt)
         assert as_runs == one_by_one
 
     def test_a_sliced_head_resumes_the_run(self):
@@ -198,8 +183,8 @@ class TestRunsAgainstOneByOne:
         items = [[(True, [("compute", 1500.0, None), ("sleep", 50.0,
                                                       False)])]]
         scripts = items * (NUM_BLOCKS * WARPS_PER_BLOCK)
-        one_by_one = _drive(scripts, False, False, False)
-        assert _drive(scripts, True, False, False) == one_by_one
+        one_by_one = _drive(scripts, False, False)
+        assert _drive(scripts, True, False) == one_by_one
         assert one_by_one["stats"]["instructions"] == \
             1500.0 * NUM_BLOCKS * WARPS_PER_BLOCK
 
@@ -216,10 +201,8 @@ class TestRunsAgainstOneByOne:
         """The engine does not mutate a request it does not slice, so
         a run may yield one object several times (as
         ``WarpContext.copy`` shares its equal steps)."""
-        fresh = _drive(scripts, False, False, preempt,
-                       warp=_repeating_warp)
-        shared = _drive(scripts, True, False, preempt,
-                        warp=_repeating_warp)
+        fresh = _drive(scripts, False, preempt, warp=_repeating_warp)
+        shared = _drive(scripts, True, preempt, warp=_repeating_warp)
         assert shared == fresh
 
 

@@ -8,14 +8,11 @@ stall bucket that moved.  The hash covers everything else — per-SM
 busy cycles, DRAM queueing, component counters, the time series,
 spans and attribution.
 
-Cases:
-
-* four workloads at small sizes (memcpy, graphwalk, filescan, kvstore),
-  each under a plain ``capture()`` and under ``capture(trace=True,
-  timeseries=True, attribution=True, window_cycles=2000)``;
-* a two-device cluster with host work (fixture key
-  ``sharded/jobs1``), observed only through a tracing, sampling
-  ``capture()`` (the merged cluster profile).
+The cases are four workloads at small sizes (memcpy, graphwalk,
+filescan, kvstore), each under a plain ``capture()`` and under
+``capture(trace=True, timeseries=True, attribution=True,
+window_cycles=2000)``.  The kvstore and filescan cases reach
+``HostCompute`` through staging and syscalls.
 
 Regenerate with ``PYTHONPATH=src python
 tests/telemetry/test_profile_golden.py`` — only in a change that says
@@ -28,10 +25,9 @@ import hashlib
 import json
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from repro.gpu import Device, K80_SPEC
+from repro.gpu import Device
 from repro.telemetry import capture
 from repro.workloads import run_graphwalk, run_kvstore, run_memcpy
 from repro.workloads.filebench import run_sequential_file_read
@@ -40,12 +36,6 @@ GOLDEN = Path(__file__).with_name("golden_profiles.json")
 
 OBSERVED = dict(trace=True, timeseries=True, attribution=True,
                 window_cycles=2000.0)
-
-#: Synthetic instruction counts of the sharded case's kernel — named
-#: so the calibration linter can see they are deliberate test loads.
-RPC_PROLOGUE = 200
-RPC_CHAIN = 10
-RPC_EPILOGUE = 50
 
 
 def _memcpy():
@@ -65,24 +55,6 @@ def _filescan():
 def _kvstore():
     run_kvstore(nwarps=4, records_per_warp=64, ops_per_warp=8,
                 num_frames=6)
-
-
-def _rpc_kernel(ctx, base):
-    yield from ctx.compute(RPC_PROLOGUE, chain=RPC_CHAIN)
-    yield from ctx.host_compute(1e-6)
-    yield from ctx.compute(RPC_EPILOGUE)
-    yield from ctx.store(base + ctx.lane * 4,
-                         np.full(32, ctx.warp_id + 1, np.uint32), "u4")
-
-
-def _sharded():
-    from repro.gpu.multigpu import ClusterLaunch, launch_cluster
-
-    devices = [Device(spec=K80_SPEC, memory_bytes=8 * 1024 * 1024)
-               for _ in range(2)]
-    launches = [ClusterLaunch(d, _rpc_kernel, 2, 64,
-                              args=(d.alloc(4096),)) for d in devices]
-    launch_cluster(launches)
 
 
 def _launch_records(run, **capture_kwargs):
@@ -110,8 +82,6 @@ CASES = {
        for name, run in _WORKLOADS.items()},
     **{f"observed/{name}": _launch_records(run, **OBSERVED)
        for name, run in _WORKLOADS.items()},
-    "sharded/jobs1": _launch_records(
-        _sharded, trace=True, timeseries=True, window_cycles=500.0),
 }
 
 

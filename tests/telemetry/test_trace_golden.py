@@ -13,7 +13,6 @@ Cases:
 
 * the four ``OBSERVED`` workloads of ``test_profile_golden.py`` (trace
   + timeseries + attribution capture);
-* its two-device cluster (the merged cluster trace);
 * the engine handler-coverage kernel of ``tests/gpu/test_engine.py``
   under the same ``OBSERVED`` capture.
 
@@ -34,11 +33,7 @@ import pytest
 
 from repro.telemetry import capture
 from tests.gpu.test_engine import run_coverage
-from tests.telemetry.test_profile_golden import (
-    OBSERVED,
-    _WORKLOADS,
-    _sharded,
-)
+from tests.telemetry.test_profile_golden import OBSERVED, _WORKLOADS
 
 GOLDEN = Path(__file__).with_name("golden_traces.json")
 
@@ -66,8 +61,6 @@ def _launch_traces(run, **capture_kwargs):
 CASES = {
     **{f"observed/{name}": _launch_traces(run, **OBSERVED)
        for name, run in _WORKLOADS.items()},
-    "sharded/jobs1": _launch_traces(
-        _sharded, trace=True, timeseries=True, window_cycles=500.0),
     "coverage/observed": _launch_traces(run_coverage, **OBSERVED),
 }
 
